@@ -10,6 +10,7 @@
 #include "experiments/parallel_runner.hpp"
 #include "experiments/protocols/central_protocol.hpp"
 #include "experiments/scenario.hpp"
+#include "golden_hash.hpp"
 
 namespace avmon::experiments {
 namespace {
@@ -259,6 +260,56 @@ TEST(BaselinesScenarioTest, PoolShardOverrideClampsToProtocolLimit) {
   ASSERT_EQ(runners.size(), 2u);
   EXPECT_EQ(runners[0]->world().shardCount(), 2u);  // avmon sharded
   EXPECT_EQ(runners[1]->world().shardCount(), 1u);  // broadcast clamped
+}
+
+// Baseline determinism pins: each scheme on the three golden workloads,
+// fingerprinted through the summary metrics and the protocol-generic
+// per-node probes (golden_hash.hpp). Values were captured before the
+// baseline classes were folded into their protocols and must survive any
+// refactor of the schemes bit-for-bit.
+struct BaselineGolden {
+  const char* protocol;
+  std::uint64_t summary[3];
+  std::uint64_t perNode[3];
+};
+
+TEST(BaselinesScenarioTest, SeededBaselineRunsMatchGoldenHashes) {
+  const char* const workloads[] = {"STAT", "SYNTH-BD", "SYNTH+drop"};
+  const BaselineGolden expected[] = {
+      {"broadcast",
+       {0xe8411a283a274776ULL, 0x4e8367143485856dULL, 0x0fed68b36e1f4fffULL},
+       {0x6fe8049b023ad1b3ULL, 0x2debca2fc1c16a95ULL, 0x2f71edb698ca534bULL}},
+      {"central",
+       {0x32cb64792d667060ULL, 0xa16435aa5fe3d888ULL, 0xd3cec04e43fee7cbULL},
+       {0xc4b0fd9c1458a3deULL, 0xc5210f87c342ec1eULL, 0x0eb6f66bf98b46beULL}},
+      {"dht_ring",
+       {0xdb4f82fbefec44f6ULL, 0x133a0a3d8b53d838ULL, 0xe823d0d90c2cf4c9ULL},
+       {0x56efae64c702397bULL, 0xa95557910cb10efaULL, 0x359d8ea904198093ULL}},
+      {"self_report",
+       {0xc02f462cbf0be6aeULL, 0x78fe48c837cd5c82ULL, 0xf1b3297d14d9a315ULL},
+       {0xf51b1a84186e6933ULL, 0xb9d7441b88c1aa4cULL, 0x52ee119ae87b56f3ULL}},
+  };
+
+  std::vector<Scenario> scenarios;
+  for (const BaselineGolden& golden : expected) {
+    for (Scenario s : goldenScenarios()) {
+      s.protocol = golden.protocol;
+      scenarios.push_back(s);
+    }
+  }
+  const auto runners = ParallelScenarioRunner().runAll(scenarios);
+  ASSERT_EQ(runners.size(), 12u);
+  for (std::size_t p = 0; p < 4; ++p) {
+    for (std::size_t w = 0; w < 3; ++w) {
+      const ScenarioRunner& runner = *runners[3 * p + w];
+      EXPECT_EQ(summaryHash(runner), expected[p].summary[w])
+          << expected[p].protocol << " " << workloads[w]
+          << " summary metrics drifted";
+      EXPECT_EQ(protocolNodeHash(runner), expected[p].perNode[w])
+          << expected[p].protocol << " " << workloads[w]
+          << " per-node metrics drifted";
+    }
+  }
 }
 
 TEST(BaselinesScenarioTest, BaselinesRunOnBothRpcLanes) {

@@ -14,6 +14,7 @@
 #include <cstring>
 #include <vector>
 
+#include "experiments/protocol.hpp"
 #include "experiments/scenario.hpp"
 
 namespace avmon::experiments {
@@ -97,6 +98,30 @@ inline std::uint64_t perNodeHash(const ScenarioRunner& runner) {
       fp.mix(0xFFFFFFFFFFFFFFFFULL);
     }
   }
+  return fp.value();
+}
+
+/// Protocol-generic per-node fingerprint: every participant in
+/// forEachNode order, through the Protocol probes and the runner's traffic
+/// counters only — so it pins the baselines too, where perNodeHash's
+/// runner.node() throws.
+inline std::uint64_t protocolNodeHash(const ScenarioRunner& runner) {
+  MetricsFingerprint fp;
+  const Protocol& protocol = runner.protocol();
+  protocol.forEachNode([&](const NodeId& id) {
+    fp.mix((static_cast<std::uint64_t>(id.ip()) << 16) | id.port());
+    if (const auto d = protocol.discoveryDelay(id, 1)) {
+      fp.mix(static_cast<std::uint64_t>(*d));
+    } else {
+      fp.mix(0xFFFFFFFFFFFFFFFFULL);
+    }
+    fp.mix(protocol.memoryEntries(id));
+    fp.mix(protocol.hashChecks(id));
+    fp.mix(protocol.uselessPings(id));
+    const sim::TrafficCounters traffic = runner.trafficOf(id);
+    fp.mix(traffic.bytesSent);
+    fp.mix(traffic.messagesSent);
+  });
   return fp.value();
 }
 
