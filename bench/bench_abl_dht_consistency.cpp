@@ -9,8 +9,8 @@
 #include <unordered_set>
 #include <vector>
 
-#include "baselines/dht_ring.hpp"
 #include "common.hpp"
+#include "experiments/protocols/dht_ring.hpp"
 #include "hash/hash_function.hpp"
 
 int main() {
@@ -19,7 +19,7 @@ int main() {
   constexpr std::size_t kN = 500;
   constexpr unsigned kK = 9;  // log2(500)
   hash::Md5HashFunction md5;
-  baselines::DhtRing ring(md5, kK);
+  experiments::DhtRing ring(md5, kK);
   HashMonitorSelector avmonSel(md5, kK, kN);
 
   std::vector<NodeId> ids;

@@ -130,9 +130,8 @@ void AvmonNode::join(bool firstJoin) {
 
     // "Inherit view from this random node": fetch its coarse view to seed
     // ours (charged like a regular view fetch). Like every completion
-    // handler below, the epoch guard makes a deferred response landing
-    // after leave()/rejoin a no-op; in the instantaneous mode the handler
-    // runs inline and the guard always passes.
+    // handler below, the epoch guard makes a response landing after
+    // leave()/rejoin a no-op.
     const std::uint64_t epochAtSend = epoch_;
     net_.exchangeAsync(
         id_, contact,
@@ -374,8 +373,7 @@ void AvmonNode::reshuffleCoarseView(const std::vector<NodeId>& fetched,
 
 void AvmonNode::protocolTick() {
   // Step 1: liveness-probe one random coarse view entry. The probe is
-  // fire-and-forget: with deferred RPCs the tick proceeds while it is in
-  // flight, and the unresponsive entry is dropped when the timeout lands.
+  // fire-and-forget: the tick proceeds while it is in flight, and the unresponsive entry is dropped when the timeout lands.
   const std::uint64_t epochAtTick = epoch_;
   if (!cv_.empty()) {
     const NodeId z = cv_[rng_.index(cv_.size())];
@@ -471,7 +469,7 @@ void AvmonNode::reshuffleBySwap(const NodeId& w) {
           std::optional<sim::SwapResponse> swap) {
         if (!swap) {
           // Timed out (w answered the fetch moments ago, so this is an
-          // injected fault or a deferred-mode deadline). The offer never
+          // injected fault or a round trip past rpcTimeout). The offer never
           // left — put the entries back rather than leak view slots.
           for (const NodeId& n : offer) addToCoarseView(n);
           publishState();

@@ -3,57 +3,91 @@
 namespace avmon::experiments {
 
 void BroadcastProtocol::build(const ProtocolContext& ctx) {
-  const auto directory = [this] {
-    std::vector<NodeId> aliveIds;
-    aliveIds.reserve(order_.size());
-    for (std::size_t i = 0; i < order_.size(); ++i) {
-      if (alive_[i]) aliveIds.push_back(order_[i]);
-    }
-    return aliveIds;
-  };
-
+  selector_ = ctx.memoSelectors[0].get();
+  sim_ = &ctx.world.simOf(0);
+  net_ = &ctx.world.netOf(0);
   for (const trace::NodeTrace& nt : ctx.trace.nodes()) {
-    indexOf_[nt.id] = order_.size();
-    order_.push_back(nt.id);
-    alive_.push_back(false);
-    nodes_.emplace(nt.id, std::make_unique<baselines::BroadcastNode>(
-                              nt.id, *ctx.memoSelectors[0], ctx.world.simOf(0),
-                              ctx.world.netOf(0), directory));
+    nodes_.push_back(std::make_unique<Node>(*this, nt.id));
+    byId_.emplace(nt.id, nodes_.back().get());
+    net_->attach(nt.id, *nodes_.back());
   }
 }
 
 void BroadcastProtocol::onJoin(const NodeId& id, bool /*firstJoin*/) {
-  alive_[indexOf_.at(id)] = true;
-  nodes_.at(id)->join();
+  Node& node = *byId_.at(id);
+  if (node.alive) return;
+  node.alive = true;
+  net_->setUp(id, true);
+  if (node.firstJoin < 0) node.firstJoin = sim_->now();
+
+  // O(N) join cost: announce to every alive member, and learn them all.
+  for (const auto& peer : nodes_) {
+    if (!peer->alive || peer.get() == &node) continue;
+    node.members.insert(peer->id);
+    net_->send(id, peer->id, sim::PresenceMessage{id});
+    considerPeer(node, peer->id);
+  }
 }
 
 void BroadcastProtocol::onLeave(const NodeId& id) {
-  alive_[indexOf_.at(id)] = false;
-  nodes_.at(id)->leave();
+  Node& node = *byId_.at(id);
+  if (!node.alive) return;
+  node.alive = false;
+  net_->setUp(id, false);
+}
+
+void BroadcastProtocol::considerPeer(Node& node, const NodeId& peer) {
+  ++node.hashChecks;
+  if (selector_->isMonitor(peer, node.id) && node.ps.insert(peer).second) {
+    node.psDiscoveryTimes.push_back(sim_->now());
+  }
+  ++node.hashChecks;
+  if (selector_->isMonitor(node.id, peer)) node.ts.insert(peer);
+}
+
+void BroadcastProtocol::Node::onMessage(const NodeId& /*from*/,
+                                        const sim::Message& message) {
+  if (!alive) return;
+  // This scheme only speaks presence announcements; other alternatives of
+  // the closed wire format are not its protocol and fall to the catch-all.
+  std::visit(sim::Overloaded{
+                 [this](const sim::PresenceMessage& presence) {
+                   if (presence.origin == id) return;
+                   members.insert(presence.origin);
+                   owner.considerPeer(*this, presence.origin);
+                 },
+                 [](const auto&) {},
+             },
+             message);
 }
 
 void BroadcastProtocol::forEachNode(
     const std::function<void(const NodeId&)>& fn) const {
-  for (const NodeId& id : order_) fn(id);
+  for (const auto& node : nodes_) fn(node->id);
 }
 
 std::optional<SimDuration> BroadcastProtocol::discoveryDelay(
     const NodeId& id, std::size_t k) const {
-  return nodes_.at(id)->discoveryDelay(k);
+  const Node& node = *byId_.at(id);
+  if (k == 0 || node.psDiscoveryTimes.size() < k || node.firstJoin < 0)
+    return std::nullopt;
+  return node.psDiscoveryTimes[k - 1] - node.firstJoin;
 }
 
 std::size_t BroadcastProtocol::memoryEntries(const NodeId& id) const {
-  return nodes_.at(id)->memoryEntries();
+  // |membership| + |PS| + |TS|: comparable to AVMON's |CV| + |PS| + |TS|.
+  const Node& node = *byId_.at(id);
+  return node.members.size() + node.ps.size() + node.ts.size();
 }
 
 std::uint64_t BroadcastProtocol::hashChecks(const NodeId& id) const {
-  return nodes_.at(id)->hashChecks();
+  return byId_.at(id)->hashChecks;
 }
 
 std::vector<NodeId> BroadcastProtocol::monitorsOf(const NodeId& id) const {
-  const auto& ps = nodes_.at(id)->pingingSet();
+  const Node& node = *byId_.at(id);
   // lint:allow(unordered-iter, the accuracy sampler's monitor visit order is part of the pinned metric stream; hash order is deterministic for a fixed insertion history)
-  return std::vector<NodeId>(ps.begin(), ps.end());
+  return std::vector<NodeId>(node.ps.begin(), node.ps.end());
 }
 
 }  // namespace avmon::experiments

@@ -1,19 +1,21 @@
 // The AVCast-style Broadcast baseline as a pluggable Protocol (paper
-// Table 1): every (re)joining node broadcasts its presence to the full
-// membership, so discovery is near-instant but joins cost O(N) messages
-// and every node stores O(N) membership. Replaces the retired ad-hoc
-// BroadcastRunner — the scheme now rides the same ScenarioRunner, traces,
-// and MetricSet as AVMON, so Table-1 comparisons are one sweep.
+// Table 1, the discovery scheme of AVCast [11]): every (re)joining node
+// broadcasts its presence to every node in the system. Each receiver
+// checks the consistency condition against the joiner in both directions
+// and installs any monitoring relation immediately. Discovery is
+// near-instant (one broadcast latency) but the join costs O(N) messages
+// and every node needs a full membership list — exactly the M = O(N) row
+// of Table 1.
 //
-// Single-shard: the scheme's membership directory is a shared alive list
-// (exactly the complete membership graph AVCast maintains anyway).
+// Single-shard: the joiner's directory is the shared alive list (exactly
+// the complete membership graph AVCast maintains anyway).
 #pragma once
 
 #include <memory>
 #include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
-#include "baselines/broadcast.hpp"
 #include "experiments/protocol.hpp"
 
 namespace avmon::experiments {
@@ -36,14 +38,36 @@ class BroadcastProtocol final : public Protocol {
   std::vector<NodeId> monitorsOf(const NodeId& id) const override;
 
  private:
-  // Alive list in trace order: deterministic directory snapshots (an
-  // unordered map would make broadcast order depend on hash layout).
-  std::vector<NodeId> order_;
-  std::vector<bool> alive_;
-  std::unordered_map<NodeId, std::size_t> indexOf_;
+  // One participant: its network endpoint (the network holds its address)
+  // and the scheme's per-node state.
+  struct Node final : sim::Endpoint {
+    Node(BroadcastProtocol& owner, NodeId id) : owner(owner), id(id) {}
+    Node(const Node&) = delete;
+    Node& operator=(const Node&) = delete;
+    void onMessage(const NodeId& from, const sim::Message& message) override;
 
-  std::unordered_map<NodeId, std::unique_ptr<baselines::BroadcastNode>>
-      nodes_;
+    BroadcastProtocol& owner;
+    NodeId id;
+    bool alive = false;
+    SimTime firstJoin = -1;
+    std::vector<SimTime> psDiscoveryTimes;  // absolute time of k-th PS entry
+    std::unordered_set<NodeId> members;
+    std::unordered_set<NodeId> ps;
+    std::unordered_set<NodeId> ts;
+    std::uint64_t hashChecks = 0;
+  };
+
+  // Both orientations of the consistency condition against `peer`.
+  void considerPeer(Node& node, const NodeId& peer);
+
+  const MonitorSelector* selector_ = nullptr;
+  sim::Simulator* sim_ = nullptr;  // shard 0 (single-shard scheme)
+  sim::Network* net_ = nullptr;
+
+  // Trace order: the join fan-out walks it, so send order never depends on
+  // hash layout.
+  std::vector<std::unique_ptr<Node>> nodes_;
+  std::unordered_map<NodeId, Node*> byId_;
 };
 
 }  // namespace avmon::experiments

@@ -9,29 +9,62 @@ const NodeId CentralProtocol::kServerId = NodeId(0xC0000201u, 9);
 
 void CentralProtocol::build(const ProtocolContext& ctx) {
   monitoringPeriod_ = ctx.config.monitoringPeriod;
+  pingBytes_ = ctx.config.pingBytes;
   horizon_ = ctx.scenario.horizon;
   sim_ = &ctx.world.simOf(0);
+  net_ = &ctx.world.netOf(0);
 
   // The server is a real network participant (its O(N) ping load is the
   // point of the comparison), so it registers with the world like any
   // trace node — just after them, and outside the churn schedule.
   ctx.world.registerNode(kServerId);
-  server_ = std::make_unique<baselines::CentralServer>(
-      kServerId, ctx.world.simOf(0), ctx.world.netOf(0),
-      ctx.config.monitoringPeriod, ctx.config.pingBytes);
-  server_->start();
+  net_->attach(kServerId, server_);
+  net_->setUp(kServerId, true);
+  sim_->every(sim_->now() + monitoringPeriod_, monitoringPeriod_, [this] {
+    tick();
+    return true;
+  });
 
   for (const trace::NodeTrace& nt : ctx.trace.nodes()) {
     order_.push_back(nt.id);
-    members_.emplace(nt.id, std::make_unique<baselines::CentralMember>(
-                                nt.id, kServerId, ctx.world.netOf(0)));
+    net_->attach(nt.id, member_);
   }
   order_.push_back(kServerId);
 }
 
+void CentralProtocol::tick() {
+  // Ping in registration order, not container hash order: the ping
+  // sequence is observable behavior (traffic counters, history sample
+  // timestamps), so it must be a function of what the members did.
+  for (const NodeId& member : registrationOrder_) {
+    const bool up =
+        net_->exchange(kServerId, member, sim::PingRequest{pingBytes_})
+            .has_value();
+    if (!up) ++uselessPings_;
+    registrations_.at(member).history.record(sim_->now(), up);
+  }
+}
+
+void CentralProtocol::Server::onMessage(const NodeId& /*from*/,
+                                        const sim::Message& message) {
+  std::visit(sim::Overloaded{
+                 [this](const sim::RegisterMessage& reg) {
+                   const auto [it, inserted] =
+                       owner.registrations_.try_emplace(reg.origin);
+                   if (!inserted) return;
+                   it->second.registeredAt = owner.sim_->now();
+                   owner.registrationOrder_.push_back(reg.origin);
+                 },
+                 [](const auto&) {},  // not this scheme's traffic
+             },
+             message);
+}
+
 void CentralProtocol::onJoin(const NodeId& id, bool /*firstJoin*/) {
   firstJoinAt_.try_emplace(id, sim_->now());
-  members_.at(id)->join();
+  if (net_->isUp(id)) return;
+  net_->setUp(id, true);
+  net_->send(id, kServerId, sim::RegisterMessage{id});
 }
 
 void CentralProtocol::onLeave(const NodeId& id) {
@@ -41,7 +74,7 @@ void CentralProtocol::onLeave(const NodeId& id) {
   // final tick and record one spurious down sample per member. Mid-run
   // leaves are real and processed normally.
   if (sim_->now() >= horizon_) return;
-  members_.at(id)->leave();
+  net_->setUp(id, false);
 }
 
 void CentralProtocol::forEachNode(
@@ -54,42 +87,46 @@ std::optional<SimDuration> CentralProtocol::discoveryDelay(
   // PS(x) = {server}: there is exactly one monitor to discover, and it
   // knows the member once the registration message lands.
   if (k != 1 || id == kServerId) return std::nullopt;
-  const auto registered = server_->registeredAt(id);
+  const auto registered = registrations_.find(id);
   const auto joined = firstJoinAt_.find(id);
-  if (!registered || joined == firstJoinAt_.end()) return std::nullopt;
-  return *registered - joined->second;
+  if (registered == registrations_.end() || joined == firstJoinAt_.end())
+    return std::nullopt;
+  return registered->second.registeredAt - joined->second;
 }
 
 std::size_t CentralProtocol::memoryEntries(const NodeId& id) const {
   // The server's member table is the scheme's O(N) memory; each member
   // that ever joined holds one entry (the server's address).
-  if (id == kServerId) return server_->memberCount();
+  if (id == kServerId) return registrations_.size();
   return firstJoinAt_.count(id) ? 1 : 0;
 }
 
 std::uint64_t CentralProtocol::uselessPings(const NodeId& id) const {
-  return id == kServerId ? server_->uselessPings() : 0;
+  // The server keeps pinging every registrant forever, so down or departed
+  // members cost it bandwidth the way AVMON's non-forgetful pinging does.
+  return id == kServerId ? uselessPings_ : 0;
 }
 
 bool CentralProtocol::isMonitoring(const NodeId& id) const {
-  return id == kServerId && server_->memberCount() > 0;
+  return id == kServerId && !registrations_.empty();
 }
 
 std::vector<NodeId> CentralProtocol::monitorsOf(const NodeId& id) const {
-  if (id == kServerId || !server_->registeredAt(id)) return {};
+  if (id == kServerId || registrations_.count(id) == 0) return {};
   return {kServerId};
 }
 
 std::optional<EstimateSample> CentralProtocol::estimate(
     const NodeId& monitor, const NodeId& target) const {
   if (monitor != kServerId) return std::nullopt;
-  const history::RawHistory* hist = server_->historyOf(target);
-  if (hist == nullptr) return std::nullopt;
-  const auto span = hist->sampleSpan();
+  const auto it = registrations_.find(target);
+  if (it == registrations_.end()) return std::nullopt;
+  const history::RawHistory& hist = it->second.history;
+  const auto span = hist.sampleSpan();
   // Same statistical-weight threshold as the AVMON probe.
-  if (!span || hist->sampleCount() < 10) return std::nullopt;
+  if (!span || hist.sampleCount() < 10) return std::nullopt;
   EstimateSample sample;
-  sample.estimated = hist->estimate();
+  sample.estimated = hist.estimate();
   sample.windowStart = span->first;
   sample.windowEnd = std::min(span->last + monitoringPeriod_, horizon_);
   return sample;

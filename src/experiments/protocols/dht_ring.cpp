@@ -1,6 +1,6 @@
-#include "baselines/dht_ring.hpp"
+#include "experiments/protocols/dht_ring.hpp"
 
-namespace avmon::baselines {
+namespace avmon::experiments {
 namespace {
 
 std::uint64_t ringPoint(const hash::HashFunction& hash, const NodeId& id) {
@@ -43,4 +43,4 @@ std::vector<NodeId> DhtRing::replicaSet(const NodeId& x) const {
   return ps;
 }
 
-}  // namespace avmon::baselines
+}  // namespace avmon::experiments

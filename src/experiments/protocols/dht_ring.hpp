@@ -18,7 +18,7 @@
 #include "common/node_id.hpp"
 #include "hash/hash_function.hpp"
 
-namespace avmon::baselines {
+namespace avmon::experiments {
 
 /// Consistent-hash ring over alive nodes with replica-set pinging sets.
 class DhtRing {
@@ -50,4 +50,4 @@ class DhtRing {
   std::unordered_set<NodeId> members_;
 };
 
-}  // namespace avmon::baselines
+}  // namespace avmon::experiments

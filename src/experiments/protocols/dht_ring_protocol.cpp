@@ -6,7 +6,7 @@ void DhtRingProtocol::build(const ProtocolContext& ctx) {
   k_ = ctx.config.k;
   horizon_ = ctx.scenario.horizon;
   sim_ = &ctx.world.simOf(0);
-  ring_ = std::make_unique<baselines::DhtRing>(ctx.hashFn, k_);
+  ring_ = std::make_unique<DhtRing>(ctx.hashFn, k_);
 
   for (const trace::NodeTrace& nt : ctx.trace.nodes()) {
     order_.push_back(nt.id);

@@ -1,8 +1,8 @@
 // The DHT replica-set baseline as a pluggable Protocol (paper Section 1,
 // existing approach (3), "akin to Total Recall"): PS(x) = the K alive
 // nodes whose hashed ids follow hash(x) clockwise on a consistent-hash
-// ring. The selection layer is modeled omnisciently (baselines::DhtRing
-// carries no message protocol), so bandwidth is honestly zero; what the
+// ring. The selection layer is modeled omnisciently (DhtRing carries no
+// message protocol), so bandwidth is honestly zero; what the
 // comparison table exposes is the scheme's *churn behaviour* — monitor
 // sets that mutate under unrelated joins (the paper's Consistency
 // violation), measured here as k-th-monitor discovery times tracked
@@ -14,8 +14,8 @@
 #include <unordered_map>
 #include <vector>
 
-#include "baselines/dht_ring.hpp"
 #include "experiments/protocol.hpp"
+#include "experiments/protocols/dht_ring.hpp"
 
 namespace avmon::experiments {
 
@@ -50,7 +50,7 @@ class DhtRingProtocol final : public Protocol {
   SimTime horizon_ = 0;
   sim::Simulator* sim_ = nullptr;
 
-  std::unique_ptr<baselines::DhtRing> ring_;
+  std::unique_ptr<DhtRing> ring_;
   std::vector<NodeId> order_;  // trace order
   std::unordered_map<NodeId, NodeState> states_;
 

@@ -10,7 +10,7 @@ void SelfReportProtocol::build(const ProtocolContext& ctx) {
 
   for (const trace::NodeTrace& nt : ctx.trace.nodes()) {
     order_.push_back(nt.id);
-    nodes_.emplace(nt.id, baselines::SelfReportNode(nt.id));
+    nodes_.emplace(nt.id, NodeState{});
   }
 
   // The scenario's overreport fraction maps onto the scheme's own threat
@@ -18,7 +18,7 @@ void SelfReportProtocol::build(const ProtocolContext& ctx) {
   if (ctx.scenario.overreportFraction > 0) {
     for (const NodeId& id : order_) {
       if (ctx.rootRng.chance(ctx.scenario.overreportFraction))
-        nodes_.at(id).setSelfish(true);
+        nodes_.at(id).selfish = true;
     }
   }
 
@@ -27,17 +27,24 @@ void SelfReportProtocol::build(const ProtocolContext& ctx) {
   // this baseline as selfish colluders (victims are irrelevant here).
   if (ctx.adversary != nullptr) {
     for (const NodeId& id : order_) {
-      if (ctx.adversary->isColluder(id)) nodes_.at(id).setSelfish(true);
+      if (ctx.adversary->isColluder(id)) nodes_.at(id).selfish = true;
     }
   }
 }
 
 void SelfReportProtocol::onJoin(const NodeId& id, bool /*firstJoin*/) {
-  nodes_.at(id).join(sim_->now());
+  NodeState& node = nodes_.at(id);
+  if (node.up) return;
+  node.up = true;
+  node.sessionStart = sim_->now();
+  if (node.firstJoin < 0) node.firstJoin = sim_->now();
 }
 
 void SelfReportProtocol::onLeave(const NodeId& id) {
-  nodes_.at(id).leave(sim_->now());
+  NodeState& node = nodes_.at(id);
+  if (!node.up) return;
+  node.up = false;
+  node.accumulatedUp += sim_->now() - node.sessionStart;
 }
 
 void SelfReportProtocol::forEachNode(
@@ -48,17 +55,17 @@ void SelfReportProtocol::forEachNode(
 std::optional<SimDuration> SelfReportProtocol::discoveryDelay(
     const NodeId& id, std::size_t k) const {
   // A node is its own (only) monitor the instant it first joins.
-  if (k != 1 || !nodes_.at(id).firstJoinTime()) return std::nullopt;
+  if (k != 1 || nodes_.at(id).firstJoin < 0) return std::nullopt;
   return SimDuration{0};
 }
 
 std::size_t SelfReportProtocol::memoryEntries(const NodeId& id) const {
   // One entry: the node's own up-time accumulator.
-  return nodes_.at(id).firstJoinTime() ? 1 : 0;
+  return nodes_.at(id).firstJoin >= 0 ? 1 : 0;
 }
 
 std::vector<NodeId> SelfReportProtocol::monitorsOf(const NodeId& id) const {
-  if (!nodes_.at(id).firstJoinTime()) return {};
+  if (nodes_.at(id).firstJoin < 0) return {};
   return {id};
 }
 
@@ -66,15 +73,21 @@ std::optional<EstimateSample> SelfReportProtocol::estimate(
     const NodeId& monitor, const NodeId& target) const {
   if (monitor != target) return std::nullopt;
   const auto it = nodes_.find(monitor);
-  if (it == nodes_.end()) return std::nullopt;
-  const auto firstJoin = it->second.firstJoinTime();
-  if (!firstJoin) return std::nullopt;
+  if (it == nodes_.end() || it->second.firstJoin < 0) return std::nullopt;
+  const NodeState& node = it->second;
   EstimateSample sample;
   // Honest nodes report their true up fraction since first join — which
   // matches the trace's ground truth over the same window exactly;
   // selfish nodes report 1.0 and the accuracy table shows the gap.
-  sample.estimated = it->second.reportedAvailability(horizon_);
-  sample.windowStart = *firstJoin;
+  if (node.selfish) {
+    sample.estimated = 1.0;
+  } else if (horizon_ > node.firstJoin) {
+    SimDuration up = node.accumulatedUp;
+    if (node.up) up += horizon_ - node.sessionStart;
+    sample.estimated = static_cast<double>(up) /
+                       static_cast<double>(horizon_ - node.firstJoin);
+  }
+  sample.windowStart = node.firstJoin;
   sample.windowEnd = horizon_;
   return sample;
 }

@@ -13,7 +13,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "baselines/self_report.hpp"
 #include "experiments/protocol.hpp"
 
 namespace avmon::experiments {
@@ -37,11 +36,20 @@ class SelfReportProtocol final : public Protocol {
                                          const NodeId& target) const override;
 
  private:
+  // A node's own up-time bookkeeping, and whether it lies about it.
+  struct NodeState {
+    bool selfish = false;
+    bool up = false;
+    SimTime firstJoin = -1;  // -1: never joined
+    SimTime sessionStart = -1;
+    SimDuration accumulatedUp = 0;
+  };
+
   SimTime horizon_ = 0;
   sim::Simulator* sim_ = nullptr;
 
   std::vector<NodeId> order_;  // trace order
-  std::unordered_map<NodeId, baselines::SelfReportNode> nodes_;
+  std::unordered_map<NodeId, NodeState> nodes_;
 };
 
 }  // namespace avmon::experiments

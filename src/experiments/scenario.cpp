@@ -15,8 +15,8 @@ namespace avmon::experiments {
 namespace {
 
 // The shard count a scenario actually runs with (0 = hardware width).
-// Resolved before validation so shards = 0 cannot smuggle instantaneous
-// RPC into a multi-shard world on a multi-core host.
+// Resolved before validation so shards = 0 cannot smuggle a single-shard
+// baseline into a multi-shard world on a multi-core host.
 unsigned resolveShards(unsigned shards) {
   return shards != 0 ? shards
                      : std::max(1u, std::thread::hardware_concurrency());
@@ -88,11 +88,6 @@ void Scenario::validate() const {
   }
 
   const unsigned effectiveShards = resolveShards(shards);
-  if (!deferredRpc && effectiveShards > 1) {
-    throw std::invalid_argument(
-        "Scenario: instantaneous RPC (deferredRpc = false) cannot cross a "
-        "shard boundary — use shards = 1 for the collapsed-RTT lane");
-  }
   if (factory->maxShards != 0 && effectiveShards > factory->maxShards) {
     throw std::invalid_argument(
         "Scenario: protocol '" + protocol + "' keeps shared global state and "
@@ -208,7 +203,6 @@ ScenarioRunner::ScenarioRunner(Scenario scenario)
   worldConfig.shards = effectiveShards;
   worldConfig.net.messageDropProbability = scenario_.messageDropProbability;
   worldConfig.net.rpcFailProbability = scenario_.rpcFailProbability;
-  worldConfig.net.deferredRpc = scenario_.deferredRpc;
   if (!faultPlan_.empty()) {
     // A latency window or geo band may dip below the flat band's minimum;
     // the conservative sharding window must follow it down.

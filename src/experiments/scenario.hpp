@@ -209,19 +209,12 @@ struct Scenario {
   /// shard count never changes results, only wall-clock time.
   unsigned shards = 1;
 
-  /// Model both RPC legs with latency as simulator events (the harness
-  /// default). Required whenever shards > 1 — an instantaneous RPC cannot
-  /// cross a shard boundary. Turning it off keeps the paper's collapsed-RTT
-  /// accounting as a single-shard lane.
-  bool deferredRpc = true;
-
   /// Streaming metrics pipeline (spec keys metrics.window /
   /// metrics.reducers / metrics.quantiles; avmon_sim --stream-metrics).
   StreamingMetricsSpec metrics;
 
   /// Checks every cross-field invariant (known protocol and hash, nonzero
-  /// N/horizon, warmup < horizon, shard/RPC-lane compatibility, protocol
-  /// shard limits, probability ranges) and throws std::invalid_argument
+  /// N/horizon, warmup < horizon, protocol shard limits, probability ranges) and throws std::invalid_argument
   /// with an actionable message on the first violation. ScenarioRunner
   /// validates on construction; tools validate right after parsing so a
   /// bad spec fails before any world is built.

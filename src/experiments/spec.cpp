@@ -237,8 +237,6 @@ SweepSpec SweepSpec::parse(const std::string& text) {
       base.measured = parseMeasured(value, lineNo);
     } else if (key == "shards") {
       base.shards = static_cast<unsigned>(parseU64(value, lineNo));
-    } else if (key == "deferred_rpc") {
-      base.deferredRpc = parseBool(value, lineNo);
     } else if (key == "shuffle") {
       base.shuffle = parseShuffle(value, lineNo);
     } else if (key == "notify_dedup_max") {
@@ -464,7 +462,6 @@ std::string Scenario::toSpec() const {
   out << "rpc_fail = " << formatDouble(rpcFailProbability) << "\n";
   out << "measured = " << measuredName(measured) << "\n";
   out << "shards = " << shards << "\n";
-  out << "deferred_rpc = " << (deferredRpc ? "true" : "false") << "\n";
   // The transport/udp.* keys are emitted only when they differ from the
   // sim-lane defaults, so every pre-live spec's canonical form is
   // byte-unchanged.

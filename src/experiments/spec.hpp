@@ -14,7 +14,7 @@
 // horizon_ms, warmup_min or warmup_ms, control_fraction, hash, cvs, k
 // (0 = paper default), pr2, forgetful, forgetful_ewma, overreport,
 // rpc_fail, measured (auto|control|born_after_warmup|all), shards,
-// deferred_rpc, shuffle (union-sample|swap), notify_dedup_max,
+// shuffle (union-sample|swap), notify_dedup_max,
 // history (raw|recent|aged|compact) with history_param (style-specific
 // knob; compact: max run-length runs per target),
 // metrics.window (seconds; 0 = no streaming), metrics.reducers (comma

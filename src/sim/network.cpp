@@ -225,8 +225,8 @@ std::optional<RpcResponse> Network::call(const NodeId& from, const NodeId& to,
   }
   if (plan_ != nullptr &&
       !plan_->reachable(sim_.now(), fromIndex, target.globalIndex)) {
-    // Instant lane: partition judged at call time, like liveness — a
-    // timeout with only the request bytes spent.
+    // Partition judged at call time, like liveness — a timeout with only
+    // the request bytes spent.
     return std::nullopt;
   }
   charge(target, responseWireBytes(request));
@@ -236,12 +236,12 @@ std::optional<RpcResponse> Network::call(const NodeId& from, const NodeId& to,
   return endpoint->onRpc(from, request);
 }
 
-void Network::callAsyncDeferred(const NodeId& from, const NodeId& to,
-                                RpcRequest request, RpcHandler handler) {
-  AVMON_DET_CHECK(detTag, "Network::callAsyncDeferred");
-  // Latency-modeled mode: the request leg travels, the target serves the
-  // request at arrival time (so its liveness is judged then, like one-way
-  // delivery), and the response leg travels back. The caller's deadline is
+void Network::callAsyncErased(const NodeId& from, const NodeId& to,
+                              RpcRequest request, RpcHandler handler) {
+  AVMON_DET_CHECK(detTag, "Network::callAsyncErased");
+  // The request leg travels, the target serves the request at arrival
+  // time (so its liveness is judged then, like one-way delivery), and the
+  // response leg travels back. The caller's deadline is
   // a single backstop event scheduled now, at exactly rpcTimeout: it fires
   // with nullopt unless a response landed first, so every failure mode —
   // injected fault, dead target, or a round trip slower than the deadline

@@ -8,19 +8,15 @@
 //    (sim/message.hpp), delivered after a small random latency; if the
 //    target is down at delivery time the message is lost silently (the
 //    sender learns nothing — deaths are silent).
-//  * Synchronous exchanges (coarse-view ping, CV fetch, swap, monitoring
-//    ping) are typed `RpcRequest`/`RpcResponse` pairs (sim/rpc.hpp),
-//    modeled by default as an instantaneous RPC: the caller gets the
-//    target's response if and only if the target is up right now, and a
-//    timeout otherwise (empty optional; request bytes spent, response
-//    bytes not). Because protocol periods are minutes and network latency
-//    is milliseconds, collapsing the RTT does not affect any metric the
-//    paper reports; it removes a large constant factor of simulator
-//    events. Protocol code issues every exchange through `callAsync` /
-//    `exchangeAsync`; with `NetworkConfig::deferredRpc` off (the default)
-//    the completion handler runs inline and `call` is the degenerate
-//    instantaneous case, with it on both RPC legs travel with modeled
-//    latency and the handler fires as a simulator event.
+//  * Exchanges (coarse-view ping, CV fetch, swap, monitoring ping) are
+//    typed `RpcRequest`/`RpcResponse` pairs (sim/rpc.hpp). Protocol code
+//    issues every exchange through `Transport::exchangeAsync`: the request
+//    leg travels one sampled latency, the target serves it iff it is up at
+//    arrival, the response leg travels back, and the completion handler
+//    fires as a simulator event — with nullopt at `rpcTimeout` if the
+//    exchange failed (request bytes spent, response bytes not). `call` is
+//    the synchronous form for a caller that needs the answer inside one
+//    event (the central baseline's ping sweep).
 //
 // Node bookkeeping is slot-based: a NodeId is resolved to a dense slot
 // index once per operation (one hash probe), and everything that happens
@@ -66,14 +62,7 @@ struct NetworkConfig {
   double messageDropProbability = 0.0;
   double rpcFailProbability = 0.0;
 
-  /// When true, `callAsync` models both RPC legs with real latency: the
-  /// request travels for one sampled latency, the response for another,
-  /// and the completion handler fires as a simulator event. When false
-  /// (default), `callAsync` completes inline through the instantaneous
-  /// `call` (the paper's collapsed-RTT accounting) with zero allocations.
-  bool deferredRpc = false;
-
-  /// How long a deferred caller waits before declaring a timeout (the
+  /// How long an asynchronous caller waits before declaring a timeout (the
   /// handler fires with nullopt after this much simulated time).
   SimDuration rpcTimeout = 200 * kMillisecond;
 };
@@ -178,18 +167,19 @@ class Network final : public Transport {
   /// Delivered after a uniform random latency iff the target is up then.
   void send(const NodeId& from, const NodeId& to, Message message) override;
 
-  /// Instantaneous typed exchange. Charges the request leg to `from`
-  /// unconditionally; if the target is up (and the injected-failure roll
-  /// passes), charges the response leg to `to`, dispatches the request to
-  /// the target's onRpc, and returns its response. Otherwise returns
-  /// nullopt — a timeout with only the request bytes spent. This is the
-  /// single place the reliable/faulty RPC semantics live.
+  /// Synchronous typed exchange with the round trip collapsed to the
+  /// current instant. Charges the request leg to `from` unconditionally;
+  /// if the target is up (and the injected-failure roll passes), charges
+  /// the response leg to `to`, dispatches the request to the target's
+  /// onRpc, and returns its response. Otherwise returns nullopt — a
+  /// timeout with only the request bytes spent. Single-shard only: the
+  /// target must live in this shard's network.
   std::optional<RpcResponse> call(const NodeId& from, const NodeId& to,
                                   const RpcRequest& request);
 
   /// Typed exchange returning the concrete response type for `Request`
   /// (e.g. exchange(x, w, CvFetchRequest{...}) -> optional<CvFetchResponse>).
-  /// Protocol call sites use this; no variant handling, no downcasts. An
+  /// No variant handling, no downcasts at the call site. An
   /// onRpc override answering with the wrong response alternative is a
   /// contract violation at the *responder* — asserted here by name, and
   /// degraded to a timeout when assertions are compiled out.
@@ -207,36 +197,13 @@ class Network final : public Transport {
     return std::move(*typed);
   }
 
-  /// Asynchronous exchange. With deferredRpc off (default) this is exactly
-  /// `call` with the result handed to `handler` before returning — no
-  /// event, no allocation. With deferredRpc on, the request travels one
-  /// sampled latency, the target serves it then (liveness is checked at
-  /// arrival time), the response travels another latency, and `handler`
-  /// fires as a simulator event — or with nullopt after `rpcTimeout` if
-  /// the exchange failed.
-  template <class F>
-  void callAsync(const NodeId& from, const NodeId& to, RpcRequest request,
-                 F&& handler) {
-    if (!config_.deferredRpc) {
-      std::forward<F>(handler)(call(from, to, request));
-      return;
-    }
-    callAsyncDeferred(from, to, std::move(request),
-                      RpcHandler(std::forward<F>(handler)));
-  }
-
-  /// The Transport-erased form of callAsync. Protocol code reaches this
-  /// through Transport::exchangeAsync; the semantics are identical to the
-  /// template above (inline completion with deferredRpc off, two modeled
-  /// legs with it on).
+  /// Asynchronous exchange, reached through Transport::exchangeAsync. The
+  /// request travels one sampled latency, the target serves it then
+  /// (liveness is checked at arrival time), the response travels another
+  /// latency, and `handler` fires as a simulator event — or with nullopt
+  /// after `rpcTimeout` if the exchange failed.
   void callAsyncErased(const NodeId& from, const NodeId& to,
-                       RpcRequest request, RpcHandler handler) override {
-    if (!config_.deferredRpc) {
-      handler(call(from, to, request));
-      return;
-    }
-    callAsyncDeferred(from, to, std::move(request), std::move(handler));
-  }
+                       RpcRequest request, RpcHandler handler) override;
 
   // ---- sharded execution (driven by sim::ShardedSimulator) ----
 
@@ -346,16 +313,12 @@ class Network final : public Transport {
   // delivery of a one-way message at its due instant...
   void deliver(const NodeId& from, std::uint32_t toSlot,
                const Message& message);
-  // ...the target side of a deferred RPC (liveness at arrival, response
+  // ...the target side of an async RPC (liveness at arrival, response
   // charge, onRpc, response leg — via the router when sharded)...
   void serveRpc(const NodeId& from, std::uint32_t toSlot,
                 const RpcRequest& request, RpcTicket ticket);
   // ...and the caller-side completion racing the rpcTimeout backstop.
   static void completeRpc(RpcResponse response, const RpcTicket& ticket);
-
-  // The latency-modeled two-leg exchange (deferredRpc on).
-  void callAsyncDeferred(const NodeId& from, const NodeId& to,
-                         RpcRequest request, RpcHandler handler);
 
   Simulator& sim_;
   NetworkConfig config_;

@@ -25,10 +25,10 @@
 // drawn from per-sender streams keyed by node id (see Network), the
 // execution each node observes is bit-identical for EVERY shard count —
 // S = 8 reproduces S = 1 exactly, which the sharded property suite pins
-// against golden fingerprints. The price of that guarantee: callers must
-// route synchronous state exchanges through the deferred-RPC mode when
-// S > 1 (an instantaneous Network::call cannot cross a shard boundary),
-// and scenario metrics must be per-node or order-insensitive aggregates.
+// against golden fingerprints. The price of that guarantee: state
+// exchanges must ride the latency-modeled async RPC (a synchronous
+// Network::call cannot cross a shard boundary), and scenario metrics must
+// be per-node or order-insensitive aggregates.
 #pragma once
 
 #include <atomic>

@@ -52,8 +52,8 @@ class Endpoint {
 using RpcHandler = std::function<void(std::optional<RpcResponse>)>;
 
 /// Abstract transport. Backends guarantee that every callAsyncErased
-/// eventually fires its handler exactly once (inline, as a simulator
-/// event, or from a live event loop), and that a down/unreachable target
+/// eventually fires its handler exactly once (as a simulator event, or
+/// from a live event loop), and that a down/unreachable target
 /// surfaces as nullopt — never as an exception or a hang.
 class Transport {
  public:

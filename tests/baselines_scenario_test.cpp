@@ -312,23 +312,19 @@ TEST(BaselinesScenarioTest, SeededBaselineRunsMatchGoldenHashes) {
   }
 }
 
-TEST(BaselinesScenarioTest, BaselinesRunOnBothRpcLanes) {
-  // deferredRpc on (harness default) and off must both work at one shard
-  // for every baseline — the central scheme's synchronous exchanges and
-  // the broadcast one-way traffic ride the same transport either way.
+TEST(BaselinesScenarioTest, BaselinesDiscoverUnderChurn) {
+  // Every baseline discovers monitors under churn at one shard — the
+  // central scheme's synchronous ping sweep and the broadcast one-way
+  // traffic ride the same transport as AVMON's async exchanges.
   for (const char* protocol :
        {"broadcast", "central", "dht_ring", "self_report"}) {
-    for (const bool deferred : {true, false}) {
-      Scenario s = smallScenario(protocol, churn::Model::kSynth);
-      s.stableSize = 40;
-      s.horizon = 45 * kMinute;
-      s.warmup = 15 * kMinute;
-      s.deferredRpc = deferred;
-      ScenarioRunner runner(s);
-      runner.run();
-      EXPECT_GE(runner.discoveredFraction(1), 0.5)
-          << protocol << " deferred=" << deferred;
-    }
+    Scenario s = smallScenario(protocol, churn::Model::kSynth);
+    s.stableSize = 40;
+    s.horizon = 45 * kMinute;
+    s.warmup = 15 * kMinute;
+    ScenarioRunner runner(s);
+    runner.run();
+    EXPECT_GE(runner.discoveredFraction(1), 0.5) << protocol;
   }
 }
 

@@ -49,7 +49,6 @@ ShardedSimulator::Config twoShardConfig() {
   cfg.shards = 2;
   cfg.net.minLatency = 10;
   cfg.net.maxLatency = 10;
-  cfg.net.deferredRpc = true;
   cfg.netSeed = 7;
   cfg.threads = 1;  // all phases on this thread: death tests stay simple
   return cfg;

@@ -105,7 +105,6 @@ bool scenarioEquals(const Scenario& a, const Scenario& b) {
          a.messageDropProbability == b.messageDropProbability &&
          a.rpcFailProbability == b.rpcFailProbability &&
          a.measured == b.measured && a.shards == b.shards &&
-         a.deferredRpc == b.deferredRpc &&
          a.metrics.window == b.metrics.window &&
          a.metrics.reducers == b.metrics.reducers &&
          a.metrics.quantiles == b.metrics.quantiles &&
@@ -165,7 +164,6 @@ TEST(ScenarioSpecTest, RoundTripIsFixedPointProperty) {
     s.rpcFailProbability = 1.0 / static_cast<double>(1 + nextRand() % 7);
     s.measured = measured[nextRand() % 4];
     s.shards = static_cast<unsigned>(nextRand() % 9);
-    s.deferredRpc = nextRand() % 2 == 0;
     if (nextRand() % 3 == 0) {
       s.transport = TransportKind::kUdp;
       s.udp.portBase = static_cast<std::uint16_t>(1024 + nextRand() % 60000);
@@ -564,12 +562,6 @@ TEST(ScenarioValidateTest, ActionableErrors) {
               "controlFraction");
   expectError([](Scenario& s) { s.messageDropProbability = -0.1; },
               "messageDropProbability");
-  expectError(
-      [](Scenario& s) {
-        s.deferredRpc = false;
-        s.shards = 4;
-      },
-      "instantaneous RPC");
   expectError(
       [](Scenario& s) {
         s.protocol = "broadcast";

@@ -5,7 +5,7 @@
 // into one FNV-1a fingerprint. Any change to event ordering, RNG draw
 // order, or metric arithmetic moves the hash; identical seeded runs are
 // bit-identical and reproduce it exactly. scenario_metrics_test pins the
-// current values per RPC lane (they must survive every scheduler /
+// current values (they must survive every scheduler /
 // transport / harness rewrite), and sharded_sim_test additionally proves
 // them identical for every shard count of the sharded simulator.
 #pragma once

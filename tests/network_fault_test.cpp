@@ -153,11 +153,10 @@ TEST(NetworkFaultTest, TimeoutChargingIsPerRequestType) {
   EXPECT_EQ(net.traffic(idB).bytesSent, 0u);
 }
 
-TEST(NetworkFaultTest, RpcFailProbabilityAppliesToDeferredMode) {
+TEST(NetworkFaultTest, RpcFailProbabilityAppliesToAsyncExchanges) {
   Simulator sim;
   NetworkConfig cfg;
   cfg.rpcFailProbability = 1.0;
-  cfg.deferredRpc = true;
   Network net(sim, cfg, Rng(9));
 
   CountingEndpoint a, b;
@@ -168,7 +167,7 @@ TEST(NetworkFaultTest, RpcFailProbabilityAppliesToDeferredMode) {
   net.setUp(idB, true);
 
   bool fired = false, gotResponse = true;
-  net.callAsync(idA, idB, PingRequest{8}, [&](auto r) {
+  net.exchangeAsync(idA, idB, PingRequest{8}, [&](auto r) {
     fired = true;
     gotResponse = r.has_value();
   });
@@ -228,7 +227,6 @@ struct TwoShardWorld {
 TEST(NetworkFaultTest, CrossShardDropProbabilityIsHonored) {
   NetworkConfig cfg;
   cfg.messageDropProbability = 0.5;
-  cfg.deferredRpc = true;
   TwoShardWorld w(cfg);
 
   constexpr int kSends = 2000;
@@ -254,7 +252,6 @@ TEST(NetworkFaultTest, CrossShardLatencySpikeStillDeliversInWindowOrder) {
   NetworkConfig cfg;
   cfg.minLatency = 10;
   cfg.maxLatency = 2000;
-  cfg.deferredRpc = true;
 
   ShardedSimulator::Config worldCfg;
   worldCfg.shards = 2;
@@ -311,7 +308,6 @@ TEST(NetworkFaultTest, ChurnExactlyOnWindowBoundaryDropsInFlightMessage) {
   NetworkConfig cfg;
   cfg.minLatency = 10;
   cfg.maxLatency = 10;
-  cfg.deferredRpc = true;
   TwoShardWorld w(cfg);
   const SimTime boundary = w.world->windowLength();  // 10 ms
 
@@ -343,18 +339,17 @@ TEST(NetworkFaultTest, ChurnAtBoundaryMidRpcSurfacesAsExactTimeout) {
   NetworkConfig cfg;
   cfg.minLatency = 10;
   cfg.maxLatency = 10;
-  cfg.deferredRpc = true;
   TwoShardWorld w(cfg);
 
   std::optional<SimTime> completedAt;
   bool gotResponse = true;
   w.world->simOf(1).at(10, [&] { w.world->netOf(1).setUp(w.idB, false); });
   w.world->simOf(0).at(0, [&] {
-    w.world->netOf(0).callAsync(w.idA, w.idB, PingRequest{8},
-                                [&](std::optional<RpcResponse> r) {
-                                  completedAt = w.world->simOf(0).now();
-                                  gotResponse = r.has_value();
-                                });
+    w.world->netOf(0).exchangeAsync(w.idA, w.idB, PingRequest{8},
+                                    [&](auto r) {
+                                      completedAt = w.world->simOf(0).now();
+                                      gotResponse = r.has_value();
+                                    });
   });
   w.world->runUntil(kSecond);
 
@@ -368,7 +363,6 @@ TEST(NetworkFaultTest, ChurnAtBoundaryMidRpcSurfacesAsExactTimeout) {
 TEST(NetworkFaultTest, CrossShardRpcFailProbabilityIsHonored) {
   NetworkConfig cfg;
   cfg.rpcFailProbability = 0.3;
-  cfg.deferredRpc = true;
   TwoShardWorld w(cfg);
 
   constexpr int kCalls = 600;
@@ -376,11 +370,11 @@ TEST(NetworkFaultTest, CrossShardRpcFailProbabilityIsHonored) {
   // Space the calls out so each completes well before the next deadline.
   for (int i = 0; i < kCalls; ++i) {
     w.world->simOf(0).at(i * kSecond, [&] {
-      w.world->netOf(0).callAsync(w.idA, w.idB, PingRequest{8},
-                                  [&](std::optional<RpcResponse> r) {
-                                    ++done;
-                                    if (r) ++ok;
-                                  });
+      w.world->netOf(0).exchangeAsync(w.idA, w.idB, PingRequest{8},
+                                      [&](auto r) {
+                                        ++done;
+                                        if (r) ++ok;
+                                      });
     });
   }
   w.world->runUntil(kCalls * kSecond + kSecond);
@@ -395,7 +389,7 @@ TEST(NetworkFaultTest, CrossShardRpcFailProbabilityIsHonored) {
 // Scheduled fault plans (sim/fault_plan.hpp) at scenario level: timed
 // partitions, correlated bursts, and latency-regime windows + geo bands
 // must be DETERMINISTIC — bit-identical metrics at every shard count and
-// a pinned fingerprint per RPC lane, exactly like the unfaulted goldens
+// a pinned fingerprint, exactly like the unfaulted goldens
 // in scenario_metrics_test.
 // ---------------------------------------------------------------------------
 
@@ -419,10 +413,8 @@ Scenario faultBase() {
 struct FaultGolden {
   const char* name;
   Scenario scenario;
-  std::uint64_t deferredSummary;
-  std::uint64_t deferredPerNode;
-  std::uint64_t instantSummary;
-  std::uint64_t instantPerNode;
+  std::uint64_t summary;
+  std::uint64_t perNode;
 };
 
 std::vector<FaultGolden> faultGoldens() {
@@ -442,12 +434,9 @@ std::vector<FaultGolden> faultGoldens() {
   latency.faults.geo.interMax = 150;
 
   return {
-      {"partition", partition, 0xd2cbe7810a2822cbULL, 0x2008125dcc567c76ULL,
-       0x21f008f6f1d74afbULL, 0xc0d398fd09e4db52ULL},
-      {"burst", burst, 0xa192b1754ee756adULL, 0xe9f8df8cd145201dULL,
-       0xcccff51e1d7eb01eULL, 0xb4f697e692d21539ULL},
-      {"latency", latency, 0xed7fa1fb97aca39cULL, 0x1f226a5d5a9dbeb5ULL,
-       0x11cdfd3202b21409ULL, 0x15b5ec75f2f4505dULL},
+      {"partition", partition, 0xd2cbe7810a2822cbULL, 0x2008125dcc567c76ULL},
+      {"burst", burst, 0xa192b1754ee756adULL, 0xe9f8df8cd145201dULL},
+      {"latency", latency, 0xed7fa1fb97aca39cULL, 0x1f226a5d5a9dbeb5ULL},
   };
 }
 
@@ -458,22 +447,9 @@ TEST(FaultPlanGoldenTest, DeferredLaneIsPinnedAndShardInvariant) {
       s.shards = shards;
       ScenarioRunner runner(s);
       runner.run();
-      EXPECT_EQ(summaryHash(runner), g.deferredSummary)
-          << g.name << " S=" << shards;
-      EXPECT_EQ(perNodeHash(runner), g.deferredPerNode)
-          << g.name << " S=" << shards;
+      EXPECT_EQ(summaryHash(runner), g.summary) << g.name << " S=" << shards;
+      EXPECT_EQ(perNodeHash(runner), g.perNode) << g.name << " S=" << shards;
     }
-  }
-}
-
-TEST(FaultPlanGoldenTest, InstantRpcLaneIsPinned) {
-  for (const FaultGolden& g : faultGoldens()) {
-    Scenario s = g.scenario;
-    s.deferredRpc = false;
-    ScenarioRunner runner(s);
-    runner.run();
-    EXPECT_EQ(summaryHash(runner), g.instantSummary) << g.name;
-    EXPECT_EQ(perNodeHash(runner), g.instantPerNode) << g.name;
   }
 }
 
@@ -485,7 +461,7 @@ TEST(FaultPlanGoldenTest, FaultPlansActuallyPerturbTheRun) {
   baseline.run();
   const std::uint64_t cleanSummary = summaryHash(baseline);
   for (const FaultGolden& g : faultGoldens()) {
-    EXPECT_NE(g.deferredSummary, cleanSummary) << g.name;
+    EXPECT_NE(g.summary, cleanSummary) << g.name;
   }
 }
 

@@ -125,12 +125,12 @@ TEST(ScenarioMetricsTest, EffectiveNOverridesForTraceModels) {
 //
 // History: the original values were captured from the pre-calendar-queue
 // core (PR 2 tree) and survived the PR 3 scheduler overhaul unchanged.
-// The sharded-execution PR re-pinned both lanes: the harness now runs
-// every scenario through the windowed ShardedSimulator with deferred RPC
-// on by default (both legs latency-modeled as events), network randomness
+// The sharded-execution PR re-pinned them: the harness now runs every
+// scenario through the windowed ShardedSimulator with both RPC legs
+// latency-modeled as events, network randomness
 // comes from per-sender streams, and bootstrap picks are precomputed from
 // the trace — an experiment-semantics change, declared as such. The
-// deferred values below are additionally pinned shard-count-independent
+// values below are additionally pinned shard-count-independent
 // by sharded_sim_test (S ∈ {1, 2, 3, 8} reproduce them bit-for-bit).
 struct Golden {
   const char* name;
@@ -171,31 +171,6 @@ TEST(ScenarioMetricsTest, StreamingObservationKeepsGoldenHashes) {
   runner.run();
   EXPECT_EQ(summaryHash(runner), 0x2653aa83f642c8d3ULL);
   EXPECT_EQ(perNodeHash(runner), 0x674ecc991fa11d54ULL);
-}
-
-TEST(ScenarioMetricsTest, InstantaneousLaneMatchesGoldenHashes) {
-  // The collapsed-RTT lane (deferredRpc = false, single shard) stays a
-  // supported configuration with its own pinned fingerprints, so both RPC
-  // models keep their determinism guarantee.
-  const Golden expected[] = {
-      {"STAT", 0x47ac229ee0c42b6cULL, 0x9712459a4c0ea1e3ULL},
-      {"SYNTH-BD", 0x6db21d6933954152ULL, 0x602ed824d4ea7ba3ULL},
-      {"SYNTH+drop", 0xb5fe4d09049e6d15ULL, 0x51d3f95cd60321c9ULL},
-  };
-
-  auto scenarios = goldenScenarios();
-  for (Scenario& s : scenarios) {
-    s.deferredRpc = false;
-    s.shards = 1;
-  }
-  const auto runners = ParallelScenarioRunner().runAll(scenarios);
-  ASSERT_EQ(runners.size(), 3u);
-  for (std::size_t i = 0; i < runners.size(); ++i) {
-    EXPECT_EQ(summaryHash(*runners[i]), expected[i].summary)
-        << expected[i].name << " summary metrics drifted (instantaneous)";
-    EXPECT_EQ(perNodeHash(*runners[i]), expected[i].perNode)
-        << expected[i].name << " per-node metrics drifted (instantaneous)";
-  }
 }
 
 }  // namespace

@@ -90,7 +90,6 @@ ShardedSimulator::Config fixedLatencyConfig(std::size_t shards,
   cfg.shards = shards;
   cfg.net.minLatency = latency;
   cfg.net.maxLatency = latency;  // deterministic due times for assertions
-  cfg.net.deferredRpc = true;
   cfg.netSeed = 7;
   return cfg;
 }
@@ -210,11 +209,10 @@ TEST(ShardedSimulatorTest, DeferredRpcCrossesShardsAndBack) {
   std::optional<SimTime> completedAt;
   bool gotResponse = false;
   world.simOf(0).at(0, [&] {
-    world.netOf(0).callAsync(a, b, PingRequest{8},
-                             [&](std::optional<RpcResponse> r) {
-                               completedAt = world.simOf(0).now();
-                               gotResponse = r.has_value();
-                             });
+    world.netOf(0).exchangeAsync(a, b, PingRequest{8}, [&](auto r) {
+      completedAt = world.simOf(0).now();
+      gotResponse = r.has_value();
+    });
   });
   world.runUntil(kSecond);
 
@@ -239,11 +237,10 @@ TEST(ShardedSimulatorTest, DeferredRpcToDownNodeTimesOutAtExactDeadline) {
   std::optional<SimTime> completedAt;
   bool gotResponse = true;
   world.simOf(0).at(0, [&] {
-    world.netOf(0).callAsync(a, b, PingRequest{8},
-                             [&](std::optional<RpcResponse> r) {
-                               completedAt = world.simOf(0).now();
-                               gotResponse = r.has_value();
-                             });
+    world.netOf(0).exchangeAsync(a, b, PingRequest{8}, [&](auto r) {
+      completedAt = world.simOf(0).now();
+      gotResponse = r.has_value();
+    });
   });
   world.runUntil(kSecond);
 
@@ -362,13 +359,6 @@ TEST(ShardedScenarioTest, ShardCountNeverChangesMetrics) {
       }
     }
   }
-}
-
-TEST(ShardedScenarioTest, InstantaneousModeRequiresSingleShard) {
-  Scenario s;
-  s.deferredRpc = false;
-  s.shards = 4;
-  EXPECT_THROW(ScenarioRunner{s}, std::invalid_argument);
 }
 
 }  // namespace

@@ -427,29 +427,10 @@ TEST_F(NetworkTest, TrafficCountersSurviveDetachAndReattach) {
   EXPECT_EQ(reborn.messages[0], "back");
 }
 
-TEST_F(NetworkTest, CallAsyncInstantaneousModeMatchesCall) {
-  net_.attach(idA_, a_);
-  net_.attach(idB_, b_);
-  net_.setUp(idA_, true);
-  net_.setUp(idB_, true);
-  std::optional<RpcResponse> result;
-  bool fired = false;
-  net_.callAsync(idA_, idB_, PingRequest{8}, [&](auto r) {
-    fired = true;
-    result = std::move(r);
-  });
-  // With deferredRpc off the handler runs before callAsync returns.
-  EXPECT_TRUE(fired);
-  ASSERT_TRUE(result.has_value());
-  EXPECT_EQ(net_.traffic(idA_).bytesSent, 8u);
-  EXPECT_EQ(net_.traffic(idB_).bytesSent, 8u);
-}
-
 TEST_F(NetworkTest, DeferredRpcDeliversAfterBothLegs) {
   NetworkConfig cfg;
   cfg.minLatency = 10;
   cfg.maxLatency = 20;
-  cfg.deferredRpc = true;
   Network net(sim_, cfg, Rng(11));
   net.attach(idA_, a_);
   net.attach(idB_, b_);
@@ -458,7 +439,7 @@ TEST_F(NetworkTest, DeferredRpcDeliversAfterBothLegs) {
 
   SimTime completedAt = -1;
   bool gotResponse = false;
-  net.callAsync(idA_, idB_, PingRequest{8}, [&](auto r) {
+  net.exchangeAsync(idA_, idB_, PingRequest{8}, [&](auto r) {
     gotResponse = r.has_value();
     completedAt = sim_.now();
   });
@@ -479,7 +460,6 @@ TEST_F(NetworkTest, DeferredRpcLateResponseBecomesTimeout) {
   cfg.minLatency = 150;
   cfg.maxLatency = 150;
   cfg.rpcTimeout = 200;
-  cfg.deferredRpc = true;
   Network net(sim_, cfg, Rng(13));
   net.attach(idA_, a_);
   net.attach(idB_, b_);
@@ -488,7 +468,7 @@ TEST_F(NetworkTest, DeferredRpcLateResponseBecomesTimeout) {
 
   SimTime completedAt = -1;
   bool gotResponse = true;
-  net.callAsync(idA_, idB_, PingRequest{8}, [&](auto r) {
+  net.exchangeAsync(idA_, idB_, PingRequest{8}, [&](auto r) {
     gotResponse = r.has_value();
     completedAt = sim_.now();
   });
@@ -500,7 +480,6 @@ TEST_F(NetworkTest, DeferredRpcLateResponseBecomesTimeout) {
 
 TEST_F(NetworkTest, DeferredRpcTimesOutOnDownTarget) {
   NetworkConfig cfg;
-  cfg.deferredRpc = true;
   Network net(sim_, cfg, Rng(12));
   net.attach(idA_, a_);
   net.attach(idB_, b_);
@@ -508,7 +487,7 @@ TEST_F(NetworkTest, DeferredRpcTimesOutOnDownTarget) {
 
   SimTime completedAt = -1;
   bool gotResponse = true;
-  net.callAsync(idA_, idB_, CvFetchRequest{8, 16}, [&](auto r) {
+  net.exchangeAsync(idA_, idB_, CvFetchRequest{8, 16}, [&](auto r) {
     gotResponse = r.has_value();
     completedAt = sim_.now();
   });

@@ -11,7 +11,7 @@
 //   avmon_sim [--protocol P] [--model M] [--n 1000] [--minutes 90]
 //             [--warmup-min 30] [--seed 1] [--hash md5] [--cvs 0] [--k 0]
 //             [--pr2] [--no-forgetful] [--overreport 0.0] [--drop 0.0]
-//             [--shards 1] [--instant-rpc] [--stream-metrics]
+//             [--shards 1] [--stream-metrics]
 //             [--metrics-window S] [--csv PREFIX] [--json FILE]
 #include <cmath>
 #include <iostream>
@@ -52,7 +52,6 @@ using namespace avmon;
       << "  --shards S       sub-worlds run in parallel (default 1; 0 = one\n"
       << "                   per hardware thread; results are identical for\n"
       << "                   every shard count)\n"
-      << "  --instant-rpc    collapsed-RTT RPC lane (forces --shards 1)\n"
       << "  --stream-metrics collect metrics through the streaming reducer\n"
       << "                   pipeline (60 s windows unless --metrics-window;\n"
       << "                   summaries reproduce the scan lane exactly)\n"
@@ -99,7 +98,6 @@ int main(int argc, char** argv) {
       else if (arg == "--overreport") scenario.overreportFraction = args.valueDouble();
       else if (arg == "--drop") scenario.messageDropProbability = args.valueDouble();
       else if (arg == "--shards") scenario.shards = args.valueUnsigned();
-      else if (arg == "--instant-rpc") { scenario.deferredRpc = false; scenario.shards = 1; }
       else if (arg == "--stream-metrics") streamMetrics = true;
       else if (arg == "--metrics-window") { streamMetrics = true; scenario.metrics.window = static_cast<SimDuration>(std::llround(args.valueDouble() * kSecond)); }
       else if (arg == "--csv") csvPrefix = args.value();
