@@ -157,6 +157,35 @@ TEST(ScenarioMetricsTest, SeededRunsMatchGoldenHashes) {
   }
 }
 
+TEST(ScenarioMetricsTest, Md5RunsMatchGoldenHashes) {
+  // The goldens above hash with splitmix64. These md5 copies of STAT and
+  // SYNTH-BD pin the per-shard verdict memo that md5 and sha1 check pairs
+  // through, at one shard and at three.
+  const Golden expected[] = {
+      {"STAT/md5", 0x67fb3969df740ff1ULL, 0xd57790a4c3c29decULL},
+      {"SYNTH-BD/md5", 0xc8b5bf3a6d81211aULL, 0x551d2fcf290a9c58ULL},
+  };
+  std::vector<Scenario> scenarios;
+  for (const unsigned shards : {1u, 3u}) {
+    for (std::size_t i = 0; i < 2; ++i) {
+      Scenario s = goldenScenarios()[i];
+      s.hashName = "md5";
+      s.shards = shards;
+      scenarios.push_back(s);
+    }
+  }
+  const auto runners = ParallelScenarioRunner().runAll(scenarios);
+  ASSERT_EQ(runners.size(), 4u);
+  for (std::size_t i = 0; i < runners.size(); ++i) {
+    const Golden& golden = expected[i % 2];
+    const unsigned shards = runners[i]->scenario().shards;
+    EXPECT_EQ(summaryHash(*runners[i]), golden.summary)
+        << golden.name << " summary metrics drifted at shards=" << shards;
+    EXPECT_EQ(perNodeHash(*runners[i]), golden.perNode)
+        << golden.name << " per-node metrics drifted at shards=" << shards;
+  }
+}
+
 TEST(ScenarioMetricsTest, StreamingObservationKeepsGoldenHashes) {
   // The streaming metrics pipeline pauses the sharded world at every
   // metric-window barrier mid-run. Reproducing both pinned fingerprints
