@@ -10,11 +10,12 @@ std::uint64_t packId(const NodeId& id) noexcept {
   return (static_cast<std::uint64_t>(id.ip()) << 16) | id.port();
 }
 
-// splitmix-style combine of the two 48-bit identities; the memo table size
-// is a power of two, so only well-mixed bits may index it. Lookup and
-// rehash must agree on this function bit-for-bit.
-std::uint64_t mixPair(std::uint64_t observer, std::uint64_t target) noexcept {
-  std::uint64_t h = observer * 0x9E3779B97F4A7C15ULL ^ target;
+// splitmix-style combine of an unordered pair's two 48-bit identities
+// (smaller first); the memo table size is a power of two, so only
+// well-mixed bits may index it. Lookup and rehash must agree on this
+// function bit-for-bit.
+std::uint64_t mixPair(std::uint64_t lo, std::uint64_t hi) noexcept {
+  std::uint64_t h = lo * 0x9E3779B97F4A7C15ULL ^ hi;
   h = (h ^ (h >> 30)) * 0xBF58476D1CE4E5B9ULL;
   return h ^ (h >> 31);
 }
@@ -46,26 +47,32 @@ double HashMonitorSelector::hashPoint(const NodeId& observer,
 bool HashMonitorSelector::isMonitor(const NodeId& observer,
                                     const NodeId& target) const {
   if (observer == target) return false;
-  return hashPoint(observer, target) <= threshold_;
-}
-
-std::string HashMonitorSelector::describe() const {
-  return "hash(" + hash_.name() + "), K=" + std::to_string(k_) +
-         ", N=" + std::to_string(systemSize_);
+  return hash::HashFunction::toUnit(
+             hash_.digestPair(packId(observer), packId(target))) <= threshold_;
 }
 
 bool MemoizedMonitorSelector::isMonitor(const NodeId& observer,
                                         const NodeId& target) const {
   const std::uint64_t obs = packId(observer);
   const std::uint64_t tgt = packId(target);
-  const std::uint64_t h = mixPair(obs, tgt);
+  const bool down = obs > tgt;
+  const std::uint64_t lo = down ? tgt : obs;
+  const std::uint64_t hi = down ? obs : tgt;
+  const int shift = down ? kDownShift : 0;
+  const std::uint64_t known = kKnownUp << shift;
+  const std::uint64_t yes = kVerdictUp << shift;
+  const std::uint64_t h = mixPair(lo, hi);
 
   const std::size_t mask = slots_.size() - 1;
   std::size_t i = static_cast<std::size_t>(h) & mask;
-  while (slots_[i].targetBits != 0) {
-    if (slots_[i].observer == obs &&
-        (slots_[i].targetBits & kIdMask) == tgt) {
-      return (slots_[i].targetBits & kVerdictBit) != 0;
+  while (slots_[i].hiBits != 0) {
+    Slot& slot = slots_[i];
+    if (slot.lo == lo && (slot.hiBits & kIdMask) == hi) {
+      if ((slot.hiBits & known) == 0) {
+        const bool verdict = inner_.isMonitor(observer, target);
+        slot.hiBits |= known | (verdict ? yes : 0);
+      }
+      return (slot.hiBits & yes) != 0;
     }
     i = (i + 1) & mask;
   }
@@ -75,9 +82,9 @@ bool MemoizedMonitorSelector::isMonitor(const NodeId& observer,
     if (slots_.size() >= kMaxSlots) return verdict;  // cache full: passthrough
     grow();
     i = static_cast<std::size_t>(h) & (slots_.size() - 1);
-    while (slots_[i].targetBits != 0) i = (i + 1) & (slots_.size() - 1);
+    while (slots_[i].hiBits != 0) i = (i + 1) & (slots_.size() - 1);
   }
-  slots_[i] = Slot{obs, kOccupiedBit | (verdict ? kVerdictBit : 0) | tgt};
+  slots_[i] = Slot{lo, hi | known | (verdict ? yes : 0)};
   ++count_;
   return verdict;
 }
@@ -87,10 +94,10 @@ void MemoizedMonitorSelector::grow() const {
   slots_.assign(old.size() * 2, Slot{});
   const std::size_t mask = slots_.size() - 1;
   for (const Slot& slot : old) {
-    if (slot.targetBits == 0) continue;
-    const std::uint64_t h = mixPair(slot.observer, slot.targetBits & kIdMask);
+    if (slot.hiBits == 0) continue;
+    const std::uint64_t h = mixPair(slot.lo, slot.hiBits & kIdMask);
     std::size_t i = static_cast<std::size_t>(h) & mask;
-    while (slots_[i].targetBits != 0) i = (i + 1) & mask;
+    while (slots_[i].hiBits != 0) i = (i + 1) & mask;
     slots_[i] = slot;
   }
 }

@@ -12,10 +12,8 @@
 // random.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <memory>
-#include <string>
-#include <utility>
 #include <vector>
 
 #include "common/node_id.hpp"
@@ -34,9 +32,6 @@ class MonitorSelector {
   /// Never true when observer == target (self-monitoring is the
   /// self-reporting anti-pattern AVMON exists to avoid).
   virtual bool isMonitor(const NodeId& observer, const NodeId& target) const = 0;
-
-  /// For reports.
-  virtual std::string describe() const = 0;
 };
 
 /// The paper's hash-based selection scheme.
@@ -48,14 +43,16 @@ class HashMonitorSelector final : public MonitorSelector {
   HashMonitorSelector(const hash::HashFunction& hash, unsigned k,
                       std::size_t systemSize);
 
+  /// Hashes the pair through HashFunction::digestPair, which equals the
+  /// digest of the 12-byte wire message that hashPoint() builds.
   bool isMonitor(const NodeId& observer, const NodeId& target) const override;
-  std::string describe() const override;
 
   unsigned k() const noexcept { return k_; }
   std::size_t systemSize() const noexcept { return systemSize_; }
 
-  /// The normalized hash H(observer ‖ target) in [0,1) — exposed so tests
-  /// can validate uniformity and the threshold comparison.
+  /// The normalized hash H(observer ‖ target) in [0,1), computed from the
+  /// 12-byte wire encoding any third party would build — the reference
+  /// that tests hold isMonitor() and the threshold comparison to.
   double hashPoint(const NodeId& observer, const NodeId& target) const;
 
   /// The decision threshold K/N.
@@ -69,38 +66,47 @@ class HashMonitorSelector final : public MonitorSelector {
 };
 
 /// Memoizing decorator: caches pair verdicts so repeated consistency checks
-/// across millions of simulated rounds don't recompute the hash. A selector
-/// is a pure function of the two ids, so memoization cannot change any
-/// verdict; protocol-level computation metrics are counted by the *nodes*
-/// per check performed, so it is invisible to the measured results too.
-/// This is the hottest lookup in a simulated run (a 600-node scenario asks
-/// ~10^8 times about ~10^5 distinct pairs), so the cache is a flat
-/// open-addressing table — one probe, no allocation per pair — bounded by
-/// kMaxSlots; once full, further distinct pairs are computed directly.
+/// don't recompute the hash. A selector is a pure function of the two ids,
+/// so memoization cannot change any verdict; protocol-level computation
+/// metrics are counted by the *nodes* per check performed, so it is
+/// invisible to the measured results too. It pays only when a digest costs
+/// more than a probe: an MD5 check takes ~250 ns, a probe ~15 ns when its
+/// slot is in cache and ~100-200 ns when it is not, and splitmix64 hashes
+/// a pair in ~30 ns (4-vCPU x86 host). So ScenarioRunner memoizes md5 and
+/// sha1 only (HashFunction::cheaperThanMemo).
+/// The cache is a flat open-addressing table — one probe, no allocation
+/// per pair — with one slot per unordered pair, so a check and its reverse
+/// share a cache line. It is bounded by kMaxSlots; once full, further
+/// distinct pairs are computed directly. A 1000-node SYNTH-BD run asks
+/// ~4x10^7 times about fewer pairs than that; a 2000-node STAT run's pairs
+/// overflow it.
 /// Not thread-safe: share one per single-threaded simulation world (each
-/// ParallelScenarioRunner worker owns its own).
+/// shard of a ScenarioRunner owns its own).
 class MemoizedMonitorSelector final : public MonitorSelector {
  public:
   explicit MemoizedMonitorSelector(const MonitorSelector& inner)
       : inner_(inner), slots_(kInitialSlots) {}
 
   bool isMonitor(const NodeId& observer, const NodeId& target) const override;
-  std::string describe() const override {
-    return inner_.describe() + " (memoized)";
-  }
 
+  /// Distinct unordered pairs cached (each with one or both verdicts).
   std::size_t cacheSize() const noexcept { return count_; }
 
  private:
-  // One 16-byte slot: the packed observer id, and the packed target id
-  // with an occupancy marker and the cached verdict in its free high bits
-  // (ids occupy 48 bits).
+  // One 16-byte slot per unordered pair, keyed by the smaller and larger
+  // packed id (lo, hi; ids occupy 48 bits). hiBits holds hi plus, in its
+  // free high bits, a known bit and a verdict bit per direction: "up" is
+  // isMonitor(lo, hi), "down" is isMonitor(hi, lo) (self-pairs use up).
+  // A direction is computed only when asked. Occupied slots always have
+  // a known bit set, so hiBits == 0 marks an empty slot.
   struct Slot {
-    std::uint64_t observer = 0;
-    std::uint64_t targetBits = 0;  // kOccupiedBit | verdict<<48 | target
+    std::uint64_t lo = 0;
+    std::uint64_t hiBits = 0;  // verdictDown<<51 | knownDown<<50 |
+                               // verdictUp<<49 | knownUp<<48 | hi
   };
-  static constexpr std::uint64_t kOccupiedBit = 1ULL << 63;
-  static constexpr std::uint64_t kVerdictBit = 1ULL << 48;
+  static constexpr std::uint64_t kKnownUp = 1ULL << 48;
+  static constexpr std::uint64_t kVerdictUp = 1ULL << 49;
+  static constexpr int kDownShift = 2;  // down bits sit just above up bits
   static constexpr std::uint64_t kIdMask = (1ULL << 48) - 1;
   static constexpr std::size_t kInitialSlots = 1u << 12;
   static constexpr std::size_t kMaxSlots = 1u << 21;  // 32 MiB ceiling

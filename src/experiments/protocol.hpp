@@ -41,9 +41,11 @@ struct ProtocolContext {
   sim::ShardedSimulator& world;
   const trace::AvailabilityTrace& trace;
   const hash::HashFunction& hashFn;
-  const HashMonitorSelector& selector;
-  /// One memoized selector per shard (thread-private verdict caches).
-  const std::vector<std::unique_ptr<MemoizedMonitorSelector>>& memoSelectors;
+  /// The consistency condition, one entry per shard. Whether a verdict
+  /// memo sits behind an entry is the runner's choice, and a memo is
+  /// thread-private, so a participant checks pairs only through its home
+  /// shard's entry.
+  const std::vector<const MonitorSelector*>& shardSelectors;
   Rng& rootRng;
   /// Resolved hostile cohorts, or nullptr when the scenario arms no attack
   /// (experiments/adversary.hpp). Every scheme faces the same adversary:

@@ -15,8 +15,8 @@ void AvmonProtocol::build(const ProtocolContext& ctx) {
   // One protocol node per scheduled node, all constructed up front (they
   // start down; the trace player brings them up). Each node lives in its
   // home shard's sub-world and checks the consistency condition through
-  // that shard's memo. Every node shares one immutable config — a copy
-  // per node is ~150 B nobody reads twice.
+  // that shard's selector. Every node shares one immutable config — a
+  // copy per node is ~150 B nobody reads twice.
   const auto sharedConfig = std::make_shared<const AvmonConfig>(ctx.config);
   state_.resize(ctx.trace.nodes().size());
   std::uint32_t index = 0;
@@ -26,7 +26,7 @@ void AvmonProtocol::build(const ProtocolContext& ctx) {
       return nextBootstrapPick(index);
     };
     auto node = std::make_unique<AvmonNode>(
-        nt.id, sharedConfig, *ctx.memoSelectors[shard], ctx.world.simOf(shard),
+        nt.id, sharedConfig, *ctx.shardSelectors[shard], ctx.world.simOf(shard),
         ctx.world.netOf(shard), bootstrap, ctx.rootRng.fork());
     node->bindStateSlot(&state_, index);
     nodes_.emplace(nt.id, std::move(node));

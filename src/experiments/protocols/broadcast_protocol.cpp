@@ -3,7 +3,7 @@
 namespace avmon::experiments {
 
 void BroadcastProtocol::build(const ProtocolContext& ctx) {
-  selector_ = ctx.memoSelectors[0].get();
+  selector_ = ctx.shardSelectors[0];
   sim_ = &ctx.world.simOf(0);
   net_ = &ctx.world.netOf(0);
   for (const trace::NodeTrace& nt : ctx.trace.nodes()) {

@@ -216,8 +216,12 @@ ScenarioRunner::ScenarioRunner(Scenario scenario)
   if (!faultPlan_.empty()) world_->setFaultPlan(&faultPlan_);
 
   for (std::size_t s = 0; s < world_->shardCount(); ++s) {
-    memoSelectors_.push_back(
-        std::make_unique<MemoizedMonitorSelector>(*selector_));
+    if (hashFn_->cheaperThanMemo()) {
+      shardSelectors_.push_back(selector_.get());
+    } else {
+      memos_.push_back(std::make_unique<MemoizedMonitorSelector>(*selector_));
+      shardSelectors_.push_back(memos_.back().get());
+    }
   }
 
   player_ = std::make_unique<churn::TracePlayer>(world_->simOf(0), trace_);
@@ -234,10 +238,9 @@ ScenarioRunner::ScenarioRunner(Scenario scenario)
   // The protocol populates the world: one participant per trace node,
   // every scheme-owned RNG stream forked from the root stream so the
   // scenario seed governs the whole experiment.
-  const ProtocolContext ctx{scenario_,  effectiveN_,    config_,
-                            *world_,    trace_,         *hashFn_,
-                            *selector_, memoSelectors_, rootRng_,
-                            adversary_.get()};
+  const ProtocolContext ctx{scenario_,       effectiveN_, config_,
+                            *world_,         trace_,      *hashFn_,
+                            shardSelectors_, rootRng_,    adversary_.get()};
   protocol_->build(ctx);
 
   buildMeasuredSet();

@@ -346,11 +346,13 @@ class ScenarioRunner final : public churn::LifecycleListener {
   std::unique_ptr<sim::ShardedSimulator> world_;
   std::unique_ptr<hash::HashFunction> hashFn_;
   std::unique_ptr<HashMonitorSelector> selector_;
-  // Nodes check the consistency condition through per-shard memos:
-  // verdicts are identical (the selector is a pure function) but the
-  // ~10^8 repeated checks of a long run become single table probes. One
-  // memo per shard keeps the caches thread-private.
-  std::vector<std::unique_ptr<MemoizedMonitorSelector>> memoSelectors_;
+  // What each shard's nodes check the consistency condition through. For
+  // md5 and sha1 that is a per-shard verdict memo (thread-private; the
+  // repeated checks of a long run become table probes). splitmix64
+  // hashes a pair faster than a memo probe that misses the cache, so
+  // every shard reads the one stateless selector_ instead.
+  std::vector<std::unique_ptr<MemoizedMonitorSelector>> memos_;
+  std::vector<const MonitorSelector*> shardSelectors_;
 
   trace::AvailabilityTrace trace_;
   std::unique_ptr<churn::TracePlayer> player_;

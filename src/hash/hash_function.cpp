@@ -1,5 +1,6 @@
 #include "hash/hash_function.hpp"
 
+#include <array>
 #include <stdexcept>
 
 #include "common/rng.hpp"
@@ -15,7 +16,26 @@ std::uint64_t first64BigEndian(const std::uint8_t* d) noexcept {
   return x;
 }
 
+constexpr int kIdBytes = 6;  // one packed id of a pair message
+
+// splitmix64's byte fold: one step per input byte, in message order.
+constexpr std::uint64_t kFoldSeed = 0x243F6A8885A308D3ULL;  // pi fraction
+std::uint64_t foldByte(std::uint64_t acc, std::uint8_t b) noexcept {
+  return (acc ^ b) * 0x100000001B3ULL;
+}
+
 }  // namespace
+
+std::uint64_t HashFunction::digestPair(std::uint64_t a48,
+                                       std::uint64_t b48) const {
+  std::array<std::uint8_t, 2 * kIdBytes> msg{};
+  for (int i = 0; i < kIdBytes; ++i) {
+    const int shift = 8 * (kIdBytes - 1 - i);
+    msg[i] = static_cast<std::uint8_t>(a48 >> shift);
+    msg[kIdBytes + i] = static_cast<std::uint8_t>(b48 >> shift);
+  }
+  return digest64(msg);
+}
 
 std::uint64_t Md5HashFunction::digest64(
     ByteSpan data) const {
@@ -33,10 +53,20 @@ std::uint64_t SplitMix64HashFunction::digest64(
     ByteSpan data) const {
   // Fold bytes into the state with a multiply between words, then finish
   // with the splitmix64 finalizer. Equivalent structure to FNV-then-mix.
-  std::uint64_t acc = 0x243F6A8885A308D3ULL;  // pi fractional bits
-  for (std::uint8_t b : data) {
-    acc = (acc ^ b) * 0x100000001B3ULL;
-  }
+  std::uint64_t acc = kFoldSeed;
+  for (std::uint8_t b : data) acc = foldByte(acc, b);
+  return splitmix64Mix(acc);
+}
+
+std::uint64_t SplitMix64HashFunction::digestPair(std::uint64_t a48,
+                                                 std::uint64_t b48) const {
+  // The same fold over the same 12 bytes, read straight from the packed
+  // ids: big-endian, a before b.
+  std::uint64_t acc = kFoldSeed;
+  for (int shift = 8 * (kIdBytes - 1); shift >= 0; shift -= 8)
+    acc = foldByte(acc, static_cast<std::uint8_t>(a48 >> shift));
+  for (int shift = 8 * (kIdBytes - 1); shift >= 0; shift -= 8)
+    acc = foldByte(acc, static_cast<std::uint8_t>(b48 >> shift));
   return splitmix64Mix(acc);
 }
 

@@ -2,10 +2,15 @@
 // test vectors both digests must reproduce bit-exactly.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <cstring>
 #include "common/byte_span.hpp"
 #include <string>
+#include <vector>
 
+#include "common/node_id.hpp"
+#include "common/rng.hpp"
 #include "hash/hash_function.hpp"
 #include "hash/md5.hpp"
 #include "hash/sha1.hpp"
@@ -140,6 +145,36 @@ TEST(HashFunctionTest, Digest64MatchesMd5Prefix) {
   std::uint64_t expect = 0;
   for (int i = 0; i < 8; ++i) expect = (expect << 8) | full[i];
   EXPECT_EQ(fn.digest64(bytes(msg)), expect);
+}
+
+TEST(HashFunctionTest, DigestPairEqualsDigestOfWireMessage) {
+  // digestPair must equal digest64 over the 12-byte wire message a ‖ b,
+  // so a third party hashing the encoding reaches the same verdict.
+  std::vector<NodeId> ids = {NodeId(), NodeId(0xFFFFFFFFu, 0xFFFF),
+                             NodeId(0x0A000001u, 0), NodeId(0x8A000001u, 0)};
+  for (std::uint32_t i = 0; i < 16; ++i) ids.push_back(NodeId::fromIndex(i));
+  Rng rng(20);
+  for (int i = 0; i < 16; ++i) {
+    ids.emplace_back(static_cast<std::uint32_t>(rng()),
+                     static_cast<std::uint16_t>(rng()));
+  }
+  const auto pack = [](const NodeId& id) {
+    return (static_cast<std::uint64_t>(id.ip()) << 16) | id.port();
+  };
+  for (const char* name : {"md5", "sha1", "splitmix64"}) {
+    const auto fn = makeHashFunction(name);
+    for (const NodeId& a : ids) {
+      for (const NodeId& b : ids) {
+        std::array<std::uint8_t, 2 * NodeId::kWireSize> msg;
+        const auto ab = a.toBytes();
+        const auto bb = b.toBytes();
+        std::copy(ab.begin(), ab.end(), msg.begin());
+        std::copy(bb.begin(), bb.end(), msg.begin() + NodeId::kWireSize);
+        EXPECT_EQ(fn->digestPair(pack(a), pack(b)), fn->digest64(msg))
+            << name << " " << a.toString() << " " << b.toString();
+      }
+    }
+  }
 }
 
 TEST(HashFunctionTest, RoughlyUniformOverBuckets) {

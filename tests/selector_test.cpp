@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "avmon/monitor_selector.hpp"
+#include "common/rng.hpp"
 #include "hash/hash_function.hpp"
 
 namespace avmon {
@@ -128,17 +129,6 @@ TEST_F(SelectorTest, NeverSelfMonitorEvenWithSaturatedThreshold) {
   }
 }
 
-TEST_F(SelectorTest, HashPointMatchesThresholdDecision) {
-  HashMonitorSelector sel(md5_, 10, 1000);
-  for (std::uint32_t i = 0; i < 40; ++i) {
-    for (std::uint32_t j = 0; j < 40; ++j) {
-      if (i == j) continue;
-      const NodeId a = NodeId::fromIndex(i), b = NodeId::fromIndex(j);
-      EXPECT_EQ(sel.isMonitor(a, b), sel.hashPoint(a, b) <= sel.threshold());
-    }
-  }
-}
-
 TEST_F(SelectorTest, NonCorrelationAcrossTargets) {
   // Randomness condition 3(b): membership of y in PS(x) says nothing about
   // membership in PS(w). Estimate P(y∈PS(w) | y∈PS(x)) and compare with
@@ -191,19 +181,6 @@ TEST_F(SelectorTest, UniformAcrossCandidates) {
   }
 }
 
-TEST_F(SelectorTest, MemoizedMatchesInner) {
-  HashMonitorSelector inner(md5_, 10, 500);
-  MemoizedMonitorSelector memo(inner);
-  for (std::uint32_t i = 0; i < 30; ++i) {
-    for (std::uint32_t j = 0; j < 30; ++j) {
-      const NodeId a = NodeId::fromIndex(i), b = NodeId::fromIndex(j);
-      EXPECT_EQ(memo.isMonitor(a, b), inner.isMonitor(a, b));
-      EXPECT_EQ(memo.isMonitor(a, b), inner.isMonitor(a, b));  // cached path
-    }
-  }
-  EXPECT_GT(memo.cacheSize(), 0u);
-}
-
 // Same selection properties must hold for every hash backend.
 class SelectorHashParamTest : public ::testing::TestWithParam<const char*> {};
 
@@ -226,8 +203,108 @@ TEST_P(SelectorHashParamTest, ExpectedSetSizeHoldsForAllHashes) {
   EXPECT_NEAR(total / 100.0, static_cast<double>(kK), 2.0) << GetParam();
 }
 
+TEST_P(SelectorHashParamTest, HashPointMatchesThresholdDecision) {
+  // isMonitor hashes the packed ids directly; hashPoint builds the 12-byte
+  // wire message a third party would. Both must give the same verdict,
+  // for synthetic ids and for random full-width ones (any IP, any port).
+  const auto fn = hash::makeHashFunction(GetParam());
+  HashMonitorSelector sel(*fn, 100, 1000);
+  std::vector<NodeId> ids;
+  for (std::uint32_t i = 0; i < 40; ++i) ids.push_back(NodeId::fromIndex(i));
+  Rng rng(7);
+  for (int i = 0; i < 40; ++i) {
+    ids.emplace_back(static_cast<std::uint32_t>(rng()),
+                     static_cast<std::uint16_t>(rng()));
+  }
+  for (const NodeId& a : ids) {
+    for (const NodeId& b : ids) {
+      if (a == b) continue;
+      EXPECT_EQ(sel.isMonitor(a, b), sel.hashPoint(a, b) <= sel.threshold())
+          << GetParam() << " " << a.toString() << " " << b.toString();
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(AllHashes, SelectorHashParamTest,
                          ::testing::Values("md5", "sha1", "splitmix64"));
+
+// The memo keeps one slot per unordered pair, keyed by (min, max) of the
+// packed ids, with a known bit and a verdict bit per direction. These ids
+// stress that key: dense synthetic ids, ids that differ only in the port,
+// and ids that differ only in the top byte of the IP.
+std::vector<NodeId> memoProbeIds() {
+  std::vector<NodeId> ids;
+  for (std::uint32_t i = 0; i < 24; ++i) ids.push_back(NodeId::fromIndex(i));
+  for (const std::uint16_t port : {0, 1, 9000, 65535}) {
+    ids.emplace_back(0xC0A80001u, port);
+  }
+  for (const std::uint32_t top : {0x00u, 0x01u, 0x7Fu, 0x80u, 0xFFu}) {
+    ids.emplace_back((top << 24) | 0x00A80001u, 4242);
+  }
+  return ids;
+}
+
+// The memo pays for the slow hashes only; ScenarioRunner puts it in front
+// of md5 and sha1.
+class MemoHashParamTest : public ::testing::TestWithParam<const char*> {};
+
+TEST_P(MemoHashParamTest, MemoizedMatchesInner) {
+  const auto fn = hash::makeHashFunction(GetParam());
+  HashMonitorSelector inner(*fn, 300, 1000);  // both verdicts common
+  const std::vector<NodeId> ids = memoProbeIds();
+  // Ask each pair forward first in one memo and reverse first in the
+  // other, then both directions again from the cache. Self-pairs included.
+  for (const bool reverseFirst : {false, true}) {
+    MemoizedMonitorSelector memo(inner);
+    for (std::size_t i = 0; i < ids.size(); ++i) {
+      for (std::size_t j = i; j < ids.size(); ++j) {
+        const NodeId a = reverseFirst ? ids[j] : ids[i];
+        const NodeId b = reverseFirst ? ids[i] : ids[j];
+        for (int pass = 0; pass < 2; ++pass) {
+          EXPECT_EQ(memo.isMonitor(a, b), inner.isMonitor(a, b))
+              << GetParam() << " " << a.toString() << " -> " << b.toString();
+          EXPECT_EQ(memo.isMonitor(b, a), inner.isMonitor(b, a))
+              << GetParam() << " " << b.toString() << " -> " << a.toString();
+        }
+      }
+    }
+    // One slot per unordered pair, self-pairs included.
+    EXPECT_EQ(memo.cacheSize(), ids.size() * (ids.size() + 1) / 2);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(SlowHashes, MemoHashParamTest,
+                         ::testing::Values("md5", "sha1"));
+
+TEST(MemoizedSelectorTest, VerdictsStayExactPastTheCap) {
+  // 1500 ids give 1,125,750 unordered pairs, more than the 2^21-slot
+  // table holds at half load (2^20). splitmix64 keeps the run short.
+  hash::SplitMix64HashFunction fn;
+  HashMonitorSelector inner(fn, 300, 1000);
+  MemoizedMonitorSelector memo(inner);
+  constexpr std::uint32_t kIds = 1500;
+  std::size_t mismatches = 0;
+  for (std::uint32_t i = 0; i < kIds; ++i) {
+    for (std::uint32_t j = i; j < kIds; ++j) {
+      const NodeId a = NodeId::fromIndex(i), b = NodeId::fromIndex(j);
+      mismatches += memo.isMonitor(a, b) != inner.isMonitor(a, b);
+    }
+  }
+  const std::size_t full = memo.cacheSize();
+  EXPECT_EQ(full, std::size_t{1} << 20);
+  // Second pass, reverse direction first: cached pairs fill in their
+  // other verdict, the rest are computed past the cap, and the table no
+  // longer grows.
+  for (std::uint32_t i = 0; i < kIds; ++i) {
+    for (std::uint32_t j = i; j < kIds; ++j) {
+      const NodeId a = NodeId::fromIndex(i), b = NodeId::fromIndex(j);
+      mismatches += memo.isMonitor(b, a) != inner.isMonitor(b, a);
+      mismatches += memo.isMonitor(a, b) != inner.isMonitor(a, b);
+    }
+  }
+  EXPECT_EQ(mismatches, 0u);
+  EXPECT_EQ(memo.cacheSize(), full);
+}
 
 }  // namespace
 }  // namespace avmon
