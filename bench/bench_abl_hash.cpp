@@ -30,15 +30,16 @@ int main() {
       ts.add(static_cast<double>(node.targetSet().size()));
     }
 
+    const experiments::MetricSet rows = experiments::collectSamples(runner);
     table.addRow({hashName,
                   stats::TablePrinter::num(
-                      benchx::meanOf(runner.discoveryDelaysSeconds(1)), 2),
+                      benchx::meanOf(rows.discoverySeconds), 2),
                   stats::TablePrinter::num(ps.mean(), 2),
                   stats::TablePrinter::num(ts.mean(), 2),
                   stats::TablePrinter::num(
-                      benchx::meanOf(runner.computationsPerSecond()), 2),
+                      benchx::meanOf(rows.computationsPerSecond), 2),
                   stats::TablePrinter::num(
-                      benchx::meanOf(runner.memoryEntries(false)), 1)});
+                      benchx::meanOf(rows.memoryEntries), 1)});
   }
   table.print(std::cout);
   std::cout << "Expected: rows statistically indistinguishable — the "

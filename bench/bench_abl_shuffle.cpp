@@ -25,11 +25,12 @@ int main() {
     experiments::ScenarioRunner runner(scenario);
     runner.run();
 
-    const stats::Cdf bw(runner.outgoingBytesPerSecond());
+    const experiments::MetricSet rows = experiments::collectSamples(runner);
+    const stats::Cdf bw(rows.outgoingBytesPerSecond);
     table.addRow({shufflePolicyName(policy),
                   stats::TablePrinter::num(
-                      benchx::meanOf(runner.discoveryDelaysSeconds(1)), 2),
-                  stats::TablePrinter::num(runner.discoveredFraction(1), 3),
+                      benchx::meanOf(rows.discoverySeconds), 2),
+                  stats::TablePrinter::num(rows.discoveredFraction, 3),
                   stats::TablePrinter::num(bw.percentile(0.5), 2),
                   stats::TablePrinter::num(bw.percentile(0.99), 2),
                   stats::TablePrinter::num(bw.max(), 2)});

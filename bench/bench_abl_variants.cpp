@@ -24,14 +24,15 @@ int main() {
     runner.run();
 
     const std::size_t cvs = runner.config().cvs;
+    const experiments::MetricSet rows = experiments::collectSamples(runner);
     table.addRow(
         {variantName(variant), std::to_string(cvs),
-         stats::TablePrinter::num(benchx::meanOf(runner.memoryEntries(true)), 1),
          stats::TablePrinter::num(
-             benchx::meanOf(runner.discoveryDelaysSeconds(1)), 1),
-         stats::TablePrinter::num(runner.discoveredFraction(1), 3),
+             benchx::meanOf(benchx::measuredMemoryEntries(runner)), 1),
+         stats::TablePrinter::num(benchx::meanOf(rows.discoverySeconds), 1),
+         stats::TablePrinter::num(rows.discoveredFraction, 3),
          stats::TablePrinter::num(
-             benchx::meanOf(runner.computationsPerSecond()), 2),
+             benchx::meanOf(rows.computationsPerSecond), 2),
          stats::TablePrinter::num(
              analysis::expectedDiscoveryRounds(cvs, kN), 1)});
   }

@@ -19,7 +19,7 @@ int main() {
       runner.run();
       curves.emplace_back(
           churn::modelName(model) + ", N=" + std::to_string(n),
-          runner.memoryEntries(/*measuredOnly=*/false));
+          experiments::collectSamples(runner).memoryEntries);
     }
   }
   benchx::printCdfs(

@@ -26,8 +26,8 @@ int main() {
       experiments::ScenarioRunner runner(scenario);
       runner.run();
 
-      const auto summary =
-          benchx::summarize(runner.discoveryDelaysSeconds(1));
+      const auto rows = experiments::collectSamples(runner);
+      const auto summary = benchx::summarize(rows.discoverySeconds);
       table.addRow({std::to_string(n), std::to_string(multiplier) + "*N^0.25",
                     std::to_string(cfg.cvs),
                     stats::TablePrinter::num(summary.mean(), 2),

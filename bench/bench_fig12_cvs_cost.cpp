@@ -31,9 +31,11 @@ int main() {
       table.addRow(
           {std::to_string(n), std::to_string(cfg.cvs),
            stats::TablePrinter::num(
-               benchx::meanOf(runner.memoryEntries(true)), 1),
+               benchx::meanOf(benchx::measuredMemoryEntries(runner)), 1),
            stats::TablePrinter::num(
-               benchx::meanOf(runner.computationsPerSecond()), 2),
+               benchx::meanOf(
+                   experiments::collectSamples(runner).computationsPerSecond),
+               2),
            stats::TablePrinter::num(2.0 * cvs * cvs / 60.0, 2)});
     }
   }

@@ -17,12 +17,12 @@ int main() {
         benchx::figureScenario(model, 0, 180));
     runner.run();
 
+    const experiments::MetricSet rows = experiments::collectSamples(runner);
     std::vector<double> minutes;
-    for (double s : runner.discoveryDelaysSeconds(1))
-      minutes.push_back(s / 60.0);
+    for (double s : rows.discoverySeconds) minutes.push_back(s / 60.0);
     curves.emplace_back(churn::modelName(model), minutes);
 
-    const stats::Cdf cdf(runner.discoveryDelaysSeconds(1));
+    const stats::Cdf cdf(rows.discoverySeconds);
     std::cout << churn::modelName(model)
               << ": N=" << runner.effectiveN()
               << " K=" << runner.config().k << " cvs=" << runner.config().cvs
@@ -30,7 +30,7 @@ int main() {
               << "; discovered <=63s = "
               << stats::TablePrinter::num(cdf.fractionAtOrBelow(63.0), 4)
               << " of discoveries; overall discovered fraction = "
-              << stats::TablePrinter::num(runner.discoveredFraction(1), 3)
+              << stats::TablePrinter::num(rows.discoveredFraction, 3)
               << "\n";
   }
   benchx::printCdfs(

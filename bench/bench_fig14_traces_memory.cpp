@@ -16,7 +16,7 @@ int main() {
         benchx::figureScenario(model, 0, 180));
     runner.run();
 
-    const auto entries = runner.memoryEntries(/*measuredOnly=*/false);
+    const auto entries = experiments::collectSamples(runner).memoryEntries;
     curves.emplace_back(churn::modelName(model), entries);
 
     const auto summary = benchx::summarize(entries);

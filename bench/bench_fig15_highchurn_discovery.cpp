@@ -16,15 +16,15 @@ int main() {
         benchx::figureScenario(model, 2000, 120));
     runner.run();
 
+    const experiments::MetricSet rows = experiments::collectSamples(runner);
     std::vector<double> minutes;
-    for (double s : runner.discoveryDelaysSeconds(1))
-      minutes.push_back(s / 60.0);
+    for (double s : rows.discoverySeconds) minutes.push_back(s / 60.0);
     curves.emplace_back(churn::modelName(model) +
                             ", N_longterm=" +
                             std::to_string(runner.schedule().nodes().size()),
                         minutes);
 
-    const stats::Cdf cdf(runner.discoveryDelaysSeconds(1));
+    const stats::Cdf cdf(rows.discoverySeconds);
     std::cout << churn::modelName(model) << ": discovered <=60s = "
               << stats::TablePrinter::num(cdf.fractionAtOrBelow(60.0), 3)
               << ", <=120s = "

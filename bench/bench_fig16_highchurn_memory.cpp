@@ -21,7 +21,8 @@ int main() {
       experiments::ScenarioRunner runner(
           benchx::figureScenario(model, n, 120));
       runner.run();
-      means[i++] = benchx::meanOf(runner.memoryEntries(/*measuredOnly=*/false));
+      means[i++] =
+          benchx::meanOf(experiments::collectSamples(runner).memoryEntries);
     }
     const double pct =
         means[0] > 0 ? 100.0 * (means[1] - means[0]) / means[0] : 0.0;

@@ -31,7 +31,7 @@ int main() {
 
     stats::Summary ratio, err;
     double maxErr = 0;
-    for (const auto& a : runner.availabilityAccuracy(/*measuredOnly=*/true)) {
+    for (const auto& a : experiments::collectSamples(runner).accuracy) {
       if (a.actual <= 0.05) continue;  // ratio undefined for ~never-up nodes
       ratio.add(a.estimated / a.actual);
       const double e = std::abs(a.estimated - a.actual) / a.actual;

@@ -27,7 +27,8 @@ int main() {
       scenario.forgetfulEwma = ewma;
       experiments::ScenarioRunner runner(scenario);
       runner.run();
-      means[i++] = benchx::meanOf(runner.uselessPingsPerMinute());
+      const auto rows = experiments::collectSamples(runner);
+      means[i++] = benchx::meanOf(rows.uselessPingsPerMinute);
     }
     table.addRow(
         {std::to_string(n), stats::TablePrinter::num(means[0], 3),

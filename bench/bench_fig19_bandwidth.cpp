@@ -4,6 +4,7 @@
 // Paper result: STAT keeps 88% of nodes below 10 Bps with a heavy tail
 // that PR2 flattens (all below ~9 Bps); OV is more uniform, with 99.85%
 // of nodes below 11 Bps.
+#include <algorithm>
 #include <iostream>
 
 #include "common.hpp"
@@ -28,15 +29,17 @@ int main() {
     scenario.pr2 = pr2;
     experiments::ScenarioRunner runner(scenario);
     runner.run();
-    const auto bps = runner.outgoingBytesPerSecond();
+    const experiments::MetricSet rows = experiments::collectSamples(runner);
     const std::string label = pr2 ? "STAT-PR2, N=2000" : "STAT, N=2000";
-    curves.emplace_back(label, bps);
-    report(label, bps);
+    curves.emplace_back(label, rows.outgoingBytesPerSecond);
+    report(label, rows.outgoingBytesPerSecond);
 
     // Tail diagnosis: what the heaviest sender is actually sending.
-    const NodeId top = runner.maxBandwidthNode();
-    const auto& node = runner.node(top);
-    std::cout << "  heaviest sender " << top.toString()
+    const auto top = std::max_element(
+        rows.perNode.begin(), rows.perNode.end(),
+        [](const auto& a, const auto& b) { return a.bytesSent < b.bytesSent; });
+    const auto& node = runner.node(top->id);
+    std::cout << "  heaviest sender " << top->id.toString()
               << ": notifies=" << node.metrics().notifiesSent
               << " cvFetches=" << node.metrics().cvFetches
               << " monitorPings=" << node.metrics().monitoringPingsSent
@@ -48,7 +51,7 @@ int main() {
     experiments::ScenarioRunner runner(
         benchx::figureScenario(churn::Model::kOvernet, 0, 180));
     runner.run();
-    const auto bps = runner.outgoingBytesPerSecond();
+    const auto bps = experiments::collectSamples(runner).outgoingBytesPerSecond;
     curves.emplace_back("OV", bps);
     report("OV", bps);
   }

@@ -9,6 +9,7 @@
 #include <iostream>
 
 #include "common.hpp"
+#include "experiments/adversary.hpp"
 
 int main() {
   using namespace avmon;
@@ -27,19 +28,21 @@ int main() {
       experiments::ScenarioRunner runner(scenario);
       runner.run();
 
-      const auto acc = runner.availabilityAccuracy(/*measuredOnly=*/false);
-      std::size_t affected = 0;
-      for (const auto& a : acc) {
-        if (std::abs(a.estimated - a.actual) > 0.2) ++affected;
+      std::size_t reported = 0, affected = 0;
+      for (const auto& nt : runner.schedule().nodes()) {
+        const auto a = experiments::alignedAccuracyOf(runner.protocol(), nt);
+        if (!a) continue;
+        ++reported;
+        if (std::abs(a->estimated - a->actual) > 0.2) ++affected;
       }
       const double rate =
-          acc.empty() ? 0.0
-                      : static_cast<double>(affected) /
-                            static_cast<double>(acc.size());
+          reported == 0 ? 0.0
+                        : static_cast<double>(affected) /
+                              static_cast<double>(reported);
       table.addRow({churn::modelName(model),
                     stats::TablePrinter::num(fraction, 2),
                     stats::TablePrinter::num(rate, 4),
-                    std::to_string(acc.size())});
+                    std::to_string(reported)});
     }
   }
   table.print(std::cout);

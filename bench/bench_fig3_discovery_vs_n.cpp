@@ -26,7 +26,7 @@ int main() {
       runner.run();
 
       std::vector<double> minutes;
-      for (double s : runner.discoveryDelaysSeconds(1))
+      for (double s : experiments::collectSamples(runner).discoverySeconds)
         minutes.push_back(s / 60.0);
       // The paper drops the single largest outlier per setting (footnote 8).
       if (minutes.size() > 1) {

@@ -15,10 +15,10 @@ int main() {
     experiments::ScenarioRunner runner(
         benchx::figureScenario(churn::Model::kStat, n, 30));
     runner.run();
-    curves.emplace_back("STAT, N=" + std::to_string(n),
-                        runner.discoveryDelaysSeconds(1));
+    const auto delays = experiments::collectSamples(runner).discoverySeconds;
+    curves.emplace_back("STAT, N=" + std::to_string(n), delays);
 
-    const stats::Cdf cdf(runner.discoveryDelaysSeconds(1));
+    const stats::Cdf cdf(delays);
     std::cout << "STAT N=" << n << ": fraction discovered <=30s = "
               << stats::TablePrinter::num(cdf.fractionAtOrBelow(30.0), 3)
               << ", <=60s = "

@@ -16,10 +16,10 @@ int main() {
     experiments::ScenarioRunner runner(
         benchx::figureScenario(churn::Model::kSynthBD, n, 90));
     runner.run();
-    curves.emplace_back("SYNTH-BD, N=" + std::to_string(n),
-                        runner.discoveryDelaysSeconds(1));
+    const auto delays = experiments::collectSamples(runner).discoverySeconds;
+    curves.emplace_back("SYNTH-BD, N=" + std::to_string(n), delays);
 
-    const stats::Cdf cdf(runner.discoveryDelaysSeconds(1));
+    const stats::Cdf cdf(delays);
     std::cout << "SYNTH-BD N=" << n
               << ": measured born nodes = " << runner.measuredIds().size()
               << ", fraction discovered <=60s = "

@@ -6,6 +6,7 @@
 #include <iostream>
 
 #include "common.hpp"
+#include "experiments/protocol.hpp"
 
 int main() {
   using namespace avmon;
@@ -23,8 +24,11 @@ int main() {
 
     for (std::size_t l = 1; l <= 3; ++l) {
       std::vector<double> minutes;
-      for (double s : runner.discoveryDelaysSeconds(l))
-        minutes.push_back(s / 60.0);
+      for (const NodeId& id : runner.measuredIds()) {
+        if (const auto d = runner.protocol().discoveryDelay(id, l)) {
+          minutes.push_back(toSeconds(*d) / 60.0);
+        }
+      }
       const auto summary = benchx::summarize(minutes);
       table.addRow({churn::modelName(model), std::to_string(l),
                     stats::TablePrinter::num(summary.mean(), 2),

@@ -22,7 +22,8 @@ int main() {
           benchx::figureScenario(model, n, 45));
       runner.run();
 
-      const auto summary = benchx::summarize(runner.computationsPerSecond());
+      const auto rows = experiments::collectSamples(runner);
+      const auto summary = benchx::summarize(rows.computationsPerSecond);
       const double cvs = static_cast<double>(runner.config().cvs);
       table.addRow({churn::modelName(model), std::to_string(n),
                     std::to_string(runner.config().cvs),

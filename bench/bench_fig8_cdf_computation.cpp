@@ -18,7 +18,7 @@ int main() {
       runner.run();
       curves.emplace_back(
           churn::modelName(model) + ", N=" + std::to_string(n),
-          runner.computationsPerSecond());
+          experiments::collectSamples(runner).computationsPerSecond);
     }
   }
   benchx::printCdfs(

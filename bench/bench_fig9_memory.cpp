@@ -24,7 +24,7 @@ int main() {
       runner.run();
 
       const auto summary =
-          benchx::summarize(runner.memoryEntries(/*measuredOnly=*/true));
+          benchx::summarize(benchx::measuredMemoryEntries(runner));
       const auto& cfg = runner.config();
       table.addRow(
           {churn::modelName(model), std::to_string(n),

@@ -36,7 +36,6 @@
 #include "avmon/notify_dedup.hpp"
 #include "common.hpp"
 #include "common/rng.hpp"
-#include "experiments/metrics.hpp"
 #include "experiments/scenario.hpp"
 #include "experiments/spec.hpp"
 #include "golden_hash.hpp"
@@ -307,53 +306,6 @@ ShardedRun shardedScenarioRun(unsigned shards, std::size_t n,
   return result;
 }
 
-// ---------------------------------------------------------------------------
-// Workload 7: metric-collection lanes. The same large world run twice —
-// once with the materialized end-of-run scan (collectMetrics walks every
-// node into sample vectors and a per-node table) and once with the
-// streaming reducer pipeline (summary reducer only, so nothing per-node is
-// ever retained). Compared on collection wall time and retained
-// metric-state bytes; the streamed lane must hold strictly less. Peak RSS
-// is recorded after each lane (streamed first — getrusage's high-water
-// mark is monotone, so the later materialized reading shows how much the
-// per-node tables raised it).
-// ---------------------------------------------------------------------------
-struct CollectionRun {
-  double runSeconds = 0.0;
-  double collectSeconds = 0.0;
-  std::size_t stateBytes = 0;
-  double peakRssKb = 0.0;
-};
-
-CollectionRun metricCollectionRun(bool streamed, std::size_t n,
-                                  SimDuration horizon) {
-  experiments::Scenario s;
-  s.model = churn::Model::kSynth;
-  s.stableSize = n;
-  s.horizon = horizon;
-  s.warmup = horizon / 4;
-  s.seed = 78;
-  s.hashName = "splitmix64";
-  s.shards = 4;
-  if (streamed) {
-    s.metrics.window = kMinute;
-    s.metrics.reducers = {"summary"};  // summary-only: no windowed rows
-  }
-  experiments::ScenarioRunner runner(s);
-  CollectionRun result;
-  const auto runStart = wallClockNow();
-  runner.run();
-  result.runSeconds = secondsSince(runStart);
-  const auto start = wallClockNow();
-  const experiments::MetricSet set = experiments::collectMetrics(runner);
-  result.collectSeconds = secondsSince(start);
-  result.stateBytes = set.metricStateBytes;
-  rusage usage{};
-  getrusage(RUSAGE_SELF, &usage);
-  result.peakRssKb = static_cast<double>(usage.ru_maxrss);
-  return result;
-}
-
 struct Row {
   std::string name;
   double value;
@@ -365,7 +317,7 @@ struct Row {
 };
 
 // ---------------------------------------------------------------------------
-// Workload 8 (--million): the ROADMAP million-node scenario — N = 10^6
+// Workload 7 (--million): the ROADMAP million-node scenario — N = 10^6
 // through the memory diet (SoA node state, compact histories, streamed
 // metrics, sharded execution). Mirrors examples/specs/million_node.spec
 // exactly; the smoke-scale twin of that spec is pinned by soa_state_test,
@@ -522,38 +474,6 @@ int main(int argc, char** argv) {
     std::printf(
         "WARNING: sharded 4-shard speedup %.2fx below the 1.5x target\n",
         shardedSpeedup);
-  }
-
-  // Metric-collection lanes (streamed first; see the workload comment for
-  // why the RSS readings are order-sensitive).
-  const CollectionRun streamedLane =
-      metricCollectionRun(/*streamed=*/true, shardedN, shardedHorizon);
-  const CollectionRun materializedLane =
-      metricCollectionRun(/*streamed=*/false, shardedN, shardedHorizon);
-  rows.push_back({"metrics_streamed_collect_ms",
-                  streamedLane.collectSeconds * 1e3, "ms"});
-  rows.push_back({"metrics_materialized_collect_ms",
-                  materializedLane.collectSeconds * 1e3, "ms"});
-  rows.push_back({"metrics_streamed_state_bytes",
-                  static_cast<double>(streamedLane.stateBytes), "bytes"});
-  rows.push_back({"metrics_materialized_state_bytes",
-                  static_cast<double>(materializedLane.stateBytes), "bytes"});
-  rows.push_back({"metrics_state_ratio",
-                  static_cast<double>(materializedLane.stateBytes) /
-                      static_cast<double>(streamedLane.stateBytes),
-                  "x"});
-  rows.push_back({"metrics_streamed_run_overhead",
-                  streamedLane.runSeconds / materializedLane.runSeconds,
-                  "x"});
-  rows.push_back({"metrics_peak_rss_after_streamed_kb",
-                  streamedLane.peakRssKb, "kb"});
-  rows.push_back({"metrics_peak_rss_after_materialized_kb",
-                  materializedLane.peakRssKb, "kb"});
-  if (streamedLane.stateBytes >= materializedLane.stateBytes) {
-    std::printf(
-        "WARNING: streamed metric state (%zu B) not below materialized "
-        "(%zu B)\n",
-        streamedLane.stateBytes, materializedLane.stateBytes);
   }
 
   if (million) {

@@ -53,13 +53,14 @@ void measuredBroadcast(std::size_t n) {
         static_cast<double>(nt.sessions.size()));
   }
 
+  const experiments::MetricSet rows = experiments::collectSamples(runner);
   stats::TablePrinter table("Table 1 (measured), Broadcast baseline, N=" +
                             std::to_string(n) + " (STAT)");
   table.setHeader({"metric", "analytic", "measured"});
   table.addRow({"memory entries", "O(N) ~ " + std::to_string(n),
-                benchx::meanPlusMinus(runner.memoryEntries(false), 0)});
+                benchx::meanPlusMinus(rows.memoryEntries, 0)});
   table.addRow({"first-monitor discovery (s)", "~ broadcast latency",
-                benchx::meanPlusMinus(runner.discoveryDelaysSeconds(1), 3)});
+                benchx::meanPlusMinus(rows.discoverySeconds, 3)});
   table.addRow({"bytes per join", "O(N) ~ " + std::to_string(10 * n),
                 benchx::meanPlusMinus(bytesPerJoin, 0)});
   table.print(std::cout);
@@ -74,12 +75,13 @@ void measuredSpotCheck(std::size_t n) {
 
   const auto& cfg = runner.config();
   const double periodSec = toSeconds(cfg.protocolPeriod);
+  const experiments::MetricSet rows = experiments::collectSamples(runner);
   std::vector<double> discoveryRounds;
-  for (double s : runner.discoveryDelaysSeconds(1))
+  for (double s : rows.discoverySeconds)
     discoveryRounds.push_back(s / periodSec);
 
   std::vector<double> checksPerRound;
-  for (double cps : runner.computationsPerSecond())
+  for (double cps : rows.computationsPerSecond)
     checksPerRound.push_back(cps * periodSec);
 
   stats::TablePrinter table("Table 1 (measured spot-check), AVMON cvs=" +
@@ -89,7 +91,7 @@ void measuredSpotCheck(std::size_t n) {
   table.addRow({"memory entries (cvs+2K)",
                 stats::TablePrinter::num(
                     static_cast<double>(cfg.cvs + 2 * cfg.k), 0),
-                benchx::meanPlusMinus(runner.memoryEntries(false), 1)});
+                benchx::meanPlusMinus(rows.memoryEntries, 1)});
   table.addRow({"first-monitor discovery (rounds)",
                 "<= " + stats::TablePrinter::num(
                             analysis::expectedDiscoveryRounds(cfg.cvs, n), 2),

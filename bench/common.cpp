@@ -3,6 +3,8 @@
 #include <cstdlib>
 #include <iostream>
 
+#include "experiments/protocol.hpp"
+
 namespace avmon::benchx {
 
 bool fullScale() {
@@ -33,6 +35,16 @@ experiments::Scenario figureScenario(churn::Model model, std::size_t n,
   s.seed = seed;
   s.hashName = "splitmix64";  // counts are hash-agnostic; see bench_abl_hash
   return s;
+}
+
+std::vector<double> measuredMemoryEntries(
+    const experiments::ScenarioRunner& runner) {
+  std::vector<double> out;
+  for (const NodeId& id : runner.measuredIds()) {
+    const std::size_t entries = runner.protocol().memoryEntries(id);
+    if (entries != 0) out.push_back(static_cast<double>(entries));
+  }
+  return out;
 }
 
 double meanOf(const std::vector<double>& v) {

@@ -4,7 +4,7 @@
 // prints the same rows/series the paper reports. Simulated horizons default
 // to a laptop-friendly scale — discovery and steady-state metrics converge
 // within tens of simulated minutes — and can be raised to the paper's
-// 48-hour runs with AVMON_BENCH_SCALE=full (see EXPERIMENTS.md).
+// 48-hour runs with AVMON_BENCH_SCALE=full (see fullScale below).
 #pragma once
 
 #include <chrono>
@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "experiments/metrics.hpp"
 #include "experiments/scenario.hpp"
 #include "stats/cdf.hpp"
 #include "stats/summary.hpp"
@@ -41,6 +42,11 @@ double secondsSince(WallClock::time_point start);
 experiments::Scenario figureScenario(churn::Model model, std::size_t n,
                                      int measureMinutes,
                                      std::uint64_t seed = 20070601);
+
+/// Memory entries of each measured node with any state, in measured-set
+/// order (the rows' memoryEntries cover every participant).
+std::vector<double> measuredMemoryEntries(
+    const experiments::ScenarioRunner& runner);
 
 /// Mean of a sample vector (0 when empty).
 double meanOf(const std::vector<double>& v);

@@ -6,6 +6,7 @@
 // Build & run:   ./examples/quickstart   (no arguments)
 #include <iostream>
 
+#include "experiments/metrics.hpp"
 #include "experiments/scenario.hpp"
 #include "stats/table_printer.hpp"
 
@@ -31,15 +32,14 @@ int main() {
             << " (" << runner.config().cvs << " coarse-view entries/node)\n\n";
 
   // 3. Discovery worked: control nodes found monitors within ~a minute.
+  const experiments::MetricSet metrics = experiments::collectMetrics(runner);
   std::cout << "Control nodes that discovered a monitor: "
-            << stats::TablePrinter::num(100 * runner.discoveredFraction(1), 1)
+            << stats::TablePrinter::num(100 * metrics.discoveredFraction, 1)
             << "%\n";
-  const auto delays = runner.discoveryDelaysSeconds(1);
-  double sum = 0;
-  for (double d : delays) sum += d;
-  if (!delays.empty()) {
+  const auto& delays = metrics.summary().discoverySeconds.stats;
+  if (delays.count() > 0) {
     std::cout << "Average time to first monitor: "
-              << stats::TablePrinter::num(sum / delays.size(), 1) << " s\n\n";
+              << stats::TablePrinter::num(delays.mean(), 1) << " s\n\n";
   }
 
   // 4. Inspect one node.

@@ -2,11 +2,11 @@
 //
 // The metric probes (Protocol::memoryEntries / hashChecks / uselessPings /
 // discoveryDelay / isMonitoring) are answered thousands to millions of
-// times per run — per window barrier in the streamed lane, per node in the
-// materialized scans. Answering them from the full AvmonNode means a hash
-// lookup plus size() reads across three scattered unordered containers per
-// probe; at million-node scale that walk dominates the metric path and
-// drags every node's cold cache lines back in.
+// times per run — per window barrier and per node in the end-of-run scan
+// of the streaming collector. Answering them from the full AvmonNode means
+// a hash lookup plus size() reads across three scattered unordered
+// containers per probe; at million-node scale that walk dominates the
+// metric path and drags every node's cold cache lines back in.
 //
 // NodeStateTable keeps just the probe-visible scalars in parallel dense
 // arrays indexed by the node's global world slot (== trace position, PR 3

@@ -85,8 +85,9 @@ void applyBursts(trace::AvailabilityTrace& trace,
 
 /// Monitor-averaged estimate vs. window-aligned ground truth for one
 /// trace node — the one definition of "availability accuracy", shared by
-/// ScenarioRunner::availabilityAccuracy, the streaming collector, and the
-/// resilience probes. nullopt when no monitor reports an estimate.
+/// the collector's probeNode, the resilience probes, and callers that
+/// need every node's accuracy. nullopt when no monitor reports an
+/// estimate.
 std::optional<AvailabilityAccuracy> alignedAccuracyOf(
     const Protocol& protocol, const trace::NodeTrace& nt);
 

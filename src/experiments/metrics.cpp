@@ -1,6 +1,5 @@
 #include "experiments/metrics.hpp"
 
-#include <cmath>
 #include <fstream>
 #include <ostream>
 #include <sstream>
@@ -10,8 +9,6 @@
 #include "experiments/adversary.hpp"
 #include "experiments/protocol.hpp"
 #include "experiments/streaming/collector.hpp"
-#include "stats/cdf.hpp"
-#include "stats/summary.hpp"
 #include "stats/table_printer.hpp"
 
 namespace avmon::experiments {
@@ -22,19 +19,6 @@ struct MetricStats {
   double mean = 0.0, stddev = 0.0, p50 = 0.0, p99 = 0.0;
   std::size_t count = 0;
 };
-
-MetricStats statsOf(const std::vector<double>& samples) {
-  MetricStats out;
-  stats::Summary summary;
-  for (double x : samples) summary.add(x);
-  const stats::Cdf cdf(samples);
-  out.mean = summary.mean();
-  out.stddev = summary.stddev();
-  out.p50 = cdf.percentile(0.5);
-  out.p99 = cdf.percentile(0.99);
-  out.count = summary.count();
-  return out;
-}
 
 MetricStats statsOf(const streaming::StreamedMetric& m) {
   MetricStats out;
@@ -47,30 +31,23 @@ MetricStats statsOf(const streaming::StreamedMetric& m) {
 }
 
 /// The rows every table-shaped backend reports, in one place so the
-/// summary and comparison views can never drift apart. Each row knows both
-/// lanes: the materialized sample vector and the streamed summary metric.
+/// summary and comparison views can never drift apart.
 struct NamedMetric {
   const char* name;
-  const std::vector<double> MetricSet::*samples;
-  const streaming::StreamedMetric streaming::StreamedSummary::*streamed;
+  const streaming::StreamedMetric streaming::StreamedSummary::*metric;
 };
 
 constexpr NamedMetric kMetrics[] = {
-    {"first-monitor discovery (s)", &MetricSet::discoverySeconds,
+    {"first-monitor discovery (s)",
      &streaming::StreamedSummary::discoverySeconds},
-    {"memory entries", &MetricSet::memoryEntries,
-     &streaming::StreamedSummary::memoryEntries},
-    {"outgoing Bps", &MetricSet::outgoingBytesPerSecond,
-     &streaming::StreamedSummary::outgoingBytesPerSecond},
-    {"useless pings/min", &MetricSet::uselessPingsPerMinute,
-     &streaming::StreamedSummary::uselessPingsPerMinute},
-    {"computations/s", &MetricSet::computationsPerSecond,
-     &streaming::StreamedSummary::computationsPerSecond},
+    {"memory entries", &streaming::StreamedSummary::memoryEntries},
+    {"outgoing Bps", &streaming::StreamedSummary::outgoingBytesPerSecond},
+    {"useless pings/min", &streaming::StreamedSummary::uselessPingsPerMinute},
+    {"computations/s", &streaming::StreamedSummary::computationsPerSecond},
 };
 
-MetricStats statsFor(const MetricSet& set, const NamedMetric& metric) {
-  return set.streamed ? statsOf((*set.streamed).*(metric.streamed))
-                      : statsOf(set.*(metric.samples));
+MetricStats statsOf(const MetricSet& set, const NamedMetric& metric) {
+  return statsOf(set.summary().*(metric.metric));
 }
 
 void writeTextFile(const std::string& path, const std::string& content) {
@@ -167,24 +144,13 @@ std::string MetricSet::fileLabel() const {
 }
 
 std::optional<double> MetricSet::accuracyMeanAbsError() const {
-  if (streamed) {
-    const streaming::OnlineStats& stats = streamed->accuracyAbsError.stats;
-    if (stats.count() == 0) return std::nullopt;
-    return stats.mean();
-  }
-  if (accuracy.empty()) return std::nullopt;
-  double sum = 0.0;
-  for (const AvailabilityAccuracy& a : accuracy) {
-    sum += std::fabs(a.estimated - a.actual);
-  }
-  return sum / static_cast<double>(accuracy.size());
+  const streaming::OnlineStats& stats = summary().accuracyAbsError.stats;
+  if (stats.count() == 0) return std::nullopt;
+  return stats.mean();
 }
 
 std::size_t MetricSet::accuracyNodeCount() const {
-  if (streamed) {
-    return static_cast<std::size_t>(streamed->accuracyAbsError.stats.count());
-  }
-  return accuracy.size();
+  return static_cast<std::size_t>(summary().accuracyAbsError.stats.count());
 }
 
 MetricSet collectMetrics(const ScenarioRunner& runner) {
@@ -205,8 +171,8 @@ MetricSet collectMetrics(const ScenarioRunner& runner) {
   out.forgetfulFraction = s.attack.forgetfulFraction;
 
   // Graceful-degradation probes: evaluated against the protocol's final
-  // state on BOTH lanes (the resolved victim list is tiny, so this is not
-  // an O(N) materialization).
+  // state (the resolved victim list is tiny, so this is not an O(N)
+  // materialization).
   const ResolvedAdversary& adversary = runner.adversary();
   if (!adversary.victims.empty()) {
     const std::vector<VictimOutcome> outcomes =
@@ -226,28 +192,42 @@ MetricSet collectMetrics(const ScenarioRunner& runner) {
     }
   }
 
-  if (const streaming::StreamingCollector* collector =
-          runner.streamingCollector()) {
-    // Streamed lane: the per-shard reducers already hold everything the
-    // sinks need. No sample vector or per-node table is materialized — the
-    // snapshot's metric state is O(reducers x sketch bins), not O(N).
-    out.streamed = collector->summary();
-    out.windows = collector->windows();
-    out.streamedQuantiles = s.metrics.quantiles;
-    out.discoveredFraction = out.streamed->discoveredFraction();
-    out.metricStateBytes = collector->stateBytes();
-    return out;
+  // The per-shard reducers already hold everything the sinks need: the
+  // snapshot's metric state is O(reducers x sketch bins), not O(N).
+  const streaming::StreamingCollector& collector = runner.streamingCollector();
+  out.streamed = collector.summary();
+  out.windows = collector.windows();
+  out.streamedQuantiles = s.metrics.quantiles;
+  out.discoveredFraction = out.streamed->discoveredFraction();
+  out.metricStateBytes = collector.stateBytes();
+  return out;
+}
+
+MetricSet collectSamples(const ScenarioRunner& runner) {
+  MetricSet out = collectMetrics(runner);
+  // Measured-set metrics, in trace order.
+  for (const NodeId& id : runner.measuredIds()) {
+    const streaming::NodeProbe probe = streaming::probeNode(runner, id);
+    if (probe.discoverySeconds) {
+      out.discoverySeconds.push_back(*probe.discoverySeconds);
+    }
+    if (probe.computationsPerSecond) {
+      out.computationsPerSecond.push_back(*probe.computationsPerSecond);
+    }
+    if (probe.accuracy) out.accuracy.push_back(*probe.accuracy);
   }
-
-  out.discoverySeconds = runner.discoveryDelaysSeconds(1);
-  out.discoveredFraction = runner.discoveredFraction(1);
-  out.memoryEntries = runner.memoryEntries(/*measuredOnly=*/false);
-  out.outgoingBytesPerSecond = runner.outgoingBytesPerSecond();
-  out.uselessPingsPerMinute = runner.uselessPingsPerMinute();
-  out.computationsPerSecond = runner.computationsPerSecond();
-  out.accuracy = runner.availabilityAccuracy(/*measuredOnly=*/true);
-
+  // Whole-population metrics, in forEachNode order.
   const Protocol& protocol = runner.protocol();
+  protocol.forEachNode([&](const NodeId& id) {
+    const streaming::NodeProbe probe = streaming::probeNode(runner, id);
+    if (probe.memoryEntries) out.memoryEntries.push_back(*probe.memoryEntries);
+    if (probe.outgoingBytesPerSecond) {
+      out.outgoingBytesPerSecond.push_back(*probe.outgoingBytesPerSecond);
+    }
+    if (probe.uselessPingsPerMinute) {
+      out.uselessPingsPerMinute.push_back(*probe.uselessPingsPerMinute);
+    }
+  });
   for (const trace::NodeTrace& nt : runner.schedule().nodes()) {
     MetricSet::PerNodeRow row;
     row.id = nt.id;
@@ -262,13 +242,6 @@ MetricSet collectMetrics(const ScenarioRunner& runner) {
     }
     out.perNode.push_back(row);
   }
-  out.metricStateBytes =
-      (out.discoverySeconds.size() + out.memoryEntries.size() +
-       out.outgoingBytesPerSecond.size() + out.uselessPingsPerMinute.size() +
-       out.computationsPerSecond.size()) *
-          sizeof(double) +
-      out.accuracy.size() * sizeof(AvailabilityAccuracy) +
-      out.perNode.size() * sizeof(MetricSet::PerNodeRow);
   return out;
 }
 
@@ -284,7 +257,7 @@ void SummaryTableSink::close() {
     stats::TablePrinter table("scenario summary: " + set.label());
     table.setHeader({"metric", "mean", "stddev", "p50", "p99", "n"});
     for (const NamedMetric& metric : kMetrics) {
-      const MetricStats s = statsFor(set, metric);
+      const MetricStats s = statsOf(set, metric);
       table.addRow({metric.name, stats::TablePrinter::num(s.mean, 2),
                     stats::TablePrinter::num(s.stddev, 2),
                     stats::TablePrinter::num(s.p50, 2),
@@ -310,10 +283,6 @@ void SummaryTableSink::close() {
                   : std::string("n/a"))
           << "\n";
     }
-    if (set.streamed) {
-      out << "metrics lane: streamed (" << set.windows.size()
-          << " windows, " << set.metricStateBytes << " state bytes)\n";
-    }
     out << "\n";
   }
 
@@ -328,7 +297,7 @@ void SummaryTableSink::close() {
       for (const char* stat : {"mean", "p99"}) {
         std::vector<std::string> row = {std::string(metric.name) + " " + stat};
         for (const MetricSet& set : sets_) {
-          const MetricStats s = statsFor(set, metric);
+          const MetricStats s = statsOf(set, metric);
           row.push_back(stats::TablePrinter::num(
               std::string(stat) == "mean" ? s.mean : s.p99, 2));
         }
@@ -380,6 +349,17 @@ void SummaryTableSink::close() {
 void CsvSink::add(const MetricSet& metrics) { sets_.push_back(metrics); }
 
 void CsvSink::close() {
+  // Every run is checked before any file is written, so a sweep with one
+  // row-less set leaves no partial output behind. A run always has at
+  // least one trace node, so empty perNode means the rows were never
+  // collected.
+  for (const MetricSet& set : sets_) {
+    if (set.perNode.empty()) {
+      throw std::invalid_argument(
+          "CsvSink: run '" + set.label() +
+          "' carries no per-sample rows — build it with collectSamples");
+    }
+  }
   for (const MetricSet& set : sets_) {
     // Single-run sweeps keep the historical avmon_sim file names; multi-
     // run sweeps get one set of files per run, keyed by its label.
@@ -471,43 +451,39 @@ void JsonSink::close() {
         << ",\n";
     for (const NamedMetric& metric : kMetrics) {
       appendJsonStats(out, jsonKeyOf(metric.name).c_str(),
-                      statsFor(set, metric));
+                      statsOf(set, metric));
       out << ",\n";
     }
-    if (set.streamed) {
-      out << "    \"streamed\": true,\n";
-      out << "    \"metric_state_bytes\": " << set.metricStateBytes << ",\n";
-      // The configured quantiles for every summary metric, straight from
-      // each sketch (p50/p99 above are the fixed table columns).
-      out << "    \"quantiles\": {";
-      bool firstMetric = true;
-      for (const NamedMetric& metric : kMetrics) {
-        const streaming::StreamedMetric& m =
-            (*set.streamed).*(metric.streamed);
-        out << (firstMetric ? "" : ", ") << "\"" << jsonKeyOf(metric.name)
-            << "\": {";
-        for (std::size_t q = 0; q < set.streamedQuantiles.size(); ++q) {
-          const double phi = set.streamedQuantiles[q];
-          out << (q == 0 ? "" : ", ") << "\"" << quantileKeyOf(phi)
-              << "\": " << formatDouble(m.sketch.quantile(phi));
-        }
-        out << "}";
-        firstMetric = false;
+    out << "    \"metric_state_bytes\": " << set.metricStateBytes << ",\n";
+    // The configured quantiles for every summary metric, straight from
+    // each sketch (p50/p99 above are the fixed table columns).
+    out << "    \"quantiles\": {";
+    bool firstMetric = true;
+    for (const NamedMetric& metric : kMetrics) {
+      const streaming::StreamedMetric& m = set.summary().*(metric.metric);
+      out << (firstMetric ? "" : ", ") << "\"" << jsonKeyOf(metric.name)
+          << "\": {";
+      for (std::size_t q = 0; q < set.streamedQuantiles.size(); ++q) {
+        const double phi = set.streamedQuantiles[q];
+        out << (q == 0 ? "" : ", ") << "\"" << quantileKeyOf(phi)
+            << "\": " << formatDouble(m.sketch.quantile(phi));
       }
-      out << "},\n";
-      out << "    \"windows\": [";
-      for (std::size_t w = 0; w < set.windows.size(); ++w) {
-        const streaming::WindowRow& row = set.windows[w];
-        out << (w == 0 ? "" : ", ") << "{\"window_start_s\": "
-            << formatDouble(toSeconds(row.windowStart))
-            << ", \"window_end_s\": " << formatDouble(toSeconds(row.windowEnd));
-        for (const auto& [name, value] : row.columns) {
-          out << ", \"" << name << "\": " << formatDouble(value);
-        }
-        out << "}";
-      }
-      out << "],\n";
+      out << "}";
+      firstMetric = false;
     }
+    out << "},\n";
+    out << "    \"windows\": [";
+    for (std::size_t w = 0; w < set.windows.size(); ++w) {
+      const streaming::WindowRow& row = set.windows[w];
+      out << (w == 0 ? "" : ", ") << "{\"window_start_s\": "
+          << formatDouble(toSeconds(row.windowStart))
+          << ", \"window_end_s\": " << formatDouble(toSeconds(row.windowEnd));
+      for (const auto& [name, value] : row.columns) {
+        out << ", \"" << name << "\": " << formatDouble(value);
+      }
+      out << "}";
+    }
+    out << "],\n";
     out << "    \"discovered_fraction\": "
         << formatDouble(set.discoveredFraction) << ",\n";
     const auto accuracyErr = set.accuracyMeanAbsError();

@@ -2,6 +2,12 @@
 // completed scenario reports, and pluggable backends (MetricsSink) that
 // consume snapshots — a summary/comparison table, per-node CSVs, JSON.
 //
+// Every run is measured by its streaming collector: collectMetrics copies
+// the streamed summary and windows, which is all the table and JSON sinks
+// read. The per-sample rows (CDF figures, CsvSink) are O(N) and filled only
+// on request by collectSamples, from the same per-node probe the streamed
+// summary reads, so the two always hold the same samples.
+//
 // Every protocol the registry knows produces the same MetricSet through
 // the same ScenarioRunner code path, so cross-protocol comparison tables
 // (the paper's Sections 5–6 head-to-heads) fall out of feeding several
@@ -45,14 +51,9 @@ struct MetricSet {
   double overreportFraction = 0.0;   ///< over-reporting cohort fraction
   double forgetfulFraction = 0.0;    ///< storage-wiping cohort fraction
 
-  // ---- summary sample vectors (one sample per qualifying node) ----
-  std::vector<double> discoverySeconds;  ///< first-monitor delay, measured set
-  double discoveredFraction = 0.0;       ///< >= 1 monitor, measured set
-  std::vector<double> memoryEntries;     ///< per node with any state
-  std::vector<double> outgoingBytesPerSecond;
-  std::vector<double> uselessPingsPerMinute;
-  std::vector<double> computationsPerSecond;
-  std::vector<AvailabilityAccuracy> accuracy;  ///< measured set
+  /// Fraction of the measured nodes that joined which discovered >= 1
+  /// monitor (from the streamed summary).
+  double discoveredFraction = 0.0;
 
   // ---- graceful-degradation results (collusion attacks only) ----
   /// Resolved victim count, victims whose every monitor is a coalition
@@ -61,6 +62,28 @@ struct MetricSet {
   std::size_t victimCount = 0;
   std::size_t eclipsedCount = 0;
   std::optional<double> victimMeanAbsError;
+
+  // ---- streamed summary (every run) ----
+  /// Final summary from the streaming collector. collectMetrics always
+  /// engages it; every sink reads its statistics from here.
+  std::optional<streaming::StreamedSummary> streamed;
+  /// Windowed time-series rows (empty unless a windowed reducer ran).
+  std::vector<streaming::WindowRow> windows;
+  /// Quantiles the scenario asked the streamed summary to report.
+  std::vector<double> streamedQuantiles;
+  /// Retained metric-state bytes of the streaming collector.
+  std::size_t metricStateBytes = 0;
+
+  // ---- per-sample rows (empty unless collectSamples ran) ----
+  /// One sample per qualifying node. Discovery, computations and accuracy
+  /// cover the measured set in trace order; memory, bandwidth and useless
+  /// pings cover every participant in Protocol::forEachNode order.
+  std::vector<double> discoverySeconds;  ///< first-monitor delay
+  std::vector<double> memoryEntries;     ///< per node with any state
+  std::vector<double> outgoingBytesPerSecond;
+  std::vector<double> uselessPingsPerMinute;
+  std::vector<double> computationsPerSecond;
+  std::vector<AvailabilityAccuracy> accuracy;
 
   /// One row per trace node, in schedule order (plotting / debugging).
   struct PerNodeRow {
@@ -74,33 +97,31 @@ struct MetricSet {
   };
   std::vector<PerNodeRow> perNode;
 
-  // ---- streamed lane (engaged when the scenario enabled streaming) ----
-  /// Final summary from the streaming pipeline. When engaged, the sample
-  /// vectors and perNode above are left EMPTY — the streamed path never
-  /// materializes per-node tables — and every table-shaped sink reads its
-  /// statistics from here instead.
-  std::optional<streaming::StreamedSummary> streamed;
-  /// Windowed time-series rows (empty unless a windowed reducer ran).
-  std::vector<streaming::WindowRow> windows;
-  /// Quantiles the scenario asked the streamed summary to report.
-  std::vector<double> streamedQuantiles;
-  /// Retained metric-state bytes of whichever lane produced this set —
-  /// the number the streamed-vs-materialized bench compares.
-  std::size_t metricStateBytes = 0;
+  /// The streamed summary; throws std::bad_optional_access on a MetricSet
+  /// that collectMetrics did not build.
+  const streaming::StreamedSummary& summary() const { return streamed.value(); }
 
   /// "protocol model N=.. seed=.." — how sinks caption this run.
   std::string label() const;
   /// label() restricted to filesystem-safe characters, for file suffixes.
   std::string fileLabel() const;
-  /// Mean |estimated - actual| over the accuracy data of whichever lane
-  /// ran; nullopt when no node reported (sinks render "n/a").
+  /// Mean |estimated - actual| over the measured nodes with a reporting
+  /// monitor; nullopt when none reported (sinks render "n/a").
   std::optional<double> accuracyMeanAbsError() const;
-  /// Nodes contributing to the accuracy metric (either lane).
+  /// Nodes contributing to the accuracy metric.
   std::size_t accuracyNodeCount() const;
 };
 
-/// Snapshots a completed (run()) ScenarioRunner.
+/// Snapshots a completed (run()) ScenarioRunner: provenance, the streamed
+/// summary and windows, and the victim outcomes. The per-sample rows stay
+/// empty.
 MetricSet collectMetrics(const ScenarioRunner& runner);
+
+/// collectMetrics plus the per-sample rows (discoverySeconds through
+/// computationsPerSecond, accuracy, perNode), read through the probeNode
+/// the streamed summary reads. O(N): only callers that need the samples
+/// call it.
+MetricSet collectSamples(const ScenarioRunner& runner);
 
 /// Backend interface; see the contract above.
 class MetricsSink {
@@ -128,6 +149,8 @@ class SummaryTableSink final : public MetricsSink {
 
 /// Per-metric CSV files: PREFIX[.<run>].{discovery,memory,bandwidth,
 /// pernode}.csv — the run infix appears only when several runs are added.
+/// Written from the per-sample rows: close() throws std::invalid_argument,
+/// naming the run, for a MetricSet that collectSamples did not build.
 class CsvSink final : public MetricsSink {
  public:
   explicit CsvSink(std::string prefix) : prefix_(std::move(prefix)) {}

@@ -158,7 +158,7 @@ std::optional<SimDuration> AvmonProtocol::discoveryDelay(
     const NodeId& id, std::size_t k) const {
   if (k == 1) {
     // Fast path off the struct-of-arrays row — the k = 1 delay is probed
-    // per measured node per window barrier in the streamed lane.
+    // per measured node per metric-window barrier.
     const std::uint32_t slot = slotOf(id);
     const SimTime joined = state_.firstJoin[slot];
     const SimTime found = state_.firstDiscovery[slot];

@@ -130,7 +130,8 @@ void Scenario::validate() const {
   }
   if (metrics.window < 0) {
     throw std::invalid_argument(
-        "Scenario: metrics.window must be >= 0 (0 disables streaming)");
+        "Scenario: metrics.window must be >= 0 (0 = one window closing at "
+        "the horizon)");
   }
   for (const std::string& name : metrics.reducers) {
     if (streaming::ReducerRegistry::instance().find(name) == nullptr) {
@@ -245,10 +246,8 @@ ScenarioRunner::ScenarioRunner(Scenario scenario)
 
   buildMeasuredSet();
 
-  if (scenario_.metrics.enabled()) {
-    collector_ = std::make_unique<streaming::StreamingCollector>(
-        *this, scenario_.metrics.reducers);
-  }
+  collector_ = std::make_unique<streaming::StreamingCollector>(
+      *this, scenario_.metrics.reducers);
 }
 
 ScenarioRunner::~ScenarioRunner() = default;
@@ -275,13 +274,23 @@ void ScenarioRunner::buildMeasuredSet() {
         break;
     }
   }
-  for (const trace::NodeTrace& nt : trace_.nodes()) {
+  // Trace position == global world slot (see the registration loop).
+  measuredBySlot_.assign(trace_.nodes().size(), 0);
+  for (std::size_t slot = 0; slot < trace_.nodes().size(); ++slot) {
+    const trace::NodeTrace& nt = trace_.nodes()[slot];
     const bool in = mode == MeasuredSet::kAll ||
                     (mode == MeasuredSet::kControlGroup && nt.isControl) ||
                     (mode == MeasuredSet::kBornAfterWarmup &&
                      nt.birth >= scenario_.warmup);
-    if (in) measured_.push_back(nt.id);
+    if (!in) continue;
+    measured_.push_back(nt.id);
+    measuredBySlot_[slot] = 1;
   }
+}
+
+bool ScenarioRunner::isMeasured(const NodeId& id) const {
+  const std::size_t slot = world_->globalIndexOf(id);
+  return slot < measuredBySlot_.size() && measuredBySlot_[slot] != 0;
 }
 
 void ScenarioRunner::onJoin(const NodeId& id, bool firstJoin) {
@@ -313,15 +322,15 @@ void ScenarioRunner::run() {
       world_->simOf(s).at(scenario_.warmup, [net] { net->resetTraffic(); });
     }
   }
-  if (collector_ != nullptr && collector_->anyWindowed()) {
-    // Streamed lane with windowed reducers: stop at metric-window
-    // boundaries to take barrier probes. Each nominal boundary (a multiple
-    // of metrics.window) is aligned UP to the end of the sharding window
-    // containing it, so no runUntil call ever splits a sharding window —
-    // a split would divide one hand-off batch across two barrier drains
-    // and reorder same-due insertions, diverging from the uninterrupted
-    // run. Aligned this way, execution is bit-identical to a single
-    // runUntil(horizon) and streamed metrics equal materialized ones.
+  if (scenario_.metrics.window > 0 && collector_->anyWindowed()) {
+    // Windowed reducers: stop at metric-window boundaries to take barrier
+    // probes. Each nominal boundary (a multiple of metrics.window) is
+    // aligned UP to the end of the sharding window containing it, so no
+    // runUntil call ever splits a sharding window — a split would divide
+    // one hand-off batch across two barrier drains and reorder same-due
+    // insertions, diverging from the uninterrupted run. Aligned this way,
+    // execution is bit-identical to a single runUntil(horizon). With
+    // window = 0 the only window is the one finish() closes at the horizon.
     const SimDuration shardWindow = world_->windowLength();
     SimTime lastAligned = -1;
     for (SimTime nominal = scenario_.metrics.window;
@@ -336,9 +345,7 @@ void ScenarioRunner::run() {
     }
   }
   world_->runUntil(scenario_.horizon);
-  if (collector_ != nullptr) {
-    collector_->finish(*world_, scenario_.horizon);
-  }
+  collector_->finish(*world_, scenario_.horizon);
 }
 
 sim::TrafficCounters ScenarioRunner::trafficOf(const NodeId& id) const {
@@ -351,130 +358,6 @@ const trace::NodeTrace* ScenarioRunner::traceOf(const NodeId& id) const {
   // participant with no ground truth.
   const std::size_t slot = world_->globalIndexOf(id);
   return slot < traceBySlot_.size() ? traceBySlot_[slot] : nullptr;
-}
-
-std::vector<double> ScenarioRunner::discoveryDelaysSeconds(std::size_t k) const {
-  std::vector<double> out;
-  out.reserve(measured_.size());
-  for (const NodeId& id : measured_) {
-    if (const auto d = protocol_->discoveryDelay(id, k))
-      out.push_back(toSeconds(*d));
-  }
-  return out;
-}
-
-double ScenarioRunner::discoveredFraction(std::size_t k) const {
-  // Denominator: measured nodes that actually joined during the run (the
-  // paper counts born nodes; a node whose first session never started
-  // cannot be discovered and isn't part of the population).
-  std::size_t joined = 0, found = 0;
-  for (const NodeId& id : measured_) {
-    if (!traceOf(id)->firstJoin()) continue;
-    ++joined;
-    if (protocol_->discoveryDelay(id, k)) ++found;
-  }
-  return joined == 0
-             ? 0.0
-             : static_cast<double>(found) / static_cast<double>(joined);
-}
-
-std::vector<double> ScenarioRunner::computationsPerSecond() const {
-  std::vector<double> out;
-  out.reserve(measured_.size());
-  for (const NodeId& id : measured_) {
-    const double upSeconds = toSeconds(traceOf(id)->totalUpTime());
-    if (upSeconds < 1.0) continue;
-    out.push_back(static_cast<double>(protocol_->hashChecks(id)) / upSeconds);
-  }
-  return out;
-}
-
-std::vector<double> ScenarioRunner::memoryEntries(bool measuredOnly) const {
-  std::vector<double> out;
-  const auto collect = [&](const NodeId& id) {
-    // Nodes that never joined have nothing; skip to avoid a wall of zeros.
-    const std::size_t entries = protocol_->memoryEntries(id);
-    if (entries == 0) return;
-    out.push_back(static_cast<double>(entries));
-  };
-  if (measuredOnly) {
-    for (const NodeId& id : measured_) collect(id);
-  } else {
-    protocol_->forEachNode(collect);
-  }
-  return out;
-}
-
-std::vector<double> ScenarioRunner::outgoingBytesPerSecond() const {
-  std::vector<double> out;
-  const SimTime from = scenario_.warmup;
-  const SimTime to = scenario_.horizon;
-  protocol_->forEachNode([&](const NodeId& id) {
-    const trace::NodeTrace* nt = traceOf(id);
-    double upSeconds, windowSeconds;
-    if (nt != nullptr) {
-      upSeconds = nt->availability(from, to) * toSeconds(to - from);
-      // The paper normalizes by wall-clock time, not up-time (nodes spend
-      // nothing while down); nodes born mid-window get their shorter window.
-      windowSeconds = toSeconds(to - std::max(from, nt->birth));
-    } else {
-      // Scheme-owned participant outside the trace (e.g. the central
-      // server): always up, measured over the whole window.
-      upSeconds = toSeconds(to - from);
-      windowSeconds = upSeconds;
-    }
-    if (upSeconds < toSeconds(config_.protocolPeriod)) return;
-    out.push_back(static_cast<double>(trafficOf(id).bytesSent) /
-                  windowSeconds);
-  });
-  return out;
-}
-
-std::vector<double> ScenarioRunner::uselessPingsPerMinute() const {
-  std::vector<double> out;
-  protocol_->forEachNode([&](const NodeId& id) {
-    if (!protocol_->isMonitoring(id)) return;
-    const trace::NodeTrace* nt = traceOf(id);
-    const double upMinutes = nt != nullptr ? toMinutes(nt->totalUpTime())
-                                           : toMinutes(scenario_.horizon);
-    if (upMinutes < 1.0) return;
-    out.push_back(static_cast<double>(protocol_->uselessPings(id)) /
-                  upMinutes);
-  });
-  return out;
-}
-
-std::vector<AvailabilityAccuracy> ScenarioRunner::availabilityAccuracy(
-    bool measuredOnly) const {
-  std::vector<AvailabilityAccuracy> out;
-  // The one shared definition of window-aligned accuracy lives in
-  // experiments/adversary.cpp (alignedAccuracyOf) — the streaming
-  // collector and the resilience probes use the same function.
-  const auto evaluate = [&](const NodeId& id) {
-    const trace::NodeTrace* nt = traceOf(id);
-    if (nt == nullptr) return;  // no ground truth off-trace
-    if (const auto acc = alignedAccuracyOf(*protocol_, *nt)) out.push_back(*acc);
-  };
-
-  if (measuredOnly) {
-    for (const NodeId& id : measured_) evaluate(id);
-  } else {
-    protocol_->forEachNode(evaluate);
-  }
-  return out;
-}
-
-NodeId ScenarioRunner::maxBandwidthNode() const {
-  NodeId best;
-  std::uint64_t bestBytes = 0;
-  protocol_->forEachNode([&](const NodeId& id) {
-    const std::uint64_t bytes = trafficOf(id).bytesSent;
-    if (bytes > bestBytes) {
-      bestBytes = bytes;
-      best = id;
-    }
-  });
-  return best;
 }
 
 const AvmonNode& ScenarioRunner::node(const NodeId& id) const {

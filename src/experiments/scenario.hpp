@@ -2,10 +2,11 @@
 //
 // Builds a complete simulated deployment — availability schedule from a
 // churn model, a network, one protocol participant per scheduled node —
-// plays the schedule, and exposes exactly the metrics the paper's figures
-// report: discovery times, per-node memory entries, consistency-check
-// rates, outgoing bandwidth, useless pings, and estimated-vs-real
-// availability.
+// plays the schedule, and measures it through the streaming collector
+// (experiments/streaming/collector.hpp), which reports the metrics the
+// paper's figures use: discovery times, per-node memory entries,
+// consistency-check rates, outgoing bandwidth, useless pings, and
+// estimated-vs-real availability.
 //
 // The monitoring scheme is pluggable: Scenario::protocol names an entry in
 // the ProtocolRegistry (AVMON plus the paper's four Section-1 baselines),
@@ -28,6 +29,7 @@
 // clock only, never metrics; see sharded_simulator.hpp for the model.
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <optional>
 #include <string>
@@ -55,21 +57,18 @@ namespace streaming {
 class StreamingCollector;  // experiments/streaming/collector.hpp
 }
 
-/// Streaming-metrics configuration (experiments/streaming). Off by
-/// default: the materialized end-of-run scan stays the primary lane, and
-/// every default-path golden fingerprint is untouched.
+/// Metrics configuration (experiments/streaming). Every run is measured
+/// by the streaming collector; these knobs only shape its output.
 struct StreamingMetricsSpec {
-  /// Metric-window length; 0 disables streaming. The runner aligns each
-  /// nominal boundary UP to the sharding-window grid, so a streamed run's
-  /// event execution is bit-identical to an uninterrupted one and the
-  /// streamed metrics reproduce the materialized ones exactly.
+  /// Metric-window length; 0 (the default) means one window that closes
+  /// at the horizon. The runner aligns each nominal boundary UP to the
+  /// sharding-window grid, so a windowed run's event execution is
+  /// bit-identical to an uninterrupted one.
   SimDuration window = 0;
   /// ReducerRegistry names to run; empty = every registered reducer.
   std::vector<std::string> reducers;
   /// Quantiles the streamed summary reports (each in (0, 1)).
   std::vector<double> quantiles{0.5, 0.99};
-
-  bool enabled() const noexcept { return window > 0; }
 };
 
 /// Adversary cohorts (spec keys attack.*; paper Section 4.3). Cohort
@@ -209,8 +208,8 @@ struct Scenario {
   /// shard count never changes results, only wall-clock time.
   unsigned shards = 1;
 
-  /// Streaming metrics pipeline (spec keys metrics.window /
-  /// metrics.reducers / metrics.quantiles; avmon_sim --stream-metrics).
+  /// Metrics pipeline (spec keys metrics.window / metrics.reducers /
+  /// metrics.quantiles).
   StreamingMetricsSpec metrics;
 
   /// Checks every cross-field invariant (known protocol and hash, nonzero
@@ -267,36 +266,9 @@ class ScenarioRunner final : public churn::LifecycleListener {
   /// Ids in the measured set (see MeasuredSet).
   const std::vector<NodeId>& measuredIds() const noexcept { return measured_; }
 
-  /// Discovery delay (seconds) of each measured node's k-th monitor;
-  /// nodes that never discovered k monitors are omitted.
-  std::vector<double> discoveryDelaysSeconds(std::size_t k = 1) const;
-
-  /// Fraction of measured nodes that discovered >= k monitors.
-  double discoveredFraction(std::size_t k = 1) const;
-
-  /// Consistency-condition evaluations per second of up-time, per measured
-  /// node (the paper's computation metric).
-  std::vector<double> computationsPerSecond() const;
-
-  /// Per-node monitoring-state entries at the end of the run (|CV|+|PS|+
-  /// |TS| for AVMON; each scheme's own honest accounting otherwise).
-  std::vector<double> memoryEntries(bool measuredOnly) const;
-
-  /// Outgoing bytes per second over the post-warm-up window, per node that
-  /// was up for at least one protocol period of that window.
-  std::vector<double> outgoingBytesPerSecond() const;
-
-  /// Monitoring pings sent to absent targets, per minute of up-time, per
-  /// node that monitors at least one target.
-  std::vector<double> uselessPingsPerMinute() const;
-
-  /// Estimated (monitor-averaged) vs. actual availability for each node in
-  /// the chosen set that has at least one reporting monitor.
-  std::vector<AvailabilityAccuracy> availabilityAccuracy(bool measuredOnly) const;
-
-  /// Id of the node with the highest outgoing byte count (nil if none) —
-  /// used by bandwidth benches to explain distribution tails.
-  NodeId maxBandwidthNode() const;
+  /// Whether `id` is in the measured set. O(1): one byte per global world
+  /// slot, not a hash set.
+  bool isMeasured(const NodeId& id) const;
 
   /// Direct node access for custom probes (tests, examples, ablations).
   /// AVMON scenarios only: throws std::logic_error for other protocols
@@ -319,11 +291,10 @@ class ScenarioRunner final : public churn::LifecycleListener {
   /// scale lean on this.
   const trace::NodeTrace* traceOf(const NodeId& id) const;
 
-  /// The streaming pipeline, when the scenario enabled it
-  /// (scenario.metrics.window > 0); nullptr otherwise. Windows and the
+  /// The metrics pipeline every run is measured by. Windows and the
   /// streamed summary are valid after run().
-  const streaming::StreamingCollector* streamingCollector() const noexcept {
-    return collector_.get();
+  const streaming::StreamingCollector& streamingCollector() const noexcept {
+    return *collector_;
   }
 
   // ---- LifecycleListener ----
@@ -364,6 +335,7 @@ class ScenarioRunner final : public churn::LifecycleListener {
   std::vector<const trace::NodeTrace*> traceBySlot_;
 
   std::vector<NodeId> measured_;
+  std::vector<std::uint8_t> measuredBySlot_;  ///< 1 = measured, per slot
   std::unique_ptr<streaming::StreamingCollector> collector_;
   bool ran_ = false;
 };

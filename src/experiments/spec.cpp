@@ -483,8 +483,8 @@ std::string Scenario::toSpec() const {
   if (udp.timeScale != UdpSpec{}.timeScale) {
     out << "udp.time_scale = " << formatDouble(udp.timeScale) << "\n";
   }
-  // Streaming keys are emitted only when they differ from the defaults, so
-  // every pre-streaming spec (and its canonical form) is byte-unchanged.
+  // Metrics keys are emitted only when they differ from the defaults, so a
+  // spec that sets none serializes without them.
   if (metrics.window > 0) {
     out << "metrics.window = " << formatDouble(toSeconds(metrics.window))
         << "\n";

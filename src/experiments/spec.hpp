@@ -17,9 +17,9 @@
 // shuffle (union-sample|swap), notify_dedup_max,
 // history (raw|recent|aged|compact) with history_param (style-specific
 // knob; compact: max run-length runs per target),
-// metrics.window (seconds; 0 = no streaming), metrics.reducers (comma
-// list of ReducerRegistry names; applies as one value, not a sweep axis),
-// metrics.quantiles (comma list in (0,1)).
+// metrics.window (seconds; 0 = one window closing at the horizon),
+// metrics.reducers (comma list of ReducerRegistry names; applies as one
+// value, not a sweep axis), metrics.quantiles (comma list in (0,1)).
 //
 // Fault-injection and adversary keys (sim/fault_plan.hpp and
 // experiments/adversary.hpp; times in seconds, latencies in ms,
@@ -37,7 +37,7 @@
 // the scalar `overreport`; naming both is an error).  A spec whose lists
 // are all singletons is exactly one Scenario — Scenario::fromSpec /
 // toSpec round-trip through this grammar, and `avmon_sim --spec file`
-// replaces flag soup with a text file.
+// runs the file.
 //
 // This header also hosts the small argv reader both command-line tools
 // share, so flag parsing lives in one place.
@@ -90,11 +90,10 @@ struct SweepSpec {
 /// the spec grammar's historical callers.
 using avmon::formatDouble;
 
-/// The ONE implementation of the cvs/k override semantics shared by the
-/// avmon_sim flags and the spec grammar (the tested guarantee that --spec
-/// reproduces the flag invocation depends on these never diverging):
-/// nonzero pins the knob, everything else keeps paper defaults for the
-/// model's effective size at `n`; nullopt when both knobs are 0 (auto).
+/// The ONE implementation of the cvs/k override semantics, shared by the
+/// spec grammar's `cvs`/`k` keys and scenarios built in code: nonzero
+/// pins the knob, everything else keeps paper defaults for the model's
+/// effective size at `n`; nullopt when both knobs are 0 (auto).
 std::optional<AvmonConfig> cvsKOverride(churn::Model model, std::size_t n,
                                         std::size_t cvs, unsigned k);
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 #include <stdexcept>
 #include <utility>
 
@@ -12,6 +13,89 @@
 #include "sim/sharded_simulator.hpp"
 
 namespace avmon::experiments::streaming {
+
+NodeProbe probeNode(const ScenarioRunner& runner, const NodeId& id) {
+  const Protocol& protocol = runner.protocol();
+  const Scenario& scenario = runner.scenario();
+  NodeProbe probe;
+  probe.id = id;
+  probe.measured = runner.isMeasured(id);
+  // nullptr only for scheme-owned participants outside the trace (the
+  // central server), which are never measured.
+  const trace::NodeTrace* nt = runner.traceOf(id);
+
+  // Discovery, computation, and accuracy cover the measured set. The
+  // discovery denominator counts measured nodes that joined during the
+  // run: one whose first session never started cannot be discovered.
+  if (probe.measured && nt != nullptr) {
+    probe.joined = nt->firstJoin().has_value();
+    if (const auto d = protocol.discoveryDelay(id, 1)) {
+      probe.discoverySeconds = toSeconds(*d);
+    }
+    const double upSeconds = toSeconds(nt->totalUpTime());
+    if (upSeconds >= 1.0) {
+      probe.computationsPerSecond =
+          static_cast<double>(protocol.hashChecks(id)) / upSeconds;
+    }
+  }
+
+  // Memory covers every participant with any state (a node that never
+  // joined holds nothing; skipping it avoids a wall of zeros).
+  if (const std::size_t entries = protocol.memoryEntries(id); entries != 0) {
+    probe.memoryEntries = static_cast<double>(entries);
+  }
+
+  // Bandwidth covers every participant up for at least one protocol period
+  // of the post-warm-up window. The paper normalizes by wall-clock time,
+  // not up-time (nodes spend nothing while down); nodes born mid-window
+  // get their shorter window, and off-trace participants are always up.
+  const SimTime from = scenario.warmup;
+  const SimTime to = scenario.horizon;
+  double upSeconds, windowSeconds;
+  if (nt != nullptr) {
+    upSeconds = nt->availability(from, to) * toSeconds(to - from);
+    windowSeconds = toSeconds(to - std::max(from, nt->birth));
+  } else {
+    upSeconds = toSeconds(to - from);
+    windowSeconds = upSeconds;
+  }
+  if (upSeconds >= toSeconds(runner.config().protocolPeriod)) {
+    probe.outgoingBytesPerSecond =
+        static_cast<double>(runner.trafficOf(id).bytesSent) / windowSeconds;
+  }
+
+  // Useless pings cover every monitor up for at least a minute.
+  if (protocol.isMonitoring(id)) {
+    const double upMinutes = nt != nullptr ? toMinutes(nt->totalUpTime())
+                                           : toMinutes(scenario.horizon);
+    if (upMinutes >= 1.0) {
+      probe.uselessPingsPerMinute =
+          static_cast<double>(protocol.uselessPings(id)) / upMinutes;
+    }
+  }
+
+  // Accuracy through the one shared definition (alignedAccuracyOf in
+  // experiments/adversary.cpp), evaluated once for a measured victim.
+  const ResolvedAdversary& adversary = runner.adversary();
+  probe.victim = adversary.isVictim(id);
+  std::optional<AvailabilityAccuracy> accuracy;
+  if ((probe.measured || probe.victim) && nt != nullptr) {
+    accuracy = alignedAccuracyOf(protocol, *nt);
+  }
+  if (probe.measured) probe.accuracy = accuracy;
+  if (probe.victim) {
+    std::size_t monitors = 0, colluding = 0;
+    protocol.visitMonitorsOf(id, [&](const NodeId& m) {
+      ++monitors;
+      if (adversary.isColluder(m)) ++colluding;
+    });
+    probe.eclipsed = monitors > 0 && colluding == monitors;
+    if (accuracy) {
+      probe.victimAbsError = std::fabs(accuracy->estimated - accuracy->actual);
+    }
+  }
+  return probe;
+}
 
 StreamingCollector::StreamingCollector(
     const ScenarioRunner& runner, const std::vector<std::string>& reducerNames)
@@ -39,18 +123,13 @@ StreamingCollector::StreamingCollector(
     }
   }
 
-  measuredBySlot_.assign(runner.schedule().nodes().size(), 0);
-  for (const NodeId& id : runner.measuredIds()) {
-    measuredBySlot_[world.globalIndexOf(id)] = 1;
-  }
-
   // Partition the participant population by home shard so the final node
   // scan runs where each node lives. Every protocol builds one participant
   // per trace node, so the measured set is a subset of this visit.
   runner.protocol().forEachNode([&](const NodeId& id) {
     ShardBank& bank = banks_[world.shardOf(id)];
     bank.participants.push_back(id);
-    if (isMeasured(id)) bank.measuredHome.push_back(id);
+    if (runner.isMeasured(id)) bank.measuredHome.push_back(id);
   });
 
   // Collusion victims, partitioned the same way, so the resilience
@@ -131,7 +210,7 @@ void StreamingCollector::finish(sim::ShardedSimulator& world,
   world.visitShards([&](std::size_t s) {
     ShardBank& bank = banks_[s];
     for (const NodeId& id : bank.participants) {
-      const NodeProbe probe = probeOf(id);
+      const NodeProbe probe = probeNode(*runner_, id);
       for (auto& reducer : bank.reducers) reducer->onNode(probe);
     }
   });
@@ -139,88 +218,6 @@ void StreamingCollector::finish(sim::ShardedSimulator& world,
     mergedRoot(i)->finish(summary_);
   }
   finished_ = true;
-}
-
-bool StreamingCollector::isMeasured(const NodeId& id) const {
-  const std::size_t slot = runner_->world().globalIndexOf(id);
-  return slot < measuredBySlot_.size() && measuredBySlot_[slot] != 0;
-}
-
-NodeProbe StreamingCollector::probeOf(const NodeId& id) const {
-  const Protocol& protocol = runner_->protocol();
-  const Scenario& scenario = runner_->scenario();
-  NodeProbe probe;
-  probe.id = id;
-  probe.measured = isMeasured(id);
-  const trace::NodeTrace* nt = runner_->traceOf(id);
-
-  if (probe.measured) {
-    probe.joined = nt != nullptr && nt->firstJoin().has_value();
-    if (const auto d = protocol.discoveryDelay(id, 1)) {
-      probe.discoverySeconds = toSeconds(*d);
-    }
-    if (nt != nullptr) {
-      const double upSeconds = toSeconds(nt->totalUpTime());
-      if (upSeconds >= 1.0) {
-        probe.computationsPerSecond =
-            static_cast<double>(protocol.hashChecks(id)) / upSeconds;
-      }
-    }
-  }
-
-  if (const std::size_t entries = protocol.memoryEntries(id); entries != 0) {
-    probe.memoryEntries = static_cast<double>(entries);
-  }
-
-  const SimTime from = scenario.warmup;
-  const SimTime to = scenario.horizon;
-  double upSeconds, windowSeconds;
-  if (nt != nullptr) {
-    upSeconds = nt->availability(from, to) * toSeconds(to - from);
-    windowSeconds = toSeconds(to - std::max(from, nt->birth));
-  } else {
-    upSeconds = toSeconds(to - from);
-    windowSeconds = upSeconds;
-  }
-  if (upSeconds >= toSeconds(runner_->config().protocolPeriod)) {
-    probe.outgoingBytesPerSecond =
-        static_cast<double>(runner_->trafficOf(id).bytesSent) / windowSeconds;
-  }
-
-  if (protocol.isMonitoring(id)) {
-    const double upMinutes = nt != nullptr ? toMinutes(nt->totalUpTime())
-                                           : toMinutes(scenario.horizon);
-    if (upMinutes >= 1.0) {
-      probe.uselessPingsPerMinute =
-          static_cast<double>(protocol.uselessPings(id)) / upMinutes;
-    }
-  }
-
-  // The one shared accuracy definition (experiments/adversary.cpp) — the
-  // materialized lane uses the same function, so the lanes stay
-  // sample-for-sample identical.
-  if (probe.measured && nt != nullptr) {
-    if (const auto acc = alignedAccuracyOf(protocol, *nt)) {
-      probe.accuracyAbsError = std::fabs(acc->estimated - acc->actual);
-    }
-  }
-
-  const ResolvedAdversary& adversary = runner_->adversary();
-  probe.victim = adversary.isVictim(id);
-  if (probe.victim) {
-    std::size_t monitors = 0, colluding = 0;
-    protocol.visitMonitorsOf(id, [&](const NodeId& m) {
-      ++monitors;
-      if (adversary.isColluder(m)) ++colluding;
-    });
-    probe.eclipsed = monitors > 0 && colluding == monitors;
-    if (nt != nullptr) {
-      if (const auto acc = alignedAccuracyOf(protocol, *nt)) {
-        probe.victimAbsError = std::fabs(acc->estimated - acc->actual);
-      }
-    }
-  }
-  return probe;
 }
 
 std::unique_ptr<Reducer> StreamingCollector::mergedRoot(std::size_t i) const {

@@ -1,4 +1,5 @@
 // StreamingCollector: drives the reducer banks against a running scenario.
+// Every ScenarioRunner builds one; it is the only way a run is measured.
 //
 // One bank of reducer instances lives in every ShardedSimulator shard (the
 // hierarchical half of the pipeline). The collector feeds them through
@@ -12,14 +13,15 @@
 //                       bank a WindowProbe; the coordinator then merges the
 //                       banks (shard-index order) into a root copy, emits
 //                       one WindowRow, and resets window-scoped state.
-//   finish(horizon)     once: each shard probes the participants it owns
-//                       into NodeProbes (exactly the materialized lane's
-//                       qualification rules), then the root merge fills the
-//                       final StreamedSummary.
+//   finish(horizon)     once: closes the last window, each shard probes
+//                       the participants it owns through probeNode, then
+//                       the root merge fills the final StreamedSummary.
 //
 // Peak metric state is O(shards x reducers x sketch size) + the windowed
 // rows — never O(N): no sample vector or per-node table is materialized
-// anywhere on this path, which is the bench-pinned memory win.
+// anywhere on this path (streaming_test pins it). Per-sample rows, when a
+// caller wants them, come from collectSamples (experiments/metrics.hpp),
+// which reads the same probeNode.
 #pragma once
 
 #include <cstddef>
@@ -42,6 +44,12 @@ class ScenarioRunner;
 }
 
 namespace avmon::experiments::streaming {
+
+/// One participant's end-of-run samples under the paper's Section 5.1
+/// qualification rules — the one place those rules live. Shared by the
+/// collector's per-shard finish scan and collectSamples' rows. `runner`
+/// must have finished run(); every probe it reads is const and race-free.
+NodeProbe probeNode(const ScenarioRunner& runner, const NodeId& id);
 
 class StreamingCollector {
  public:
@@ -80,7 +88,7 @@ class StreamingCollector {
   const StreamedSummary& summary() const;
 
   /// Retained metric-state bytes across every bank, prototype, and window
-  /// row — the streamed side of the streamed-vs-materialized bench.
+  /// row (MetricSet::metricStateBytes).
   std::size_t stateBytes() const;
 
  private:
@@ -93,16 +101,8 @@ class StreamingCollector {
     std::size_t discoveredSoFar = 0;   ///< measured nodes discovered by now
   };
 
-  /// One participant's end-of-run samples under the materialized lane's
-  /// exact qualification rules (see ScenarioRunner's probe methods — the
-  /// property suite pins the two lanes sample-for-sample).
-  NodeProbe probeOf(const NodeId& id) const;
-
   /// Fresh root = fold of every shard's instance i, in shard-index order.
   std::unique_ptr<Reducer> mergedRoot(std::size_t i) const;
-
-  /// Measured-set membership via the dense slot bitmap below.
-  bool isMeasured(const NodeId& id) const;
 
   const ScenarioRunner* runner_;
   std::vector<std::string> names_;
@@ -110,11 +110,6 @@ class StreamingCollector {
   std::vector<bool> windowed_;
   bool anyWindowed_ = false;
   std::vector<ShardBank> banks_;
-  // Measured-set membership, one byte per global world slot (== trace
-  // position). Replaces the old NodeId hash set — ground-truth lookups go
-  // through ScenarioRunner::traceOf, so the collector holds no per-node
-  // hash container at all (the million-node memory diet).
-  std::vector<std::uint8_t> measuredBySlot_;
   SimTime lastBoundary_ = 0;
   std::vector<WindowRow> windows_;
   StreamedSummary summary_;

@@ -3,6 +3,8 @@
 // merges are exact and partition-independent by construction.
 #include "experiments/streaming/reducer.hpp"
 
+#include <cmath>
+
 #include "common/time.hpp"
 
 namespace avmon::experiments::streaming {
@@ -32,7 +34,10 @@ class SummaryReducer final : public Reducer {
     if (probe.computationsPerSecond) {
       agg_.computationsPerSecond.add(*probe.computationsPerSecond);
     }
-    if (probe.accuracyAbsError) agg_.accuracyAbsError.add(*probe.accuracyAbsError);
+    if (probe.accuracy) {
+      agg_.accuracyAbsError.add(
+          std::fabs(probe.accuracy->estimated - probe.accuracy->actual));
+    }
     if (probe.joined) {
       ++agg_.joined;
       if (probe.discoverySeconds) ++agg_.found;

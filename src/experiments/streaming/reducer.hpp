@@ -1,16 +1,15 @@
-// Reducer: the pluggable unit of the streaming metrics pipeline.
+// Reducer: the pluggable unit of the metrics pipeline.
 //
-// Where the materialized lane scans the whole world at the end of a run
-// (collectMetrics walks every node into MetricSet sample vectors), the
-// streaming lane SUBSCRIBES: one Reducer instance lives inside every
-// ShardedSimulator shard, fed two probe streams by the StreamingCollector:
+// Reducers SUBSCRIBE to a run instead of scanning it: one Reducer instance
+// lives inside every ShardedSimulator shard, fed two probe streams by the
+// StreamingCollector:
 //
 //   onWindow(WindowProbe)  at every metric-window barrier, with the owning
 //                          shard's aggregate deltas for the closed window
 //                          (bytes, messages, first-monitor discoveries);
 //   onNode(NodeProbe)      once per participant at the final barrier, with
-//                          the node's per-metric samples under exactly the
-//                          materialized lane's qualification rules.
+//                          the node's per-metric samples (probeNode in
+//                          collector.hpp holds the qualification rules).
 //
 // Aggregation is hierarchical: after each window the collector merges the
 // shard instances into a root copy IN SHARD-INDEX ORDER and asks it for
@@ -40,6 +39,7 @@
 
 #include "common/node_id.hpp"
 #include "common/time.hpp"
+#include "experiments/scenario.hpp"
 #include "experiments/streaming/online_stats.hpp"
 #include "experiments/streaming/quantile_sketch.hpp"
 
@@ -67,9 +67,9 @@ struct WindowProbe {
 };
 
 /// One participant's end-of-run samples. Each optional is engaged exactly
-/// when the materialized lane would have pushed a sample for that metric
-/// (ScenarioRunner::sampleRowOf documents the shared rules), so streamed
-/// count/min/max/mean agree with the sample vectors exactly.
+/// when the node contributes a sample to that metric (probeNode holds the
+/// rules), so the streamed summary and collectSamples' rows hold the same
+/// samples.
 struct NodeProbe {
   NodeId id;
   bool measured = false;
@@ -79,15 +79,16 @@ struct NodeProbe {
   std::optional<double> outgoingBytesPerSecond;
   std::optional<double> uselessPingsPerMinute;
   std::optional<double> computationsPerSecond;
-  std::optional<double> accuracyAbsError;
+  /// Monitor-averaged estimate vs. aligned truth, measured set only.
+  std::optional<AvailabilityAccuracy> accuracy;
   /// Targeted by the scenario's collusion attack (false when none armed).
   bool victim = false;
   /// Victim whose every discovered monitor is a coalition member (and it
   /// has at least one) — its availability record is adversary-controlled.
   bool eclipsed = false;
   /// |estimated - actual| for victims regardless of measured-set
-  /// membership (accuracyAbsError above stays measured-set-only so the
-  /// summary metric is unchanged by the attack's victim draw).
+  /// membership (accuracy above stays measured-set-only so the summary
+  /// metric is unchanged by the attack's victim draw).
   std::optional<double> victimAbsError;
 };
 
@@ -187,8 +188,7 @@ class Reducer {
   /// the horizon.
   virtual void finish(StreamedSummary& out) const { (void)out; }
 
-  /// Retained bytes of reducer state (metric-state accounting for the
-  /// streamed-vs-materialized bench comparison).
+  /// Retained bytes of reducer state (MetricSet::metricStateBytes).
   virtual std::size_t stateBytes() const = 0;
 };
 

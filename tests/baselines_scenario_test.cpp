@@ -4,8 +4,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <memory>
 #include <sstream>
 
+#include "experiments/adversary.hpp"
 #include "experiments/metrics.hpp"
 #include "experiments/parallel_runner.hpp"
 #include "experiments/protocols/central_protocol.hpp"
@@ -28,21 +31,30 @@ Scenario smallScenario(const std::string& protocol, churn::Model model) {
   return s;
 }
 
+/// Availability accuracy of every trace node with a reporting monitor.
+std::vector<AvailabilityAccuracy> allNodeAccuracy(const ScenarioRunner& r) {
+  std::vector<AvailabilityAccuracy> out;
+  for (const auto& nt : r.schedule().nodes()) {
+    if (const auto a = alignedAccuracyOf(r.protocol(), nt)) out.push_back(*a);
+  }
+  return out;
+}
+
 // ---- broadcast through the shared runner ----
 
 TEST(BaselinesScenarioTest, BroadcastDiscoveryIsNearInstant) {
   ScenarioRunner runner(smallScenario("broadcast", churn::Model::kStat));
   runner.run();
-  const auto delays = runner.discoveryDelaysSeconds(1);
-  ASSERT_FALSE(delays.empty());
-  for (double d : delays) EXPECT_LT(d, 1.0);  // one broadcast latency
-  EXPECT_DOUBLE_EQ(runner.discoveredFraction(1), 1.0);
+  const MetricSet set = collectSamples(runner);
+  ASSERT_FALSE(set.discoverySeconds.empty());
+  for (double d : set.discoverySeconds) EXPECT_LT(d, 1.0);  // one latency
+  EXPECT_DOUBLE_EQ(set.discoveredFraction, 1.0);
 }
 
 TEST(BaselinesScenarioTest, BroadcastMemoryIsOrderN) {
   ScenarioRunner runner(smallScenario("broadcast", churn::Model::kStat));
   runner.run();
-  const auto entries = runner.memoryEntries(/*measuredOnly=*/false);
+  const auto entries = collectSamples(runner).memoryEntries;
   ASSERT_FALSE(entries.empty());
   double sum = 0;
   for (double e : entries) sum += e;
@@ -70,13 +82,13 @@ TEST(BaselinesScenarioTest, BroadcastSurvivesChurn) {
   ScenarioRunner runner(smallScenario("broadcast", churn::Model::kSynth));
   runner.run();
   EXPECT_GT(runner.world().delivered(), 0u);
-  EXPECT_FALSE(runner.discoveryDelaysSeconds(1).empty());
+  EXPECT_FALSE(collectSamples(runner).discoverySeconds.empty());
 }
 
 TEST(BaselinesScenarioTest, BroadcastHashChecksFeedComputationMetric) {
   ScenarioRunner runner(smallScenario("broadcast", churn::Model::kStat));
   runner.run();
-  const auto cps = runner.computationsPerSecond();
+  const auto cps = collectSamples(runner).computationsPerSecond;
   ASSERT_FALSE(cps.empty());
   for (double c : cps) EXPECT_GT(c, 0.0);
 }
@@ -87,9 +99,18 @@ TEST(BaselinesScenarioTest, CentralServerCarriesTheLoad) {
   ScenarioRunner runner(smallScenario("central", churn::Model::kStat));
   runner.run();
   // The server is the bandwidth hot spot (O(N) pings per period)...
-  EXPECT_EQ(runner.maxBandwidthNode(), CentralProtocol::kServerId);
+  std::uint64_t serverBytes = 0, maxMemberBytes = 0;
+  runner.protocol().forEachNode([&](const NodeId& id) {
+    const std::uint64_t bytes = runner.trafficOf(id).bytesSent;
+    if (id == CentralProtocol::kServerId) {
+      serverBytes = bytes;
+    } else {
+      maxMemberBytes = std::max(maxMemberBytes, bytes);
+    }
+  });
+  EXPECT_GT(serverBytes, maxMemberBytes);
   // ...and the memory tail: everyone else holds one entry.
-  const auto entries = runner.memoryEntries(/*measuredOnly=*/false);
+  const auto entries = collectSamples(runner).memoryEntries;
   ASSERT_FALSE(entries.empty());
   const double maxEntries = *std::max_element(entries.begin(), entries.end());
   EXPECT_GE(maxEntries, 100.0);  // the member table
@@ -101,8 +122,9 @@ TEST(BaselinesScenarioTest, CentralServerCarriesTheLoad) {
 TEST(BaselinesScenarioTest, CentralDiscoversEveryMemberQuickly) {
   ScenarioRunner runner(smallScenario("central", churn::Model::kStat));
   runner.run();
-  EXPECT_DOUBLE_EQ(runner.discoveredFraction(1), 1.0);
-  for (double d : runner.discoveryDelaysSeconds(1)) {
+  const MetricSet set = collectSamples(runner);
+  EXPECT_DOUBLE_EQ(set.discoveredFraction, 1.0);
+  for (double d : set.discoverySeconds) {
     EXPECT_LT(d, 1.0);  // one registration message latency
   }
 }
@@ -110,7 +132,7 @@ TEST(BaselinesScenarioTest, CentralDiscoversEveryMemberQuickly) {
 TEST(BaselinesScenarioTest, CentralAccuracyIsExactOnStat) {
   ScenarioRunner runner(smallScenario("central", churn::Model::kStat));
   runner.run();
-  const auto acc = runner.availabilityAccuracy(/*measuredOnly=*/true);
+  const auto acc = collectSamples(runner).accuracy;
   ASSERT_FALSE(acc.empty());
   for (const auto& a : acc) {
     EXPECT_DOUBLE_EQ(a.estimated, 1.0) << a.id.toString();
@@ -124,7 +146,7 @@ TEST(BaselinesScenarioTest, CentralCountsUselessPingsUnderChurn) {
   runner.run();
   // The server keeps pinging down/departed registrants: useless pings
   // land on exactly one node (the server).
-  const auto upm = runner.uselessPingsPerMinute();
+  const auto upm = collectSamples(runner).uselessPingsPerMinute;
   ASSERT_EQ(upm.size(), 1u);
   EXPECT_GT(upm[0], 0.0);
 }
@@ -134,9 +156,10 @@ TEST(BaselinesScenarioTest, CentralCountsUselessPingsUnderChurn) {
 TEST(BaselinesScenarioTest, SelfReportDiscoveryIsFreeAndMemoryIsOne) {
   ScenarioRunner runner(smallScenario("self_report", churn::Model::kStat));
   runner.run();
-  EXPECT_DOUBLE_EQ(runner.discoveredFraction(1), 1.0);
-  for (double d : runner.discoveryDelaysSeconds(1)) EXPECT_DOUBLE_EQ(d, 0.0);
-  for (double e : runner.memoryEntries(false)) EXPECT_DOUBLE_EQ(e, 1.0);
+  const MetricSet set = collectSamples(runner);
+  EXPECT_DOUBLE_EQ(set.discoveredFraction, 1.0);
+  for (double d : set.discoverySeconds) EXPECT_DOUBLE_EQ(d, 0.0);
+  for (double e : set.memoryEntries) EXPECT_DOUBLE_EQ(e, 1.0);
   // No protocol messages at all.
   EXPECT_EQ(runner.world().delivered(), 0u);
 }
@@ -144,7 +167,7 @@ TEST(BaselinesScenarioTest, SelfReportDiscoveryIsFreeAndMemoryIsOne) {
 TEST(BaselinesScenarioTest, SelfReportHonestNodesAreExact) {
   ScenarioRunner runner(smallScenario("self_report", churn::Model::kSynth));
   runner.run();
-  const auto acc = runner.availabilityAccuracy(/*measuredOnly=*/false);
+  const auto acc = allNodeAccuracy(runner);
   ASSERT_FALSE(acc.empty());
   for (const auto& a : acc) {
     EXPECT_NEAR(a.estimated, a.actual, 1e-9) << a.id.toString();
@@ -158,7 +181,7 @@ TEST(BaselinesScenarioTest, SelfReportSelfishNodesLieUndetectably) {
   s.overreportFraction = 0.5;
   ScenarioRunner runner(s);
   runner.run();
-  const auto acc = runner.availabilityAccuracy(/*measuredOnly=*/false);
+  const auto acc = allNodeAccuracy(runner);
   ASSERT_FALSE(acc.empty());
   std::size_t liars = 0;
   for (const auto& a : acc) {
@@ -172,18 +195,23 @@ TEST(BaselinesScenarioTest, SelfReportSelfishNodesLieUndetectably) {
 TEST(BaselinesScenarioTest, DhtRingDiscoversReplicaSets) {
   ScenarioRunner runner(smallScenario("dht_ring", churn::Model::kStat));
   runner.run();
-  EXPECT_DOUBLE_EQ(runner.discoveredFraction(1), 1.0);
+  const MetricSet set = collectSamples(runner);
+  EXPECT_DOUBLE_EQ(set.discoveredFraction, 1.0);
   // The selection layer is omniscient: discovery is instantaneous once
   // the ring has members.
-  for (double d : runner.discoveryDelaysSeconds(1)) EXPECT_DOUBLE_EQ(d, 0.0);
+  for (double d : set.discoverySeconds) EXPECT_DOUBLE_EQ(d, 0.0);
   // K-th monitor too (K = log2 100 = 7 successors exist at N = 100).
-  EXPECT_GT(runner.discoveryDelaysSeconds(runner.config().k).size(), 0u);
+  std::size_t kthFound = 0;
+  for (const NodeId& id : runner.measuredIds()) {
+    if (runner.protocol().discoveryDelay(id, runner.config().k)) ++kthFound;
+  }
+  EXPECT_GT(kthFound, 0u);
 }
 
 TEST(BaselinesScenarioTest, DhtRingMemoryIsPsPlusTs) {
   ScenarioRunner runner(smallScenario("dht_ring", churn::Model::kStat));
   runner.run();
-  const auto entries = runner.memoryEntries(false);
+  const auto entries = collectSamples(runner).memoryEntries;
   ASSERT_FALSE(entries.empty());
   double sum = 0;
   for (double e : entries) sum += e;
@@ -208,10 +236,8 @@ TEST(BaselinesScenarioTest, AllFiveProtocolsOneComparisonTable) {
     s.warmup = 20 * kMinute;
     scenarios.push_back(s);
   }
-  const auto metricSets =
-      ParallelScenarioRunner(2).map<MetricSet>(
-          scenarios,
-          [](ScenarioRunner& runner) { return collectMetrics(runner); });
+  const auto metricSets = ParallelScenarioRunner(2).map<MetricSet>(
+      scenarios, [](ScenarioRunner& runner) { return collectSamples(runner); });
   ASSERT_EQ(metricSets.size(), 5u);
 
   std::ostringstream out;
@@ -273,42 +299,90 @@ struct BaselineGolden {
   std::uint64_t perNode[3];
 };
 
-TEST(BaselinesScenarioTest, SeededBaselineRunsMatchGoldenHashes) {
-  const char* const workloads[] = {"STAT", "SYNTH-BD", "SYNTH+drop"};
-  const BaselineGolden expected[] = {
-      {"broadcast",
-       {0xe8411a283a274776ULL, 0x4e8367143485856dULL, 0x0fed68b36e1f4fffULL},
-       {0x6fe8049b023ad1b3ULL, 0x2debca2fc1c16a95ULL, 0x2f71edb698ca534bULL}},
-      {"central",
-       {0x32cb64792d667060ULL, 0xa16435aa5fe3d888ULL, 0xd3cec04e43fee7cbULL},
-       {0xc4b0fd9c1458a3deULL, 0xc5210f87c342ec1eULL, 0x0eb6f66bf98b46beULL}},
-      {"dht_ring",
-       {0xdb4f82fbefec44f6ULL, 0x133a0a3d8b53d838ULL, 0xe823d0d90c2cf4c9ULL},
-       {0x56efae64c702397bULL, 0xa95557910cb10efaULL, 0x359d8ea904198093ULL}},
-      {"self_report",
-       {0xc02f462cbf0be6aeULL, 0x78fe48c837cd5c82ULL, 0xf1b3297d14d9a315ULL},
-       {0xf51b1a84186e6933ULL, 0xb9d7441b88c1aa4cULL, 0x52ee119ae87b56f3ULL}},
-  };
+const char* const kGoldenWorkloads[] = {"STAT", "SYNTH-BD", "SYNTH+drop"};
 
-  std::vector<Scenario> scenarios;
-  for (const BaselineGolden& golden : expected) {
-    for (Scenario s : goldenScenarios()) {
-      s.protocol = golden.protocol;
-      scenarios.push_back(s);
+const BaselineGolden kBaselineGoldens[] = {
+    {"broadcast",
+     {0xe8411a283a274776ULL, 0x4e8367143485856dULL, 0x0fed68b36e1f4fffULL},
+     {0x6fe8049b023ad1b3ULL, 0x2debca2fc1c16a95ULL, 0x2f71edb698ca534bULL}},
+    {"central",
+     {0x32cb64792d667060ULL, 0xa16435aa5fe3d888ULL, 0xd3cec04e43fee7cbULL},
+     {0xc4b0fd9c1458a3deULL, 0xc5210f87c342ec1eULL, 0x0eb6f66bf98b46beULL}},
+    {"dht_ring",
+     {0xdb4f82fbefec44f6ULL, 0x133a0a3d8b53d838ULL, 0xe823d0d90c2cf4c9ULL},
+     {0x56efae64c702397bULL, 0xa95557910cb10efaULL, 0x359d8ea904198093ULL}},
+    {"self_report",
+     {0xc02f462cbf0be6aeULL, 0x78fe48c837cd5c82ULL, 0xf1b3297d14d9a315ULL},
+     {0xf51b1a84186e6933ULL, 0xb9d7441b88c1aa4cULL, 0x52ee119ae87b56f3ULL}},
+};
+
+/// Every baseline on every golden workload (protocol-major order), run
+/// once and shared by the tests below.
+const std::vector<std::unique_ptr<ScenarioRunner>>& baselineGoldenRuns() {
+  static const auto runners = [] {
+    std::vector<Scenario> scenarios;
+    for (const BaselineGolden& golden : kBaselineGoldens) {
+      for (Scenario s : goldenScenarios()) {
+        s.protocol = golden.protocol;
+        scenarios.push_back(s);
+      }
     }
-  }
-  const auto runners = ParallelScenarioRunner().runAll(scenarios);
+    return ParallelScenarioRunner().runAll(scenarios);
+  }();
+  return runners;
+}
+
+TEST(BaselinesScenarioTest, SeededBaselineRunsMatchGoldenHashes) {
+  const auto& runners = baselineGoldenRuns();
   ASSERT_EQ(runners.size(), 12u);
   for (std::size_t p = 0; p < 4; ++p) {
     for (std::size_t w = 0; w < 3; ++w) {
       const ScenarioRunner& runner = *runners[3 * p + w];
-      EXPECT_EQ(summaryHash(runner), expected[p].summary[w])
-          << expected[p].protocol << " " << workloads[w]
+      EXPECT_EQ(summaryHash(runner), kBaselineGoldens[p].summary[w])
+          << kBaselineGoldens[p].protocol << " " << kGoldenWorkloads[w]
           << " summary metrics drifted";
-      EXPECT_EQ(protocolNodeHash(runner), expected[p].perNode[w])
-          << expected[p].protocol << " " << workloads[w]
+      EXPECT_EQ(protocolNodeHash(runner), kBaselineGoldens[p].perNode[w])
+          << kBaselineGoldens[p].protocol << " " << kGoldenWorkloads[w]
           << " per-node metrics drifted";
     }
+  }
+}
+
+TEST(BaselinesScenarioTest, BaselinesStreamTheSamplesOfTheirRows) {
+  // The streamed summary of every baseline holds exactly the samples of
+  // collectSamples' rows: each metric's count, min and max, plus the
+  // discovered fraction recounted from the protocol probes.
+  const auto expectMatches = [](const streaming::StreamedMetric& m,
+                                const std::vector<double>& samples,
+                                const std::string& what) {
+    ASSERT_EQ(m.stats.count(), samples.size()) << what;
+    if (samples.empty()) return;
+    const auto [lo, hi] = std::minmax_element(samples.begin(), samples.end());
+    EXPECT_EQ(m.stats.min(), *lo) << what;
+    EXPECT_EQ(m.stats.max(), *hi) << what;
+  };
+  const auto& runners = baselineGoldenRuns();
+  ASSERT_EQ(runners.size(), 12u);
+  for (std::size_t i = 0; i < runners.size(); ++i) {
+    const ScenarioRunner& runner = *runners[i];
+    const std::string run = std::string(kBaselineGoldens[i / 3].protocol) +
+                            " " + kGoldenWorkloads[i % 3];
+    const MetricSet set = collectSamples(runner);
+    const streaming::StreamedSummary& s = set.summary();
+    expectMatches(s.discoverySeconds, set.discoverySeconds, run + " discovery");
+    expectMatches(s.memoryEntries, set.memoryEntries, run + " memory");
+    expectMatches(s.outgoingBytesPerSecond, set.outgoingBytesPerSecond,
+                  run + " bandwidth");
+    expectMatches(s.uselessPingsPerMinute, set.uselessPingsPerMinute,
+                  run + " useless pings");
+    expectMatches(s.computationsPerSecond, set.computationsPerSecond,
+                  run + " computations");
+    std::vector<double> absErrors;
+    for (const auto& a : set.accuracy) {
+      absErrors.push_back(std::fabs(a.estimated - a.actual));
+    }
+    expectMatches(s.accuracyAbsError, absErrors, run + " accuracy");
+    EXPECT_EQ(set.discoveredFraction, discoveredFractionOf(runner)) << run;
   }
 }
 
@@ -324,7 +398,7 @@ TEST(BaselinesScenarioTest, BaselinesDiscoverUnderChurn) {
     s.warmup = 15 * kMinute;
     ScenarioRunner runner(s);
     runner.run();
-    EXPECT_GE(runner.discoveredFraction(1), 0.5) << protocol;
+    EXPECT_GE(collectMetrics(runner).discoveredFraction, 0.5) << protocol;
   }
 }
 

@@ -8,6 +8,7 @@
 #include <unordered_set>
 #include <vector>
 
+#include "experiments/adversary.hpp"
 #include "experiments/protocol.hpp"
 #include "experiments/protocols/central_protocol.hpp"
 #include "experiments/protocols/dht_ring.hpp"
@@ -62,11 +63,12 @@ TEST(CentralTest, EstimateTracksDowntime) {
   ScenarioRunner runner(baselineScenario("central", churn::Model::kSynth));
   runner.run();
   std::size_t partial = 0;
-  for (const auto& a : runner.availabilityAccuracy(/*measuredOnly=*/false)) {
-    if (a.estimated <= 0.0 || a.estimated >= 1.0) continue;
+  for (const auto& nt : runner.schedule().nodes()) {
+    const auto a = alignedAccuracyOf(runner.protocol(), nt);
+    if (!a || a->estimated <= 0.0 || a->estimated >= 1.0) continue;
     ++partial;
-    EXPECT_GT(a.actual, 0.0) << a.id.toString();
-    EXPECT_LT(a.actual, 1.0) << a.id.toString();
+    EXPECT_GT(a->actual, 0.0) << a->id.toString();
+    EXPECT_LT(a->actual, 1.0) << a->id.toString();
   }
   EXPECT_GT(partial, 0u);
 }

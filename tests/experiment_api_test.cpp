@@ -323,7 +323,6 @@ TEST(ScenarioSpecTest, StreamingMetricsKeysParseAndStayOptional) {
       "metrics.reducers = summary, traffic\n"
       "metrics.quantiles = 0.25, 0.9\n");
   EXPECT_EQ(s.metrics.window, static_cast<SimDuration>(45500));
-  EXPECT_TRUE(s.metrics.enabled());
   ASSERT_EQ(s.metrics.reducers.size(), 2u);
   EXPECT_EQ(s.metrics.reducers[0], "summary");
   EXPECT_EQ(s.metrics.reducers[1], "traffic");
@@ -333,10 +332,9 @@ TEST(ScenarioSpecTest, StreamingMetricsKeysParseAndStayOptional) {
   const Scenario back = Scenario::fromSpec(s.toSpec());
   EXPECT_TRUE(scenarioEquals(s, back));
 
-  // Pre-streaming specs serialize byte-unchanged: no metrics.* keys appear
-  // unless a scenario opted in.
+  // A scenario that sets no metrics.* key serializes without them.
   EXPECT_EQ(Scenario{}.toSpec().find("metrics."), std::string::npos);
-  EXPECT_FALSE(Scenario{}.metrics.enabled());
+  EXPECT_EQ(Scenario{}.metrics.window, 0);
 }
 
 TEST(ScenarioSpecTest, TransportKeysParseRoundTripAndStayOptional) {
@@ -620,7 +618,39 @@ MetricSet tinySet(const std::string& protocol, std::uint64_t seed) {
   set.memoryEntries = {5.0, 6.0};
   set.outgoingBytesPerSecond = {10.0};
   set.perNode.push_back({NodeId::fromIndex(0), 100, 10, 5, 42, 0, 1.5});
+  // The summary holds the same samples, as collectMetrics and
+  // collectSamples would leave it.
+  streaming::StreamedSummary summary;
+  for (double x : set.discoverySeconds) summary.discoverySeconds.add(x);
+  for (double x : set.memoryEntries) summary.memoryEntries.add(x);
+  for (double x : set.outgoingBytesPerSecond) {
+    summary.outgoingBytesPerSecond.add(x);
+  }
+  summary.joined = summary.found = 3;
+  set.streamed = summary;
   return set;
+}
+
+TEST(MetricsSinkTest, CsvSinkRejectsASetWithoutRowsNamingTheRun) {
+  const std::string prefix = ::testing::TempDir() + "avmon_csv_norows";
+  CsvSink sink(prefix);
+  MetricSet summaryOnly = tinySet("central", 4);
+  summaryOnly.discoverySeconds.clear();
+  summaryOnly.memoryEntries.clear();
+  summaryOnly.outgoingBytesPerSecond.clear();
+  summaryOnly.perNode.clear();
+  sink.add(tinySet("avmon", 1));
+  sink.add(summaryOnly);
+  try {
+    sink.close();
+    FAIL() << "expected invalid_argument for a MetricSet without rows";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(summaryOnly.label()),
+              std::string::npos)
+        << e.what();
+  }
+  // Nothing was written, not even the valid run's files.
+  EXPECT_TRUE(sink.writtenFiles().empty());
 }
 
 TEST(MetricsSinkTest, CsvSinkReportsStreamFailureOnClose) {
@@ -710,26 +740,26 @@ TEST(MetricsSinkTest, SummaryTableSinkSingleRunHasNoComparison) {
   EXPECT_EQ(out.str().find("protocol comparison"), std::string::npos);
 }
 
-// ---- --spec reproduces flag-built scenarios ----
+// ---- a spec reproduces a scenario built in code ----
 
-TEST(ScenarioSpecTest, SpecReproducesFlagEquivalentScenario) {
-  // The flag path of avmon_sim builds this scenario; its spec twin must
-  // be indistinguishable, which (by the pinned determinism guarantees)
-  // makes the metrics identical too.
-  Scenario flags;
-  flags.hashName = "md5";
-  flags.model = churn::Model::kSynth;
-  flags.stableSize = 300;
-  flags.warmup = 30 * kMinute;
-  flags.horizon = flags.warmup + 90 * kMinute;
-  flags.seed = 7;
-  flags.messageDropProbability = 0.01;
+TEST(ScenarioSpecTest, SpecReproducesCodeBuiltScenario) {
+  // A scenario built field by field and its spec twin must be
+  // indistinguishable, which (by the pinned determinism guarantees) makes
+  // the metrics identical too.
+  Scenario built;
+  built.hashName = "md5";
+  built.model = churn::Model::kSynth;
+  built.stableSize = 300;
+  built.warmup = 30 * kMinute;
+  built.horizon = built.warmup + 90 * kMinute;
+  built.seed = 7;
+  built.messageDropProbability = 0.01;
 
   const Scenario spec = Scenario::fromSpec(
       "model = SYNTH\nn = 300\nhorizon_min = 120\nwarmup_min = 30\n"
       "seed = 7\nhash = md5\ndrop = 0.01\n");
-  EXPECT_TRUE(scenarioEquals(flags, spec));
-  EXPECT_EQ(flags.toSpec(), spec.toSpec());
+  EXPECT_TRUE(scenarioEquals(built, spec));
+  EXPECT_EQ(built.toSpec(), spec.toSpec());
 }
 
 }  // namespace

@@ -1,19 +1,21 @@
 // Golden-hash helper for the scheduler-determinism regression tests.
 //
-// Folds every metric a completed ScenarioRunner exposes — the summary
-// vectors, the accuracy table, and a per-node "CSV" row in schedule order —
-// into one FNV-1a fingerprint. Any change to event ordering, RNG draw
-// order, or metric arithmetic moves the hash; identical seeded runs are
-// bit-identical and reproduce it exactly. scenario_metrics_test pins the
-// current values (they must survive every scheduler /
-// transport / harness rewrite), and sharded_sim_test additionally proves
-// them identical for every shard count of the sharded simulator.
+// Folds every metric a completed ScenarioRunner reports — the per-sample
+// rows (collectSamples), the accuracy table, and a per-node "CSV" row in
+// schedule order — into one FNV-1a fingerprint. Any change to event
+// ordering, RNG draw order, or metric arithmetic moves the hash; identical
+// seeded runs are bit-identical and reproduce it exactly.
+// scenario_metrics_test pins the current values (they must survive every
+// scheduler / transport / harness rewrite), and sharded_sim_test
+// additionally proves them identical for every shard count of the sharded
+// simulator.
 #pragma once
 
 #include <cstdint>
 #include <cstring>
 #include <vector>
 
+#include "experiments/metrics.hpp"
 #include "experiments/protocol.hpp"
 #include "experiments/scenario.hpp"
 
@@ -46,22 +48,42 @@ class MetricsFingerprint {
   std::uint64_t hash_ = 1469598103934665603ULL;  // FNV offset basis
 };
 
-/// Fingerprint of everything a run reports: summary metric vectors, the
-/// availability-accuracy table, and one row per node in schedule order.
+/// The discovered fraction recounted from the protocol probes: measured
+/// nodes that joined, and of those the ones with a first monitor.
+inline double discoveredFractionOf(const ScenarioRunner& runner) {
+  std::size_t joined = 0, found = 0;
+  for (const NodeId& id : runner.measuredIds()) {
+    if (!runner.traceOf(id)->firstJoin()) continue;
+    ++joined;
+    if (runner.protocol().discoveryDelay(id, 1)) ++found;
+  }
+  return joined == 0 ? 0.0
+                     : static_cast<double>(found) / static_cast<double>(joined);
+}
+
+/// Fingerprint of everything a run reports: the per-sample rows, the
+/// third-monitor discovery delays, the discovered fraction, and the
+/// availability-accuracy table.
 inline std::uint64_t summaryHash(const ScenarioRunner& runner) {
+  const MetricSet rows = collectSamples(runner);
+  std::vector<double> thirdMonitor;
+  for (const NodeId& id : runner.measuredIds()) {
+    if (const auto d = runner.protocol().discoveryDelay(id, 3)) {
+      thirdMonitor.push_back(toSeconds(*d));
+    }
+  }
+
   MetricsFingerprint fp;
+  fp.mixVector(rows.discoverySeconds);
+  fp.mixVector(thirdMonitor);
+  fp.mixDouble(rows.discoveredFraction);
+  fp.mixVector(rows.computationsPerSecond);
+  fp.mixVector(rows.memoryEntries);
+  fp.mixVector(rows.outgoingBytesPerSecond);
+  fp.mixVector(rows.uselessPingsPerMinute);
 
-  fp.mixVector(runner.discoveryDelaysSeconds(1));
-  fp.mixVector(runner.discoveryDelaysSeconds(3));
-  fp.mixDouble(runner.discoveredFraction(1));
-  fp.mixVector(runner.computationsPerSecond());
-  fp.mixVector(runner.memoryEntries(/*measuredOnly=*/false));
-  fp.mixVector(runner.outgoingBytesPerSecond());
-  fp.mixVector(runner.uselessPingsPerMinute());
-
-  const auto accuracy = runner.availabilityAccuracy(/*measuredOnly=*/true);
-  fp.mix(accuracy.size());
-  for (const auto& a : accuracy) {
+  fp.mix(rows.accuracy.size());
+  for (const auto& a : rows.accuracy) {
     fp.mix((static_cast<std::uint64_t>(a.id.ip()) << 16) | a.id.port());
     fp.mixDouble(a.estimated);
     fp.mixDouble(a.actual);

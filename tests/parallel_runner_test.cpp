@@ -74,7 +74,7 @@ TEST(ParallelScenarioRunnerTest, RunAllPreservesInputOrder) {
   EXPECT_EQ(runners[1]->effectiveN(), 90u);
   EXPECT_EQ(runners[2]->effectiveN(), 120u);
   for (const auto& r : runners) {
-    EXPECT_GT(r->discoveredFraction(1), 0.0);
+    EXPECT_GT(collectMetrics(*r).discoveredFraction, 0.0);
   }
 }
 

@@ -12,7 +12,9 @@
 #include <vector>
 
 #include "analysis/formulas.hpp"
+#include "experiments/metrics.hpp"
 #include "experiments/parallel_runner.hpp"
+#include "experiments/protocol.hpp"
 #include "experiments/scenario.hpp"
 
 namespace avmon::experiments {
@@ -119,9 +121,9 @@ TEST(DiscoveryScaling, LargerCvsDiscoversFaster) {
   }
   const std::vector<double> means = ParallelScenarioRunner().map<double>(
       scenarios, [](ScenarioRunner& runner) {
-        const auto delays = runner.discoveryDelaysSeconds(1);
-        EXPECT_FALSE(delays.empty());
-        return meanOf(delays);
+        const MetricSet rows = collectSamples(runner);
+        EXPECT_FALSE(rows.discoverySeconds.empty());
+        return meanOf(rows.discoverySeconds);
       });
   ASSERT_EQ(means.size(), 2u);
   EXPECT_LT(means[1], means[0]);  // cvs=20 beats cvs=5
@@ -136,8 +138,18 @@ TEST(DiscoveryScaling, DiscoveredFractionGrowsWithTime) {
 
   const auto runners =
       ParallelScenarioRunner().runAll({shortRun, longRun});
-  EXPECT_GE(runners[1]->discoveredFraction(3), runners[0]->discoveredFraction(3));
-  EXPECT_GT(runners[1]->discoveredFraction(1), 0.9);
+  // Fraction of the measured set with a third monitor, from the probes.
+  const auto thirdMonitorFraction = [](const ScenarioRunner& r) {
+    std::size_t found = 0;
+    for (const NodeId& id : r.measuredIds()) {
+      if (r.protocol().discoveryDelay(id, 3)) ++found;
+    }
+    return static_cast<double>(found) /
+           static_cast<double>(r.measuredIds().size());
+  };
+  EXPECT_GE(thirdMonitorFraction(*runners[1]),
+            thirdMonitorFraction(*runners[0]));
+  EXPECT_GT(collectMetrics(*runners[1]).discoveredFraction, 0.9);
 }
 
 // -- l-out-of-K supportability (Section 4.3) -------------------------------
@@ -220,7 +232,8 @@ TEST(LoadBalance, ComputationSpreadIsTight) {
   ScenarioRunner runner(s);
   runner.run();
 
-  const auto comps = runner.computationsPerSecond();
+  const MetricSet rows = collectSamples(runner);
+  const auto& comps = rows.computationsPerSecond;
   ASSERT_GT(comps.size(), 10u);
   const double mean = meanOf(comps);
   ASSERT_GT(mean, 0.0);

@@ -4,6 +4,7 @@
 // are repaired by later gossip rounds), and no invariant breaks.
 #include <gtest/gtest.h>
 
+#include "experiments/metrics.hpp"
 #include "experiments/scenario.hpp"
 
 namespace avmon::experiments {
@@ -30,7 +31,8 @@ TEST_P(LossSweep, DiscoveryStillCompletesUnderMessageLoss) {
   runner.run();
   // Losses delay NOTIFYs but later rounds re-discover: most control
   // nodes still find a monitor within the run.
-  EXPECT_GT(runner.discoveredFraction(1), 0.7) << "drop=" << GetParam();
+  EXPECT_GT(collectMetrics(runner).discoveredFraction, 0.7)
+      << "drop=" << GetParam();
 }
 
 INSTANTIATE_TEST_SUITE_P(DropRates, LossSweep,
@@ -39,7 +41,7 @@ INSTANTIATE_TEST_SUITE_P(DropRates, LossSweep,
 TEST(ResilienceTest, RpcTimeoutsSlowButDontBreakDiscovery) {
   ScenarioRunner runner(lossyScenario(0.0, 0.2));
   runner.run();
-  EXPECT_GT(runner.discoveredFraction(1), 0.7);
+  EXPECT_GT(collectMetrics(runner).discoveredFraction, 0.7);
 }
 
 TEST(ResilienceTest, InvariantsHoldUnderCombinedFaults) {
@@ -85,12 +87,12 @@ TEST(ResilienceTest, LossDegradesGracefullyNotCliff) {
   {
     ScenarioRunner runner(lossyScenario(0.0, 0.0));
     runner.run();
-    clean = runner.discoveredFraction(1);
+    clean = collectMetrics(runner).discoveredFraction;
   }
   {
     ScenarioRunner runner(lossyScenario(0.3, 0.0));
     runner.run();
-    lossy = runner.discoveredFraction(1);
+    lossy = collectMetrics(runner).discoveredFraction;
   }
   EXPECT_GT(clean, 0.9);
   EXPECT_GT(lossy, clean * 0.75);

@@ -3,6 +3,10 @@
 // determinism regression for the simulator core.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "experiments/adversary.hpp"
+#include "experiments/metrics.hpp"
 #include "experiments/parallel_runner.hpp"
 #include "experiments/scenario.hpp"
 #include "golden_hash.hpp"
@@ -44,13 +48,17 @@ TEST(ScenarioMetricsTest, MeasuredSetBornAfterWarmupOnStatIsControlOnly) {
   EXPECT_EQ(runner.measuredIds().size(), 12u);
 }
 
-TEST(ScenarioMetricsTest, MaxBandwidthNodeIsConsistent) {
+TEST(ScenarioMetricsTest, TopBandwidthRowIsConsistent) {
   ScenarioRunner runner(tiny(churn::Model::kStat));
   runner.run();
-  const NodeId top = runner.maxBandwidthNode();
-  EXPECT_FALSE(top.isNil());
+  const MetricSet rows = collectSamples(runner);
+  const auto top = std::max_element(
+      rows.perNode.begin(), rows.perNode.end(),
+      [](const auto& a, const auto& b) { return a.bytesSent < b.bytesSent; });
+  ASSERT_NE(top, rows.perNode.end());
+  EXPECT_GT(top->bytesSent, 0u);
   // The reported node must exist and be probe-able.
-  EXPECT_NO_THROW(runner.node(top));
+  EXPECT_NO_THROW(runner.node(top->id));
 }
 
 TEST(ScenarioMetricsTest, MutableNodeAllowsAttackInjectionMidRun) {
@@ -73,19 +81,23 @@ TEST(ScenarioMetricsTest, AccuracyEstimatesAreAligned) {
   Scenario s = tiny(churn::Model::kStat);
   ScenarioRunner runner(s);
   runner.run();
-  const auto acc = runner.availabilityAccuracy(/*measuredOnly=*/false);
-  ASSERT_FALSE(acc.empty());
-  for (const auto& a : acc) {
-    EXPECT_DOUBLE_EQ(a.estimated, 1.0) << a.id.toString();
-    EXPECT_DOUBLE_EQ(a.actual, 1.0) << a.id.toString();
-    EXPECT_GT(a.reporters, 0u);
+  std::size_t reported = 0;
+  for (const auto& nt : runner.schedule().nodes()) {
+    const auto a = alignedAccuracyOf(runner.protocol(), nt);
+    if (!a) continue;
+    ++reported;
+    EXPECT_DOUBLE_EQ(a->estimated, 1.0) << a->id.toString();
+    EXPECT_DOUBLE_EQ(a->actual, 1.0) << a->id.toString();
+    EXPECT_GT(a->reporters, 0u);
   }
+  EXPECT_GT(reported, 0u);
 }
 
 TEST(ScenarioMetricsTest, BandwidthSamplesArePositiveAndFinite) {
   ScenarioRunner runner(tiny(churn::Model::kSynth));
   runner.run();
-  for (double bps : runner.outgoingBytesPerSecond()) {
+  const MetricSet rows = collectSamples(runner);
+  for (double bps : rows.outgoingBytesPerSecond) {
     EXPECT_GT(bps, 0.0);
     EXPECT_LT(bps, 10000.0);
   }
@@ -98,14 +110,15 @@ TEST(ScenarioMetricsTest, DiscoveredFractionCountsOnlyJoiners) {
   s.horizon = 2 * kHour;
   ScenarioRunner runner(s);
   runner.run();
-  EXPECT_GT(runner.discoveredFraction(1), 0.8);
+  EXPECT_GT(collectMetrics(runner).discoveredFraction, 0.8);
 }
 
 TEST(ScenarioMetricsTest, UselessPingsOnlyCountMonitors) {
   ScenarioRunner runner(tiny(churn::Model::kStat));
   runner.run();
+  const MetricSet rows = collectSamples(runner);
   // STAT: nobody is ever absent, so useless pings are ~0 for everyone.
-  for (double upm : runner.uselessPingsPerMinute()) {
+  for (double upm : rows.uselessPingsPerMinute) {
     EXPECT_LT(upm, 0.05);
   }
 }

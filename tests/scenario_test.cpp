@@ -11,6 +11,8 @@
 #include <memory>
 #include <vector>
 
+#include "experiments/adversary.hpp"
+#include "experiments/metrics.hpp"
 #include "experiments/parallel_runner.hpp"
 #include "experiments/scenario.hpp"
 
@@ -91,30 +93,39 @@ class ScenarioTest : public ::testing::Test {
     // tests/CMakeLists.txt, so `ctest -j` can pack the schedule honestly.
     runners_ = new std::vector<std::unique_ptr<ScenarioRunner>>(
         ParallelScenarioRunner(4).runAll(allScenarios()));
+    samples_ = new std::vector<MetricSet>();
+    for (const auto& r : *runners_) samples_->push_back(collectSamples(*r));
   }
 
   static void TearDownTestSuite() {
     delete runners_;
     runners_ = nullptr;
+    delete samples_;
+    samples_ = nullptr;
   }
 
   static ScenarioRunner& runner(RunTag which) { return *(*runners_)[which]; }
 
+  /// The run's MetricSet with its per-sample rows.
+  static const MetricSet& samples(RunTag which) { return (*samples_)[which]; }
+
  private:
   static std::vector<std::unique_ptr<ScenarioRunner>>* runners_;
+  static std::vector<MetricSet>* samples_;
 };
 
 std::vector<std::unique_ptr<ScenarioRunner>>* ScenarioTest::runners_ = nullptr;
+std::vector<MetricSet>* ScenarioTest::samples_ = nullptr;
 
 TEST_F(ScenarioTest, StatDiscoveryIsFast) {
   // Paper Figure 3: average discovery of the first monitor stays below one
   // protocol period (1 minute).
-  const auto delays = runner(kStat150).discoveryDelaysSeconds(1);
+  const auto& delays = samples(kStat150).discoverySeconds;
   ASSERT_FALSE(delays.empty());
   double sum = 0;
   for (double d : delays) sum += d;
   EXPECT_LT(sum / static_cast<double>(delays.size()), 150.0);
-  EXPECT_GT(runner(kStat150).discoveredFraction(1), 0.85);
+  EXPECT_GT(samples(kStat150).discoveredFraction, 0.85);
 }
 
 TEST_F(ScenarioTest, ControlGroupIsTenPercent) {
@@ -124,7 +135,7 @@ TEST_F(ScenarioTest, ControlGroupIsTenPercent) {
 }
 
 TEST_F(ScenarioTest, SynthDiscoveryUnaffectedByChurn) {
-  EXPECT_GT(runner(kSynth150).discoveredFraction(1), 0.8);
+  EXPECT_GT(samples(kSynth150).discoveredFraction, 0.8);
 }
 
 TEST_F(ScenarioTest, SynthBDMeasuresNodesBornAfterWarmup) {
@@ -149,7 +160,7 @@ TEST_F(ScenarioTest, MemoryStaysNearExpectedValue) {
   const auto& cfg = runner(kStat200).config();
   const double expected =
       static_cast<double>(cfg.cvs) + 2.0 * static_cast<double>(cfg.k);
-  const auto entries = runner(kStat200).memoryEntries(/*measuredOnly=*/false);
+  const auto& entries = samples(kStat200).memoryEntries;
   ASSERT_FALSE(entries.empty());
   double sum = 0;
   for (double e : entries) sum += e;
@@ -164,7 +175,7 @@ TEST_F(ScenarioTest, ComputationRateMatchesAnalyticalOrder) {
   const auto& cfg = runner(kStat200).config();
   const double perSecond =
       2.0 * static_cast<double>(cfg.cvs * cfg.cvs) / 60.0;
-  for (double c : runner(kStat200).computationsPerSecond()) {
+  for (double c : samples(kStat200).computationsPerSecond) {
     EXPECT_LT(c, perSecond * 2.5);
   }
 }
@@ -190,14 +201,13 @@ TEST_F(ScenarioTest, ForgetfulReducesUselessPings) {
     return v.empty() ? 0.0 : s / static_cast<double>(v.size());
   };
   // Paper Figure 18: forgetful pinging reduces useless pings sharply.
-  EXPECT_LT(mean(runner(kForgetfulOn).uselessPingsPerMinute()),
-            mean(runner(kForgetfulOff).uselessPingsPerMinute()));
+  EXPECT_LT(mean(samples(kForgetfulOn).uselessPingsPerMinute),
+            mean(samples(kForgetfulOff).uselessPingsPerMinute));
 }
 
 TEST_F(ScenarioTest, AvailabilityEstimatesTrackTruthWithoutForgetting) {
   // Paper Figure 17: non-forgetful estimation is accurate.
-  const auto acc = runner(kSynth150Long).availabilityAccuracy(
-      /*measuredOnly=*/true);
+  const auto& acc = samples(kSynth150Long).accuracy;
   ASSERT_FALSE(acc.empty());
   double err = 0;
   for (const auto& a : acc) err += std::abs(a.estimated - a.actual);
@@ -207,20 +217,22 @@ TEST_F(ScenarioTest, AvailabilityEstimatesTrackTruthWithoutForgetting) {
 TEST_F(ScenarioTest, OverreportersSkewOnlyFewNodes) {
   // Paper Figure 20: the fraction of nodes whose PS-averaged estimate is
   // off by > 0.2 stays small even with 10% attackers.
-  const auto acc = runner(kOverreport).availabilityAccuracy(
-      /*measuredOnly=*/false);
-  ASSERT_FALSE(acc.empty());
-  std::size_t affected = 0;
-  for (const auto& a : acc) {
-    if (std::abs(a.estimated - a.actual) > 0.2) ++affected;
+  const ScenarioRunner& r = runner(kOverreport);
+  std::size_t reported = 0, affected = 0;
+  for (const auto& nt : r.schedule().nodes()) {
+    const auto a = alignedAccuracyOf(r.protocol(), nt);
+    if (!a) continue;
+    ++reported;
+    if (std::abs(a->estimated - a->actual) > 0.2) ++affected;
   }
-  EXPECT_LT(static_cast<double>(affected) / static_cast<double>(acc.size()),
+  ASSERT_GT(reported, 0u);
+  EXPECT_LT(static_cast<double>(affected) / static_cast<double>(reported),
             0.25);
 }
 
 TEST_F(ScenarioTest, BandwidthIsModest) {
   // Paper Section 5.1: ~(K+cvs)·8B per minute per node, plus NOTIFYs.
-  const auto bps = runner(kStat200).outgoingBytesPerSecond();
+  const auto& bps = samples(kStat200).outgoingBytesPerSecond;
   ASSERT_FALSE(bps.empty());
   for (double b : bps) {
     EXPECT_LT(b, 200.0);  // far below even dial-up; sanity ceiling
@@ -235,21 +247,21 @@ TEST_F(ScenarioTest, RunTwiceThrows) {
 TEST_F(ScenarioTest, DeterministicAcrossRuns) {
   // The twin runs executed on (potentially) different pool workers; same
   // seed must still mean the same world.
-  EXPECT_EQ(runner(kSynth100A).discoveryDelaysSeconds(1),
-            runner(kSynth100B).discoveryDelaysSeconds(1));
-  EXPECT_EQ(runner(kSynth100A).memoryEntries(false),
-            runner(kSynth100B).memoryEntries(false));
+  EXPECT_EQ(samples(kSynth100A).discoverySeconds,
+            samples(kSynth100B).discoverySeconds);
+  EXPECT_EQ(samples(kSynth100A).memoryEntries,
+            samples(kSynth100B).memoryEntries);
 }
 
 TEST_F(ScenarioTest, TraceModelsRunEndToEnd) {
-  EXPECT_GT(runner(kPlanetLab).discoveredFraction(1), 0.5)
+  EXPECT_GT(samples(kPlanetLab).discoveredFraction, 0.5)
       << churn::modelName(churn::Model::kPlanetLab);
-  EXPECT_GT(runner(kOvernet).discoveredFraction(1), 0.5)
+  EXPECT_GT(samples(kOvernet).discoveredFraction, 0.5)
       << churn::modelName(churn::Model::kOvernet);
 }
 
 TEST_F(ScenarioTest, Pr2VariantRuns) {
-  EXPECT_GT(runner(kStat100Pr2).discoveredFraction(1), 0.8);
+  EXPECT_GT(samples(kStat100Pr2).discoveredFraction, 0.8);
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 
 #include "avmon/node.hpp"
 #include "common/rng.hpp"
+#include "experiments/metrics.hpp"
 #include "experiments/scenario.hpp"
 #include "hash/hash_function.hpp"
 
@@ -37,7 +38,7 @@ TEST(ShufflePolicyTest, NamesAreStable) {
 TEST(ShufflePolicyTest, SwapStillDiscoversMonitors) {
   experiments::ScenarioRunner runner(swapScenario(ShufflePolicy::kSwap));
   runner.run();
-  EXPECT_GT(runner.discoveredFraction(1), 0.85);
+  EXPECT_GT(experiments::collectMetrics(runner).discoveredFraction, 0.85);
 }
 
 TEST(ShufflePolicyTest, SwapKeepsViewInvariants) {
@@ -82,7 +83,7 @@ TEST(ShufflePolicyTest, SwapSurvivesChurn) {
   s.horizon = 3 * kHour;
   experiments::ScenarioRunner runner(s);
   runner.run();
-  EXPECT_GT(runner.discoveredFraction(1), 0.6);
+  EXPECT_GT(experiments::collectMetrics(runner).discoveredFraction, 0.6);
 }
 
 }  // namespace

@@ -1,16 +1,19 @@
 // Streaming metrics pipeline: sketch-algebra properties (exactness,
 // associativity, partition independence), the quantile rank-error bound,
-// the ReducerRegistry contract, and the lane-equivalence regression — the
-// streamed summary reproduces the materialized scan exactly and is
+// the ReducerRegistry contract, and the summary-vs-rows regression — the
+// streamed summary agrees exactly with collectSamples' rows and is
 // bit-identical across every shard count on the golden workloads.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
+#include <fstream>
 #include <limits>
 #include <random>
 #include <vector>
 
+#include "experiments/metrics.hpp"
 #include "experiments/parallel_runner.hpp"
 #include "experiments/scenario.hpp"
 #include "experiments/streaming/collector.hpp"
@@ -275,15 +278,16 @@ TEST(ReducerRegistryTest, DuplicateAndMalformedRegistrationsThrow) {
                std::invalid_argument);
 }
 
-// --------------------------------------------------- lane equivalence
+// ------------------------------------------------------ summary vs rows
 
 // Extends the golden regime of scenario_metrics_test / sharded_sim_test to
-// the streamed lane: on the STAT and SYNTH-BD golden workloads the
-// streaming pipeline must (a) leave protocol execution bit-identical (the
-// pinned summary fingerprints still hold with metric barriers inserted),
-// (b) produce the same StreamedSummary at S = 1, 2, 3, 8, and (c) agree
-// with the materialized sample vectors exactly on count/min/max/mean.
-TEST(StreamingLaneTest, StreamedSummariesMatchMaterializedAcrossShards) {
+// windowed metrics: on the STAT and SYNTH-BD golden workloads 60 s metric
+// windows must (a) leave protocol execution bit-identical (the pinned
+// summary fingerprints still hold with metric barriers inserted),
+// (b) produce the same StreamedSummary at S = 1, 2, 3, 8 and with no
+// windows at all, and (c) agree with collectSamples' rows exactly on
+// count/min/max/mean.
+TEST(StreamingLaneTest, StreamedSummariesMatchSamplesAcrossShards) {
   const auto golden = goldenScenarios();
   struct Pinned {
     const char* name;
@@ -304,7 +308,7 @@ TEST(StreamingLaneTest, StreamedSummariesMatchMaterializedAcrossShards) {
       sc.metrics.window = 60 * kSecond;  // all reducers, windowed path on
       scenarios.push_back(sc);
     }
-    // Materialized control: same workload, streaming off.
+    // Control: same workload, default metrics (one window at the horizon).
     Scenario control = golden[p.goldenIndex];
     control.shards = 2;
     scenarios.push_back(control);
@@ -317,11 +321,8 @@ TEST(StreamingLaneTest, StreamedSummariesMatchMaterializedAcrossShards) {
     const Pinned& p = pinned[w];
     const std::size_t base = w * 5;
     const ScenarioRunner& control = *runners[base + 4];
-    ASSERT_EQ(control.streamingCollector(), nullptr);
-
-    const StreamingCollector* first = runners[base]->streamingCollector();
-    ASSERT_NE(first, nullptr);
-    const StreamedSummary& summary = first->summary();
+    const StreamingCollector& first = runners[base]->streamingCollector();
+    const StreamedSummary& summary = first.summary();
 
     for (std::size_t i = 0; i < 4; ++i) {
       const ScenarioRunner& run = *runners[base + i];
@@ -330,7 +331,7 @@ TEST(StreamingLaneTest, StreamedSummariesMatchMaterializedAcrossShards) {
           << p.name << " S=" << shardCounts[i]
           << ": metric barriers perturbed execution";
       // (b) bit-identical streamed state across shard counts.
-      const StreamedSummary& s = run.streamingCollector()->summary();
+      const StreamedSummary& s = run.streamingCollector().summary();
       EXPECT_TRUE(s.discoverySeconds == summary.discoverySeconds);
       EXPECT_TRUE(s.memoryEntries == summary.memoryEntries);
       EXPECT_TRUE(s.outgoingBytesPerSecond == summary.outgoingBytesPerSecond);
@@ -340,8 +341,8 @@ TEST(StreamingLaneTest, StreamedSummariesMatchMaterializedAcrossShards) {
       EXPECT_EQ(s.joined, summary.joined);
       EXPECT_EQ(s.found, summary.found);
       // Windowed time-series rows are partition-invariant too.
-      const auto& wref = first->windows();
-      const auto& wrun = run.streamingCollector()->windows();
+      const auto& wref = first.windows();
+      const auto& wrun = run.streamingCollector().windows();
       ASSERT_EQ(wrun.size(), wref.size());
       for (std::size_t r = 0; r < wref.size(); ++r) {
         EXPECT_EQ(wrun[r].windowStart, wref[r].windowStart);
@@ -354,7 +355,19 @@ TEST(StreamingLaneTest, StreamedSummariesMatchMaterializedAcrossShards) {
       }
     }
 
-    // (c) exact agreement with the materialized sample vectors.
+    // The unwindowed control streams the same summary.
+    const StreamedSummary& c = control.streamingCollector().summary();
+    EXPECT_TRUE(c.discoverySeconds == summary.discoverySeconds);
+    EXPECT_TRUE(c.memoryEntries == summary.memoryEntries);
+    EXPECT_TRUE(c.outgoingBytesPerSecond == summary.outgoingBytesPerSecond);
+    EXPECT_TRUE(c.uselessPingsPerMinute == summary.uselessPingsPerMinute);
+    EXPECT_TRUE(c.computationsPerSecond == summary.computationsPerSecond);
+    EXPECT_TRUE(c.accuracyAbsError == summary.accuracyAbsError);
+    ASSERT_EQ(control.streamingCollector().windows().size(), 1u);
+    EXPECT_EQ(control.streamingCollector().windows().front().windowEnd,
+              control.scenario().horizon);
+
+    // (c) exact agreement with the per-sample rows.
     const auto expectMatches = [&](const StreamedMetric& m,
                                    std::vector<double> samples) {
       ASSERT_EQ(m.stats.count(), samples.size());
@@ -368,30 +381,60 @@ TEST(StreamingLaneTest, StreamedSummariesMatchMaterializedAcrossShards) {
       EXPECT_EQ(m.stats.mean(),
                 exact.value() / static_cast<double>(samples.size()));
     };
-    expectMatches(summary.discoverySeconds, control.discoveryDelaysSeconds(1));
-    expectMatches(summary.memoryEntries,
-                  control.memoryEntries(/*measuredOnly=*/false));
-    expectMatches(summary.outgoingBytesPerSecond,
-                  control.outgoingBytesPerSecond());
-    expectMatches(summary.uselessPingsPerMinute,
-                  control.uselessPingsPerMinute());
-    expectMatches(summary.computationsPerSecond,
-                  control.computationsPerSecond());
+    const MetricSet rows = collectSamples(control);
+    expectMatches(summary.discoverySeconds, rows.discoverySeconds);
+    expectMatches(summary.memoryEntries, rows.memoryEntries);
+    expectMatches(summary.outgoingBytesPerSecond, rows.outgoingBytesPerSecond);
+    expectMatches(summary.uselessPingsPerMinute, rows.uselessPingsPerMinute);
+    expectMatches(summary.computationsPerSecond, rows.computationsPerSecond);
 
-    const auto accuracy =
-        control.availabilityAccuracy(/*measuredOnly=*/true);
     std::vector<double> absErrors;
-    absErrors.reserve(accuracy.size());
-    for (const auto& a : accuracy) {
+    absErrors.reserve(rows.accuracy.size());
+    for (const auto& a : rows.accuracy) {
       absErrors.push_back(std::abs(a.estimated - a.actual));
     }
     expectMatches(summary.accuracyAbsError, absErrors);
-    EXPECT_EQ(summary.discoveredFraction(), control.discoveredFraction(1))
+    EXPECT_EQ(summary.discoveredFraction(), discoveredFractionOf(control))
         << p.name;
   }
 }
 
-// Memory regression guard for the streamed lane (the million-node diet):
+// The CSV files of a sharded, windowed run are written from the rows:
+// discovery.csv carries one data line per measured node that discovered a
+// monitor, however many shards and windows the run had.
+TEST(StreamingLaneTest, ShardedRunWritesOneDiscoveryLinePerDiscoveredNode) {
+  Scenario s = goldenScenarios().front();  // STAT
+  s.stableSize = 60;
+  s.horizon = 45 * kMinute;
+  s.warmup = 15 * kMinute;
+  s.shards = 2;
+  s.metrics.window = 60 * kSecond;
+  ScenarioRunner runner(s);
+  runner.run();
+
+  const std::string prefix = ::testing::TempDir() + "avmon_sharded_csv";
+  CsvSink sink(prefix);
+  sink.add(collectSamples(runner));
+  sink.close();
+  std::ifstream discovery(prefix + ".discovery.csv");
+  ASSERT_TRUE(discovery.good());
+  std::string line;
+  std::size_t dataLines = 0;
+  ASSERT_TRUE(std::getline(discovery, line));  // header
+  while (std::getline(discovery, line)) ++dataLines;
+  for (const std::string& path : sink.writtenFiles()) {
+    std::remove(path.c_str());
+  }
+
+  std::size_t discovered = 0;
+  for (const NodeId& id : runner.measuredIds()) {
+    if (runner.protocol().discoveryDelay(id, 1)) ++discovered;
+  }
+  EXPECT_GT(discovered, 0u);
+  EXPECT_EQ(dataLines, discovered);
+}
+
+// Memory regression guard for the collector (the million-node diet):
 // retained metric state must be O(shards x reducers), never O(N). The old
 // horizon accuracy scan materialized a per-node estimate map inside
 // finish(); the window-incremental probes replaced it, and this test keeps
@@ -409,9 +452,7 @@ TEST(StreamingLaneTest, CollectorStateIsPopulationIndependent) {
     s.metrics.window = 60 * kSecond;  // all reducers, windowed path on
     ScenarioRunner runner(s);
     runner.run();
-    const StreamingCollector* collector = runner.streamingCollector();
-    EXPECT_NE(collector, nullptr);
-    return collector == nullptr ? std::size_t{0} : collector->stateBytes();
+    return runner.streamingCollector().stateBytes();
   };
   const std::size_t small = streamedStateBytes(60);
   const std::size_t large = streamedStateBytes(240);

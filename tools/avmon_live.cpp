@@ -48,6 +48,7 @@
 #include "churn/churn_model.hpp"
 #include "common/node_id.hpp"
 #include "common/rng.hpp"
+#include "experiments/metrics.hpp"
 #include "experiments/scenario.hpp"
 #include "experiments/spec.hpp"
 #include "net/live_transport.hpp"
@@ -567,12 +568,9 @@ int main(int argc, char** argv) {
       simScenario.udp = experiments::UdpSpec{};
       experiments::ScenarioRunner runner(simScenario);
       runner.run();
-      simDiscovery = runner.discoveredFraction(1);
-      std::vector<double> simErrors;
-      for (const auto& acc : runner.availabilityAccuracy(true)) {
-        simErrors.push_back(std::fabs(acc.estimated - acc.actual));
-      }
-      simAvailError = mean(simErrors);
+      const experiments::MetricSet sim = experiments::collectMetrics(runner);
+      simDiscovery = sim.discoveredFraction;
+      simAvailError = sim.accuracyMeanAbsError().value_or(0.0);
 
       const double discoveryDelta = std::fabs(liveDiscovery - simDiscovery);
       const double availDelta = std::fabs(liveAvailError - simAvailError);
