@@ -318,9 +318,9 @@ struct Row {
 
 // ---------------------------------------------------------------------------
 // Workload 7 (--million): the ROADMAP million-node scenario — N = 10^6
-// through the memory diet (SoA node state, compact histories, streamed
+// through the memory diet (shared config, compact histories, streamed
 // metrics, sharded execution). Mirrors examples/specs/million_node.spec
-// exactly; the smoke-scale twin of that spec is pinned by soa_state_test,
+// exactly; the smoke-scale twin of that spec is pinned by million_node_test,
 // and this run reports the full-scale golden fingerprint in its row note.
 // ---------------------------------------------------------------------------
 struct MillionRun {

@@ -84,27 +84,6 @@ AvmonNode::AvmonNode(NodeId id, AvmonConfig config,
     : AvmonNode(id, std::make_shared<const AvmonConfig>(std::move(config)),
                 selector, sim, net, std::move(bootstrap), std::move(rng)) {}
 
-void AvmonNode::bindStateSlot(soa::NodeStateTable* table, std::uint32_t slot) {
-  soa_ = table;
-  soaSlot_ = slot;
-  publishState();
-}
-
-void AvmonNode::publishState() {
-  if (soa_ == nullptr) return;
-  const std::uint32_t s = soaSlot_;
-  soa_->alive[s] = alive_ ? 1 : 0;
-  soa_->cvSize[s] = static_cast<std::uint32_t>(cv_.size());
-  soa_->psSize[s] = static_cast<std::uint32_t>(ps_.size());
-  soa_->tsSize[s] = static_cast<std::uint32_t>(ts_.size());
-  soa_->hashChecks[s] = metrics_.hashChecks;
-  soa_->uselessPings[s] = metrics_.uselessPings;
-  soa_->firstJoin[s] = firstJoinTime_;
-  soa_->firstDiscovery[s] =
-      psDiscoveryTimes_.empty() ? -1 : psDiscoveryTimes_.front();
-  soa_->lastPingReceived[s] = lastMonitoringPingReceived_;
-}
-
 // ---------------------------------------------------------------- lifecycle
 
 void AvmonNode::join(bool firstJoin) {
@@ -145,7 +124,6 @@ void AvmonNode::join(bool firstJoin) {
           seed.push_back(contact);
           rng_.shuffle(seed);
           for (const NodeId& n : seed) addToCoarseView(n);
-          publishState();
         });
   }
 
@@ -168,7 +146,6 @@ void AvmonNode::join(bool firstJoin) {
                monitoringTick();
                return true;
              });
-  publishState();
 }
 
 void AvmonNode::leave() {
@@ -192,7 +169,6 @@ void AvmonNode::leave() {
     ps_.clear();
     ts_.clear();
   }
-  publishState();
 }
 
 // -------------------------------------------------------------- coarse view
@@ -231,12 +207,11 @@ void AvmonNode::onMessage(const NodeId& /*from*/, const sim::Message& message) {
           [](const sim::TextMessage&) {},      // harness-only payload
       },
       message);
-  publishState();
 }
 
 sim::RpcResponse AvmonNode::onRpc(const NodeId& from,
                                   const sim::RpcRequest& request) {
-  sim::RpcResponse response = std::visit(
+  return std::visit(
       sim::Overloaded{
           [](const sim::PingRequest&) -> sim::RpcResponse {
             // Figure 2 step 1: answering at all is the liveness proof.
@@ -254,8 +229,6 @@ sim::RpcResponse AvmonNode::onRpc(const NodeId& from,
           },
       },
       request);
-  publishState();
-  return response;
 }
 
 void AvmonNode::handleJoin(const JoinMessage& msg) {
@@ -384,7 +357,6 @@ void AvmonNode::protocolTick() {
                          if (pong) return;
                          const auto it = std::find(cv_.begin(), cv_.end(), z);
                          if (it != cv_.end()) cv_.erase(it);
-                         publishState();
                        });
   }
 
@@ -433,9 +405,7 @@ void AvmonNode::protocolTick() {
         } else {
           reshuffleCoarseView(fetched, w);
         }
-        publishState();
       });
-  publishState();
 }
 
 std::vector<NodeId> AvmonNode::takeRandomEntries(std::size_t count) {
@@ -472,13 +442,11 @@ void AvmonNode::reshuffleBySwap(const NodeId& w) {
           // injected fault or a round trip past rpcTimeout). The offer never
           // left — put the entries back rather than leak view slots.
           for (const NodeId& n : offer) addToCoarseView(n);
-          publishState();
           return;
         }
         for (const NodeId& n : swap->given) addToCoarseView(n);
         // Like CYCLON, the initiator also refreshes its pointer to the peer.
         addToCoarseView(w);
-        publishState();
       });
 }
 
@@ -525,7 +493,6 @@ void AvmonNode::pingTarget(const NodeId& target, TargetRecord& rec) {
             rec.downSince = now;
           }
         }
-        publishState();
       });
 }
 
@@ -554,7 +521,6 @@ void AvmonNode::monitoringTick() {
     }
     pingTarget(target, rec);
   }
-  publishState();
 }
 
 void AvmonNode::acceptMonitoringPing() {

@@ -31,7 +31,6 @@
 #include "avmon/config.hpp"
 #include "avmon/messages.hpp"
 #include "avmon/monitor_selector.hpp"
-#include "avmon/node_state.hpp"
 #include "avmon/notify_dedup.hpp"
 #include "common/node_id.hpp"
 #include "common/rng.hpp"
@@ -104,11 +103,6 @@ class AvmonNode final : public sim::Endpoint {
   const NodeId& id() const noexcept { return id_; }
   const AvmonConfig& config() const noexcept { return *config_; }
 
-  /// Binds this node to row `slot` of a struct-of-arrays probe table (see
-  /// node_state.hpp) and publishes the current state into it. The table
-  /// must outlive the node and already cover `slot`.
-  void bindStateSlot(soa::NodeStateTable* table, std::uint32_t slot);
-  std::uint32_t stateSlot() const noexcept { return soaSlot_; }
   const std::vector<NodeId>& coarseView() const noexcept { return cv_; }
   const std::unordered_set<NodeId>& pingingSet() const noexcept { return ps_; }
   const std::unordered_map<NodeId, TargetRecord>& targetSet() const noexcept {
@@ -218,11 +212,6 @@ class AvmonNode final : public sim::Endpoint {
   // Sends one monitoring ping and records the outcome.
   void pingTarget(const NodeId& target, TargetRecord& rec);
 
-  // Copies the probe-hot scalars into the bound NodeStateTable row (no-op
-  // when unbound). Called at the end of every externally driven mutation
-  // so the row is exact whenever the world is quiescent.
-  void publishState();
-
   NodeId id_;
   std::shared_ptr<const AvmonConfig> config_;
   const MonitorSelector& selector_;
@@ -248,11 +237,6 @@ class AvmonNode final : public sim::Endpoint {
   std::vector<SimTime> psDiscoveryTimes_;  // absolute time of k-th PS entry
   SimTime lastMonitoringPingReceived_ = -1;
   NotifyDedupCache notifiedPairs_;  // generational NOTIFY dedup cache
-
-  // Struct-of-arrays probe mirror (see node_state.hpp); null until the
-  // owning protocol binds a row.
-  soa::NodeStateTable* soa_ = nullptr;
-  std::uint32_t soaSlot_ = 0;
 
   bool overreporting_ = false;
   // Non-null while colluding: the shared victim set this node lies about.

@@ -110,9 +110,8 @@ std::optional<AvailabilityAccuracy> alignedAccuracyOf(
   acc.id = nt.id;
   double estSum = 0.0;
   double actualSum = 0.0;
-  // visitMonitorsOf promises exactly the monitorsOf order without the
-  // vector copy — this probe runs once per node per run, so the copies
-  // were the accuracy scan's O(N) allocation churn at million-node scale.
+  // Visited, not copied: this probe runs once per node per run, and a
+  // monitor vector per node was O(N) allocation churn at million-node scale.
   protocol.visitMonitorsOf(nt.id, [&](const NodeId& monitorId) {
     const auto sample = protocol.estimate(monitorId, nt.id);
     if (!sample) return;

@@ -130,23 +130,13 @@ class Protocol {
     return false;
   }
 
-  /// Current monitors of `id` (its pinging set) in protocol storage
-  /// order; empty for schemes where nobody (or only `id` itself) would
-  /// answer.
-  virtual std::vector<NodeId> monitorsOf(const NodeId& id) const {
-    (void)id;
-    return {};
-  }
-
-  /// Visits `id`'s current monitors in exactly the order monitorsOf()
-  /// returns them, without materializing a vector — the allocation-free
-  /// path the per-node accuracy probes walk at million-node scale. The
-  /// default forwards to monitorsOf(); schemes with large monitor sets
-  /// should override both consistently.
+  /// Visits `id`'s current monitors (its pinging set) in protocol storage
+  /// order, visiting nothing when `id` has none. The order must be
+  /// reproducible across identically seeded runs: the accuracy probe
+  /// averages estimates in it.
   virtual void visitMonitorsOf(
-      const NodeId& id, const std::function<void(const NodeId&)>& fn) const {
-    for (const NodeId& m : monitorsOf(id)) fn(m);
-  }
+      const NodeId& id,
+      const std::function<void(const NodeId&)>& fn) const = 0;
 
   /// `monitor`'s availability estimate of `target`, or nullopt when the
   /// monitor holds no statistically meaningful estimate (not a monitor,

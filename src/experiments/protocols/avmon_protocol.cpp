@@ -18,7 +18,6 @@ void AvmonProtocol::build(const ProtocolContext& ctx) {
   // that shard's selector. Every node shares one immutable config — a
   // copy per node is ~150 B nobody reads twice.
   const auto sharedConfig = std::make_shared<const AvmonConfig>(ctx.config);
-  state_.resize(ctx.trace.nodes().size());
   std::uint32_t index = 0;
   for (const trace::NodeTrace& nt : ctx.trace.nodes()) {
     const std::size_t shard = ctx.world.shardOfIndex(index);
@@ -28,7 +27,6 @@ void AvmonProtocol::build(const ProtocolContext& ctx) {
     auto node = std::make_unique<AvmonNode>(
         nt.id, sharedConfig, *ctx.shardSelectors[shard], ctx.world.simOf(shard),
         ctx.world.netOf(shard), bootstrap, ctx.rootRng.fork());
-    node->bindStateSlot(&state_, index);
     nodes_.emplace(nt.id, std::move(node));
     ++index;
   }
@@ -156,46 +154,28 @@ void AvmonProtocol::forEachNode(
 
 std::optional<SimDuration> AvmonProtocol::discoveryDelay(
     const NodeId& id, std::size_t k) const {
-  if (k == 1) {
-    // Fast path off the struct-of-arrays row — the k = 1 delay is probed
-    // per measured node per metric-window barrier.
-    const std::uint32_t slot = slotOf(id);
-    const SimTime joined = state_.firstJoin[slot];
-    const SimTime found = state_.firstDiscovery[slot];
-    if (joined < 0 || found < 0) return std::nullopt;
-    return found - joined;
-  }
   return nodes_.at(id)->discoveryDelay(k);
 }
 
 std::size_t AvmonProtocol::memoryEntries(const NodeId& id) const {
-  const std::uint32_t slot = slotOf(id);
-  return static_cast<std::size_t>(state_.cvSize[slot]) + state_.psSize[slot] +
-         state_.tsSize[slot];
+  return nodes_.at(id)->memoryEntries();
 }
 
 std::uint64_t AvmonProtocol::hashChecks(const NodeId& id) const {
-  return state_.hashChecks[slotOf(id)];
+  return nodes_.at(id)->metrics().hashChecks;
 }
 
 std::uint64_t AvmonProtocol::uselessPings(const NodeId& id) const {
-  return state_.uselessPings[slotOf(id)];
+  return nodes_.at(id)->metrics().uselessPings;
 }
 
 bool AvmonProtocol::isMonitoring(const NodeId& id) const {
-  return state_.tsSize[slotOf(id)] != 0;
-}
-
-std::vector<NodeId> AvmonProtocol::monitorsOf(const NodeId& id) const {
-  const auto& ps = nodes_.at(id)->pingingSet();
-  // lint:allow(unordered-iter, the accuracy sampler's monitor visit order is pinned by the golden fingerprints; sorting here would reorder its draws)
-  return std::vector<NodeId>(ps.begin(), ps.end());
+  return !nodes_.at(id)->targetSet().empty();
 }
 
 void AvmonProtocol::visitMonitorsOf(
     const NodeId& id, const std::function<void(const NodeId&)>& fn) const {
-  // Same order as monitorsOf(), minus the vector materialization.
-  // lint:allow(unordered-iter, must visit in exactly the monitorsOf order the golden fingerprints pin)
+  // lint:allow(unordered-iter, the accuracy and eclipse probes' monitor visit order is pinned by the golden fingerprints; sorting here would reorder their float sums)
   for (const NodeId& m : nodes_.at(id)->pingingSet()) fn(m);
 }
 

@@ -9,18 +9,15 @@
 // golden metric fingerprints valid across the API redesign.
 //
 // Memory layout (million-node diet): all nodes share ONE immutable
-// AvmonConfig; bootstrap picks live in one flat arena instead of a vector
-// per node; and the probe-hot per-node scalars are mirrored into a
-// struct-of-arrays NodeStateTable indexed by global world slot, which is
-// what the metric probes read — the full AvmonNode is only consulted for
-// protocol logic (estimates, monitor sets, generic-k discovery).
+// AvmonConfig, and bootstrap picks live in one flat arena instead of a
+// vector per node. Each AvmonNode is the only copy of its protocol state:
+// the metric probes read the node directly.
 #pragma once
 
 #include <memory>
 #include <unordered_map>
 #include <vector>
 
-#include "avmon/node_state.hpp"
 #include "experiments/protocol.hpp"
 
 namespace avmon::experiments {
@@ -42,7 +39,6 @@ class AvmonProtocol final : public Protocol {
   std::uint64_t hashChecks(const NodeId& id) const override;
   std::uint64_t uselessPings(const NodeId& id) const override;
   bool isMonitoring(const NodeId& id) const override;
-  std::vector<NodeId> monitorsOf(const NodeId& id) const override;
   void visitMonitorsOf(
       const NodeId& id,
       const std::function<void(const NodeId&)>& fn) const override;
@@ -52,28 +48,15 @@ class AvmonProtocol final : public Protocol {
   const AvmonNode* avmonNode(const NodeId& id) const override;
   AvmonNode* mutableAvmonNode(const NodeId& id) override;
 
-  /// The struct-of-arrays probe mirror (soa_state_test cross-checks it
-  /// against the object layout).
-  const soa::NodeStateTable& stateTable() const noexcept { return state_; }
-
  private:
   void precomputeBootstrapPicks(const ProtocolContext& ctx);
   NodeId nextBootstrapPick(std::uint32_t nodeIndex);
-
-  /// Global world slot of `id` (== trace position; nodes are built in
-  /// trace order, which is also world registration order).
-  std::uint32_t slotOf(const NodeId& id) const {
-    return nodes_.at(id)->stateSlot();
-  }
 
   // Harness facts the probes need after build() returned.
   SimDuration monitoringPeriod_ = 0;
   SimTime horizon_ = 0;
 
   std::unordered_map<NodeId, std::unique_ptr<AvmonNode>> nodes_;
-
-  // Probe-hot per-node scalars, one row per trace slot (see node_state.hpp).
-  soa::NodeStateTable state_;
 
   // Bootstrap picks, precomputed from the trace (the alive set at any
   // instant is trace-determined, not protocol-determined). Node i's j-th

@@ -84,10 +84,10 @@ std::uint64_t BroadcastProtocol::hashChecks(const NodeId& id) const {
   return byId_.at(id)->hashChecks;
 }
 
-std::vector<NodeId> BroadcastProtocol::monitorsOf(const NodeId& id) const {
-  const Node& node = *byId_.at(id);
+void BroadcastProtocol::visitMonitorsOf(
+    const NodeId& id, const std::function<void(const NodeId&)>& fn) const {
   // lint:allow(unordered-iter, the accuracy sampler's monitor visit order is part of the pinned metric stream; hash order is deterministic for a fixed insertion history)
-  return std::vector<NodeId>(node.ps.begin(), node.ps.end());
+  for (const NodeId& m : byId_.at(id)->ps) fn(m);
 }
 
 }  // namespace avmon::experiments

@@ -35,7 +35,9 @@ class BroadcastProtocol final : public Protocol {
                                             std::size_t k) const override;
   std::size_t memoryEntries(const NodeId& id) const override;
   std::uint64_t hashChecks(const NodeId& id) const override;
-  std::vector<NodeId> monitorsOf(const NodeId& id) const override;
+  void visitMonitorsOf(
+      const NodeId& id,
+      const std::function<void(const NodeId&)>& fn) const override;
 
  private:
   // One participant: its network endpoint (the network holds its address)

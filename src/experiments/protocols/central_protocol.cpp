@@ -111,9 +111,9 @@ bool CentralProtocol::isMonitoring(const NodeId& id) const {
   return id == kServerId && !registrations_.empty();
 }
 
-std::vector<NodeId> CentralProtocol::monitorsOf(const NodeId& id) const {
-  if (id == kServerId || registrations_.count(id) == 0) return {};
-  return {kServerId};
+void CentralProtocol::visitMonitorsOf(
+    const NodeId& id, const std::function<void(const NodeId&)>& fn) const {
+  if (id != kServerId && registrations_.count(id) != 0) fn(kServerId);
 }
 
 std::optional<EstimateSample> CentralProtocol::estimate(

@@ -37,7 +37,9 @@ class CentralProtocol final : public Protocol {
   std::size_t memoryEntries(const NodeId& id) const override;
   std::uint64_t uselessPings(const NodeId& id) const override;
   bool isMonitoring(const NodeId& id) const override;
-  std::vector<NodeId> monitorsOf(const NodeId& id) const override;
+  void visitMonitorsOf(
+      const NodeId& id,
+      const std::function<void(const NodeId&)>& fn) const override;
   std::optional<EstimateSample> estimate(const NodeId& monitor,
                                          const NodeId& target) const override;
 

@@ -90,8 +90,9 @@ std::size_t DhtRingProtocol::memoryEntries(const NodeId& id) const {
   return ring_->replicaSet(id).size() + targets;
 }
 
-std::vector<NodeId> DhtRingProtocol::monitorsOf(const NodeId& id) const {
-  return ring_->replicaSet(id);
+void DhtRingProtocol::visitMonitorsOf(
+    const NodeId& id, const std::function<void(const NodeId&)>& fn) const {
+  for (const NodeId& m : ring_->replicaSet(id)) fn(m);
 }
 
 }  // namespace avmon::experiments

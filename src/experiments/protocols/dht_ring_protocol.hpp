@@ -33,7 +33,9 @@ class DhtRingProtocol final : public Protocol {
   std::optional<SimDuration> discoveryDelay(const NodeId& id,
                                             std::size_t k) const override;
   std::size_t memoryEntries(const NodeId& id) const override;
-  std::vector<NodeId> monitorsOf(const NodeId& id) const override;
+  void visitMonitorsOf(
+      const NodeId& id,
+      const std::function<void(const NodeId&)>& fn) const override;
 
  private:
   // Re-evaluates alive nodes' pinging-set sizes after a ring transition

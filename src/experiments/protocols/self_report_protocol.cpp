@@ -64,9 +64,9 @@ std::size_t SelfReportProtocol::memoryEntries(const NodeId& id) const {
   return nodes_.at(id).firstJoin >= 0 ? 1 : 0;
 }
 
-std::vector<NodeId> SelfReportProtocol::monitorsOf(const NodeId& id) const {
-  if (nodes_.at(id).firstJoin < 0) return {};
-  return {id};
+void SelfReportProtocol::visitMonitorsOf(
+    const NodeId& id, const std::function<void(const NodeId&)>& fn) const {
+  if (nodes_.at(id).firstJoin >= 0) fn(id);
 }
 
 std::optional<EstimateSample> SelfReportProtocol::estimate(

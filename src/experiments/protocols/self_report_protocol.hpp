@@ -31,7 +31,9 @@ class SelfReportProtocol final : public Protocol {
   std::optional<SimDuration> discoveryDelay(const NodeId& id,
                                             std::size_t k) const override;
   std::size_t memoryEntries(const NodeId& id) const override;
-  std::vector<NodeId> monitorsOf(const NodeId& id) const override;
+  void visitMonitorsOf(
+      const NodeId& id,
+      const std::function<void(const NodeId&)>& fn) const override;
   std::optional<EstimateSample> estimate(const NodeId& monitor,
                                          const NodeId& target) const override;
 

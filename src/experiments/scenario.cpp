@@ -149,6 +149,40 @@ void Scenario::validate() const {
   }
 }
 
+churn::WorkloadParams workloadOf(const Scenario& scenario) {
+  churn::WorkloadParams workload;
+  workload.stableSize = scenario.stableSize;
+  workload.horizon = scenario.horizon;
+  workload.controlFraction = scenario.controlFraction;
+  workload.controlJoinTime = scenario.warmup;
+  workload.seed = scenario.seed;
+  return workload;
+}
+
+bool inMeasuredSet(const Scenario& scenario, const trace::NodeTrace& nt) {
+  MeasuredSet mode = scenario.measured;
+  if (mode == MeasuredSet::kAuto) {
+    switch (scenario.model) {
+      case churn::Model::kStat:
+      case churn::Model::kSynth:
+        mode = MeasuredSet::kControlGroup;
+        break;
+      case churn::Model::kSynthBD:
+      case churn::Model::kSynthBD2:
+        mode = MeasuredSet::kBornAfterWarmup;
+        break;
+      case churn::Model::kPlanetLab:
+      case churn::Model::kOvernet:
+        mode = MeasuredSet::kAll;
+        break;
+    }
+  }
+  return mode == MeasuredSet::kAll ||
+         (mode == MeasuredSet::kControlGroup && nt.isControl) ||
+         (mode == MeasuredSet::kBornAfterWarmup &&
+          nt.birth >= scenario.warmup);
+}
+
 ScenarioRunner::ScenarioRunner(Scenario scenario)
     : scenario_(std::move(scenario)), rootRng_(scenario_.seed) {
   scenario_.validate();
@@ -158,13 +192,7 @@ ScenarioRunner::ScenarioRunner(Scenario scenario)
         "transport = udp specs through tools/avmon_live instead");
   }
 
-  churn::WorkloadParams workload;
-  workload.stableSize = scenario_.stableSize;
-  workload.horizon = scenario_.horizon;
-  workload.controlFraction = scenario_.controlFraction;
-  workload.controlJoinTime = scenario_.warmup;
-  workload.seed = scenario_.seed;
-
+  const churn::WorkloadParams workload = workloadOf(scenario_);
   effectiveN_ = churn::effectiveStableSize(scenario_.model, workload);
   config_ = scenario_.configOverride.value_or(
       AvmonConfig::paperDefaults(effectiveN_));
@@ -257,32 +285,11 @@ const ResolvedAdversary& ScenarioRunner::adversary() const noexcept {
 }
 
 void ScenarioRunner::buildMeasuredSet() {
-  MeasuredSet mode = scenario_.measured;
-  if (mode == MeasuredSet::kAuto) {
-    switch (scenario_.model) {
-      case churn::Model::kStat:
-      case churn::Model::kSynth:
-        mode = MeasuredSet::kControlGroup;
-        break;
-      case churn::Model::kSynthBD:
-      case churn::Model::kSynthBD2:
-        mode = MeasuredSet::kBornAfterWarmup;
-        break;
-      case churn::Model::kPlanetLab:
-      case churn::Model::kOvernet:
-        mode = MeasuredSet::kAll;
-        break;
-    }
-  }
   // Trace position == global world slot (see the registration loop).
   measuredBySlot_.assign(trace_.nodes().size(), 0);
   for (std::size_t slot = 0; slot < trace_.nodes().size(); ++slot) {
     const trace::NodeTrace& nt = trace_.nodes()[slot];
-    const bool in = mode == MeasuredSet::kAll ||
-                    (mode == MeasuredSet::kControlGroup && nt.isControl) ||
-                    (mode == MeasuredSet::kBornAfterWarmup &&
-                     nt.birth >= scenario_.warmup);
-    if (!in) continue;
+    if (!inMeasuredSet(scenario_, nt)) continue;
     measured_.push_back(nt.id);
     measuredBySlot_[slot] = 1;
   }

@@ -229,6 +229,18 @@ struct Scenario {
   std::string toSpec() const;
 };
 
+/// The churn-generator parameters of `scenario`'s availability schedule:
+/// the simulated lane and the live lane both generate from these, so the
+/// two replay the same schedule for the same spec.
+churn::WorkloadParams workloadOf(const Scenario& scenario);
+
+/// Whether `nt` is in `scenario`'s measured set, resolving
+/// MeasuredSet::kAuto per model (control group for STAT/SYNTH, born after
+/// warm-up for SYNTH-BD/SYNTH-BD2, everyone for PL/OV). "Born after
+/// warm-up" includes a node born exactly at the warm-up end. The one rule
+/// both lanes count by.
+bool inMeasuredSet(const Scenario& scenario, const trace::NodeTrace& nt);
+
 /// Estimated-vs-actual availability for one node (Figures 17 and 20).
 struct AvailabilityAccuracy {
   NodeId id;

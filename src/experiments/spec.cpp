@@ -358,10 +358,9 @@ SweepSpec SweepSpec::parse(const std::string& text) {
   if (spec.overreports.empty())
     spec.overreports.push_back(base.overreportFraction);
 
-  // cvs/k overrides mirror the avmon_sim flags: nonzero pins the value,
-  // everything else keeps paper defaults for the (largest) swept size.
-  // The override is resolved per expanded scenario in expand() so each
-  // size gets its own paper baseline.
+  // The cvs/k keys: nonzero pins the value, everything else keeps paper
+  // defaults. The override is resolved per expanded scenario in expand()
+  // so each size gets its own paper baseline.
   spec.base.configOverride.reset();
   if (cvs != 0 || k != 0) {
     // Stash the raw overrides in a config built later; encode via the

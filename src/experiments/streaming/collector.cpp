@@ -1,8 +1,6 @@
 #include "experiments/streaming/collector.hpp"
 
 #include <algorithm>
-#include <cmath>
-#include <optional>
 #include <stdexcept>
 #include <utility>
 
@@ -27,6 +25,8 @@ NodeProbe probeNode(const ScenarioRunner& runner, const NodeId& id) {
   // Discovery, computation, and accuracy cover the measured set. The
   // discovery denominator counts measured nodes that joined during the
   // run: one whose first session never started cannot be discovered.
+  // Accuracy goes through the one shared definition (alignedAccuracyOf in
+  // experiments/adversary.cpp).
   if (probe.measured && nt != nullptr) {
     probe.joined = nt->firstJoin().has_value();
     if (const auto d = protocol.discoveryDelay(id, 1)) {
@@ -37,6 +37,7 @@ NodeProbe probeNode(const ScenarioRunner& runner, const NodeId& id) {
       probe.computationsPerSecond =
           static_cast<double>(protocol.hashChecks(id)) / upSeconds;
     }
+    probe.accuracy = alignedAccuracyOf(protocol, *nt);
   }
 
   // Memory covers every participant with any state (a node that never
@@ -71,27 +72,6 @@ NodeProbe probeNode(const ScenarioRunner& runner, const NodeId& id) {
     if (upMinutes >= 1.0) {
       probe.uselessPingsPerMinute =
           static_cast<double>(protocol.uselessPings(id)) / upMinutes;
-    }
-  }
-
-  // Accuracy through the one shared definition (alignedAccuracyOf in
-  // experiments/adversary.cpp), evaluated once for a measured victim.
-  const ResolvedAdversary& adversary = runner.adversary();
-  probe.victim = adversary.isVictim(id);
-  std::optional<AvailabilityAccuracy> accuracy;
-  if ((probe.measured || probe.victim) && nt != nullptr) {
-    accuracy = alignedAccuracyOf(protocol, *nt);
-  }
-  if (probe.measured) probe.accuracy = accuracy;
-  if (probe.victim) {
-    std::size_t monitors = 0, colluding = 0;
-    protocol.visitMonitorsOf(id, [&](const NodeId& m) {
-      ++monitors;
-      if (adversary.isColluder(m)) ++colluding;
-    });
-    probe.eclipsed = monitors > 0 && colluding == monitors;
-    if (accuracy) {
-      probe.victimAbsError = std::fabs(accuracy->estimated - accuracy->actual);
     }
   }
   return probe;

@@ -56,19 +56,7 @@ class SummaryReducer final : public Reducer {
     agg_.found += o.agg_.found;
   }
 
-  void finish(StreamedSummary& out) const override {
-    // Field-wise, not whole-struct: the resilience reducer owns the
-    // victim fields of the same summary, and finish order (the scenario's
-    // reducer list) must not decide whose fields survive.
-    out.discoverySeconds = agg_.discoverySeconds;
-    out.memoryEntries = agg_.memoryEntries;
-    out.outgoingBytesPerSecond = agg_.outgoingBytesPerSecond;
-    out.uselessPingsPerMinute = agg_.uselessPingsPerMinute;
-    out.computationsPerSecond = agg_.computationsPerSecond;
-    out.accuracyAbsError = agg_.accuracyAbsError;
-    out.joined = agg_.joined;
-    out.found = agg_.found;
-  }
+  void finish(StreamedSummary& out) const override { out = agg_; }
 
   std::size_t stateBytes() const override {
     return sizeof(*this) - sizeof(StreamedSummary) +
@@ -167,9 +155,10 @@ class DiscoveryReducer final : public Reducer {
 };
 
 /// "resilience": graceful degradation under the scenario's adversary —
-/// windowed eclipse gauges over the collusion victims plus the end-of-run
-/// victim accuracy distribution. Emits all-zero columns (and an empty
-/// summary metric) when no attack is armed, so it is safe to run always.
+/// windowed eclipse gauges over the collusion victims. Emits all-zero
+/// columns when no attack is armed, so it is safe to run always. The
+/// end-of-run victim rows come from victimOutcomes (experiments/
+/// adversary.hpp), not from this reducer.
 class ResilienceReducer final : public Reducer {
  public:
   std::string name() const override { return "resilience"; }
@@ -183,20 +172,10 @@ class ResilienceReducer final : public Reducer {
     windowVictimsEclipsed_ += probe.victimsEclipsed;
   }
 
-  void onNode(const NodeProbe& probe) override {
-    if (!probe.victim) return;
-    ++victims_;
-    if (probe.eclipsed) ++eclipsed_;
-    if (probe.victimAbsError) victimAbsError_.add(*probe.victimAbsError);
-  }
-
   void mergeFrom(const Reducer& other) override {
     const auto& o = dynamic_cast<const ResilienceReducer&>(other);
     windowVictimsMonitored_ += o.windowVictimsMonitored_;
     windowVictimsEclipsed_ += o.windowVictimsEclipsed_;
-    victims_ += o.victims_;
-    eclipsed_ += o.eclipsed_;
-    victimAbsError_.merge(o.victimAbsError_);
   }
 
   void emitWindowColumns(WindowRow& row) const override {
@@ -211,23 +190,11 @@ class ResilienceReducer final : public Reducer {
     windowVictimsEclipsed_ = 0;
   }
 
-  void finish(StreamedSummary& out) const override {
-    out.victims = victims_;
-    out.eclipsed = eclipsed_;
-    out.victimAbsError = victimAbsError_;
-  }
-
-  std::size_t stateBytes() const override {
-    return sizeof(*this) - sizeof(StreamedMetric) +
-           victimAbsError_.stateBytes();
-  }
+  std::size_t stateBytes() const override { return sizeof(*this); }
 
  private:
   std::uint64_t windowVictimsMonitored_ = 0;
   std::uint64_t windowVictimsEclipsed_ = 0;
-  std::uint64_t victims_ = 0;
-  std::uint64_t eclipsed_ = 0;
-  StreamedMetric victimAbsError_;
 };
 
 }  // namespace

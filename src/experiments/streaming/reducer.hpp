@@ -6,7 +6,8 @@
 //
 //   onWindow(WindowProbe)  at every metric-window barrier, with the owning
 //                          shard's aggregate deltas for the closed window
-//                          (bytes, messages, first-monitor discoveries);
+//                          (bytes, messages, first-monitor discoveries)
+//                          and its victim eclipse gauges;
 //   onNode(NodeProbe)      once per participant at the final barrier, with
 //                          the node's per-metric samples (probeNode in
 //                          collector.hpp holds the qualification rules).
@@ -81,15 +82,6 @@ struct NodeProbe {
   std::optional<double> computationsPerSecond;
   /// Monitor-averaged estimate vs. aligned truth, measured set only.
   std::optional<AvailabilityAccuracy> accuracy;
-  /// Targeted by the scenario's collusion attack (false when none armed).
-  bool victim = false;
-  /// Victim whose every discovered monitor is a coalition member (and it
-  /// has at least one) — its availability record is adversary-controlled.
-  bool eclipsed = false;
-  /// |estimated - actual| for victims regardless of measured-set
-  /// membership (accuracy above stays measured-set-only so the summary
-  /// metric is unchanged by the attack's victim draw).
-  std::optional<double> victimAbsError;
 };
 
 /// One merged time-series row: the window plus named columns contributed
@@ -124,7 +116,9 @@ struct StreamedMetric {
 
 /// The MetricSet-compatible end-of-run summary the "summary" reducer
 /// fills: one StreamedMetric per paper metric plus the discovery and
-/// accuracy aggregates. O(reducers), never O(N).
+/// accuracy aggregates. O(reducers), never O(N). Attack victims are not
+/// summarized here: MetricSet takes their rows from victimOutcomes
+/// (experiments/adversary.hpp) against the final protocol state.
 struct StreamedSummary {
   StreamedMetric discoverySeconds;
   StreamedMetric memoryEntries;
@@ -136,12 +130,6 @@ struct StreamedSummary {
   StreamedMetric accuracyAbsError;
   std::uint64_t joined = 0;  ///< measured nodes that ever joined
   std::uint64_t found = 0;   ///< of those, discovered >= 1 monitor
-
-  /// Resilience under attack (the "resilience" reducer; all zero when the
-  /// scenario arms no adversary).
-  StreamedMetric victimAbsError;  ///< |est - actual| over reporting victims
-  std::uint64_t victims = 0;      ///< targeted participants
-  std::uint64_t eclipsed = 0;     ///< of those, fully coalition-eclipsed
 
   double discoveredFraction() const noexcept {
     return joined == 0

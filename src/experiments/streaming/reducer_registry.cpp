@@ -12,8 +12,7 @@ ReducerRegistry::ReducerRegistry() {
        /*windowed=*/true, [] { return makeTrafficReducer(); }});
   add({"discovery", "windowed first-monitor discovery counts",
        /*windowed=*/true, [] { return makeDiscoveryReducer(); }});
-  add({"resilience",
-       "victim eclipse gauges and accuracy under the scenario's adversary",
+  add({"resilience", "windowed victim eclipse gauges under the adversary",
        /*windowed=*/true, [] { return makeResilienceReducer(); }});
 }
 

@@ -42,7 +42,9 @@ TEST(BroadcastTest, MonitorsMatchSelectorExactly) {
                                      runner.effectiveN());
   std::size_t psTotal = 0;
   for (const auto& x : runner.schedule().nodes()) {
-    const auto ps = runner.protocol().monitorsOf(x.id);
+    std::vector<NodeId> ps;
+    runner.protocol().visitMonitorsOf(
+        x.id, [&](const NodeId& m) { ps.push_back(m); });
     const std::unordered_set<NodeId> monitors(ps.begin(), ps.end());
     EXPECT_EQ(monitors.size(), ps.size()) << x.id.toString();
     for (const auto& y : runner.schedule().nodes()) {

@@ -1,6 +1,7 @@
 // The protocol-agnostic experiment API: protocol registry, declarative
 // scenario specs (round-trip property), sweep expansion determinism,
-// Scenario::validate(), and the metrics sinks' stream-failure contract.
+// Scenario::validate(), the measured-set rule, and the metrics sinks'
+// stream-failure contract.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -12,6 +13,7 @@
 #include "experiments/scenario.hpp"
 #include "experiments/spec.hpp"
 #include "experiments/streaming/reducer_registry.hpp"
+#include "golden_hash.hpp"
 
 namespace avmon::experiments {
 namespace {
@@ -602,6 +604,44 @@ TEST(ScenarioValidateTest, RunnerValidatesOnConstruction) {
   Scenario s;
   s.protocol = "no_such_scheme";
   EXPECT_THROW(ScenarioRunner{s}, std::invalid_argument);
+}
+
+// ---- measured set ----
+
+// The birth/death models measure nodes born after the warm-up, and a node
+// born exactly at its end counts: the simulated and live lanes share this
+// one rule, and every golden pins ">=".
+TEST(MeasuredSetTest, NodeBornExactlyAtWarmupIsMeasured) {
+  for (const churn::Model model :
+       {churn::Model::kSynthBD, churn::Model::kSynthBD2}) {
+    for (const MeasuredSet mode :
+         {MeasuredSet::kBornAfterWarmup, MeasuredSet::kAuto}) {
+      Scenario s;
+      s.model = model;
+      s.measured = mode;
+      trace::NodeTrace nt;
+      nt.birth = s.warmup;
+      EXPECT_TRUE(inMeasuredSet(s, nt))
+          << churn::modelName(model) << " mode " << static_cast<int>(mode);
+      nt.birth = s.warmup - 1;
+      EXPECT_FALSE(inMeasuredSet(s, nt))
+          << churn::modelName(model) << " mode " << static_cast<int>(mode);
+    }
+  }
+}
+
+// The runner's measured set is the schedule filtered by that rule, in
+// trace order.
+TEST(MeasuredSetTest, RunnerMeasuresTheScheduleFilteredByTheRule) {
+  for (const Scenario& s : goldenScenarios()) {
+    const ScenarioRunner runner(s);
+    std::vector<NodeId> expected;
+    for (const trace::NodeTrace& nt : runner.schedule().nodes()) {
+      if (inMeasuredSet(s, nt)) expected.push_back(nt.id);
+    }
+    EXPECT_FALSE(expected.empty()) << churn::modelName(s.model);
+    EXPECT_EQ(runner.measuredIds(), expected) << churn::modelName(s.model);
+  }
 }
 
 // ---- metrics sinks ----

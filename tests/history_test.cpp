@@ -175,7 +175,9 @@ TEST_P(CompactEquivalenceTest, MatchesRawOnChurnSignals) {
   // The budget must actually bind somewhere, or the suite proves nothing.
   // STAT is exempt: its streams have at most two runs (a control node's
   // pre-join gap, then up forever), which is exactly the budget.
-  if (GetParam() != churn::Model::kStat) EXPECT_GT(coarsened, 0u);
+  if (GetParam() != churn::Model::kStat) {
+    EXPECT_GT(coarsened, 0u);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(PaperChurnModels, CompactEquivalenceTest,

@@ -114,7 +114,9 @@ TEST(LintUnorderedIterTest, AccessorReturningUnorderedTriggersAcrossFiles) {
   ASSERT_TRUE(hasRule(f, "unordered-iter")) << dump(f);
   // The finding must land in the USING file, not the declaring header.
   for (const auto& finding : f) {
-    if (finding.rule == "unordered-iter") EXPECT_EQ(finding.file, "use.cpp");
+    if (finding.rule == "unordered-iter") {
+      EXPECT_EQ(finding.file, "use.cpp");
+    }
   }
 }
 

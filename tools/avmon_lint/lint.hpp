@@ -20,8 +20,9 @@
 //   unseeded-mt19937  default-constructed std <random> engines
 //   per-node-alloc    (advisory) function-local associative container
 //                     keyed by NodeId — the O(N) probe-scratch pattern the
-//                     million-node memory diet removed; prefer dense slot
-//                     arrays or the visitMonitorsOf-style visit APIs
+//                     million-node memory diet removed; prefer vectors
+//                     indexed by global world slot, or visitors such as
+//                     Protocol::visitMonitorsOf
 //
 // Escape hatch: a line (or the line directly above) may carry a comment
 // annotation of the form `lint:allow` + `(<rule>, <reason>)` which

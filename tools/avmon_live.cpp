@@ -116,32 +116,6 @@ std::vector<ReplayEvent> buildSchedule(const trace::AvailabilityTrace& trace) {
   return events;
 }
 
-// The measured set mirrors ScenarioRunner's MeasuredSet::kAuto resolution
-// (experiments/scenario.hpp): control group where the model defines one,
-// born-after-warmup for the birth/death models, everyone for the traces.
-bool isMeasured(const Scenario& s, const trace::NodeTrace& nt) {
-  using experiments::MeasuredSet;
-  MeasuredSet m = s.measured;
-  if (m == MeasuredSet::kAuto) {
-    switch (s.model) {
-      case churn::Model::kStat:
-      case churn::Model::kSynth: m = MeasuredSet::kControlGroup; break;
-      case churn::Model::kSynthBD:
-      case churn::Model::kSynthBD2: m = MeasuredSet::kBornAfterWarmup; break;
-      case churn::Model::kPlanetLab:
-      case churn::Model::kOvernet: m = MeasuredSet::kAll; break;
-    }
-  }
-  switch (m) {
-    case experiments::MeasuredSet::kControlGroup: return nt.isControl;
-    case experiments::MeasuredSet::kBornAfterWarmup:
-      return nt.birth > s.warmup;
-    case experiments::MeasuredSet::kAll: return true;
-    case experiments::MeasuredSet::kAuto: break;  // resolved above
-  }
-  return true;
-}
-
 // ---- minimal scraping of the avmon_node report (a format we own) ----
 
 std::optional<double> findNumber(const std::string& text,
@@ -343,12 +317,7 @@ int main(int argc, char** argv) {
     }
 
     // The same schedule the simulated lane would generate for this spec.
-    churn::WorkloadParams workload;
-    workload.stableSize = scenario.stableSize;
-    workload.horizon = scenario.horizon;
-    workload.controlFraction = scenario.controlFraction;
-    workload.controlJoinTime = scenario.warmup;
-    workload.seed = scenario.seed;
+    const churn::WorkloadParams workload = experiments::workloadOf(scenario);
     const trace::AvailabilityTrace trace =
         churn::generate(scenario.model, workload);
     const std::size_t effectiveN =
@@ -529,7 +498,7 @@ int main(int argc, char** argv) {
       decodeFailures += report->decodeFailures;
       bytesSent += report->bytesSent;
       memory.push_back(report->memoryEntries);
-      if (isMeasured(scenario, trace.nodes()[i])) {
+      if (experiments::inMeasuredSet(scenario, trace.nodes()[i])) {
         measuredCount += 1;
         if (report->discovered) {
           measuredDiscovered += 1;
