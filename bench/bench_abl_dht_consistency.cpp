@@ -9,7 +9,9 @@
 #include <unordered_set>
 #include <vector>
 
+#include "avmon/monitor_selector.hpp"
 #include "common.hpp"
+#include "common/rng.hpp"
 #include "experiments/protocols/dht_ring.hpp"
 #include "hash/hash_function.hpp"
 

@@ -12,6 +12,8 @@
 #include "avmon/node.hpp"
 #include "common.hpp"
 #include "hash/hash_function.hpp"
+#include "sim/network.hpp"
+#include "sim/simulator.hpp"
 
 namespace {
 

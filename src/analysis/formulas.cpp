@@ -77,4 +77,45 @@ double probSystemCollusionFree(std::size_t n, unsigned k,
   return probNoColluderInPS(n, k, totalColludingPairs);
 }
 
+double expectedMemoryEntries(std::size_t cvs, unsigned k) {
+  return static_cast<double>(cvs) + 2.0 * static_cast<double>(k);
+}
+
+double checksPerPeriod(std::size_t cvs) {
+  const double c = static_cast<double>(cvs);
+  return 2.0 * c * c;
+}
+
+namespace {
+
+constexpr ClosedForm kClosedForms[] = {
+    {"memory_entries",
+     [](const ClosedFormPoint& p) { return expectedMemoryEntries(p.cvs, p.k); }},
+    {"checks_per_s",
+     [](const ClosedFormPoint& p) {
+       return checksPerPeriod(p.cvs) / p.periodSeconds;
+     }},
+    {"discovery_s",
+     [](const ClosedFormPoint& p) {
+       return expectedDiscoveryRounds(p.cvs, p.n) * p.periodSeconds;
+     }},
+};
+
+}  // namespace
+
+const ClosedForm* findClosedForm(const std::string& name) {
+  for (const ClosedForm& form : kClosedForms) {
+    if (name == form.name) return &form;
+  }
+  return nullptr;
+}
+
+std::string closedFormNames() {
+  std::string out;
+  for (const ClosedForm& form : kClosedForms) {
+    out += (out.empty() ? "" : ", ") + std::string(form.name);
+  }
+  return out;
+}
+
 }  // namespace avmon::analysis

@@ -1,12 +1,14 @@
 // Closed-form results of paper Section 4, as executable formulas.
 //
-// These back three things: (1) the Table 1 reproduction, (2) analytic-vs-
-// measured comparisons in the benches, and (3) property tests asserting
+// These back three things: (1) the Table 1 reproduction, (2) the
+// `closed:<name>` bounds of the spec grammar's expect.* lines (the paper
+// figures under examples/specs/paper/), and (3) property tests asserting
 // the optimality derivations (e.g. that cvs = ∛(2N) really minimizes the
 // Optimal-MD objective over the integer neighborhood).
 #pragma once
 
 #include <cstddef>
+#include <string>
 
 namespace avmon::analysis {
 
@@ -59,5 +61,35 @@ double probNoColluderInPS(std::size_t n, unsigned k, std::size_t colluders);
 /// relationships) appears in any PS: (1 - K/N)^D.
 double probSystemCollusionFree(std::size_t n, unsigned k,
                                std::size_t totalColludingPairs);
+
+/// Expected memory entries per node, |CV| + |PS| + |TS| = cvs + 2K: a full
+/// coarse view plus K monitors and K targets (Section 5.2, Figure 9).
+double expectedMemoryEntries(std::size_t cvs, unsigned k);
+
+/// Consistency-condition checks per node per protocol period: 2·cvs²
+/// (Section 5.2, Figure 7).
+double checksPerPeriod(std::size_t cvs);
+
+/// The run a closed form is evaluated at: its effective N and its resolved
+/// cvs, K and protocol period.
+struct ClosedFormPoint {
+  std::size_t n = 0;
+  std::size_t cvs = 0;
+  unsigned k = 0;
+  double periodSeconds = 0.0;
+};
+
+/// One `closed:<name>` bound: a formula above, in the unit of the metric it
+/// is compared with.
+struct ClosedForm {
+  const char* name;
+  double (*eval)(const ClosedFormPoint& point);
+};
+
+/// The closed form called `name`, or nullptr.
+const ClosedForm* findClosedForm(const std::string& name);
+
+/// Every closed-form name, comma-separated (for error messages).
+std::string closedFormNames();
 
 }  // namespace avmon::analysis

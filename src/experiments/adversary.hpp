@@ -16,7 +16,7 @@
 //    their persistent storage (CV/PS/TS) on every leave, violating the
 //    Section 3.3 persistence assumption.
 //  * Over-reporting cohort — the existing Scenario::overreportFraction,
-//    sweepable via the `attack.overreport` spec axis.
+//    the `overreport` spec key (a comma list sweeps it).
 //
 // Determinism: cohorts are drawn from private streams derived from
 // (scenario seed XOR role salt) — never from the runner's root stream — so

@@ -8,6 +8,7 @@
 #include "common/format_double.hpp"
 #include "experiments/adversary.hpp"
 #include "experiments/protocol.hpp"
+#include "experiments/spec.hpp"
 #include "experiments/streaming/collector.hpp"
 #include "stats/table_printer.hpp"
 
@@ -160,6 +161,9 @@ MetricSet collectMetrics(const ScenarioRunner& runner) {
   out.model = churn::modelName(s.model);
   out.hashName = s.hashName;
   out.effectiveN = runner.effectiveN();
+  out.cvs = runner.config().cvs;
+  out.k = runner.config().k;
+  out.protocolPeriodSeconds = toSeconds(runner.config().protocolPeriod);
   out.seed = s.seed;
   out.shards = s.shards;
   out.horizonSeconds = toSeconds(s.horizon);
@@ -243,6 +247,41 @@ MetricSet collectSamples(const ScenarioRunner& runner) {
     out.perNode.push_back(row);
   }
   return out;
+}
+
+std::size_t printVerdicts(const std::vector<Expectation>& expectations,
+                          const std::vector<MetricSet>& runs,
+                          std::ostream& out) {
+  stats::TablePrinter table("expectations");
+  table.setHeader(
+      {"point", "run", "expectation", "measured", "bound", "verdict"});
+  std::size_t failed = 0;
+  for (std::size_t i = 0; i < runs.size(); ++i) {
+    const MetricSet& run = runs[i];
+    const analysis::ClosedFormPoint point{run.effectiveN, run.cvs, run.k,
+                                          run.protocolPeriodSeconds};
+    for (const Expectation& e : expectations) {
+      const std::optional<double> measured = e.measuredOn(run.summary());
+      const double bound = e.boundAt(point);
+      const bool pass = measured && e.holds(*measured, bound);
+      if (!pass) ++failed;
+      std::ostringstream boundText;
+      boundText << stats::TablePrinter::num(bound, 4);
+      if (e.op == Expectation::Op::kNear) {
+        boundText << " \xC2\xB1 " << e.tolerance
+                  << (e.relativeTolerance ? "%" : "");
+      }
+      table.addRow({std::to_string(i + 1) + "/" + std::to_string(runs.size()),
+                    run.label(), e.text,
+                    measured ? stats::TablePrinter::num(*measured, 4)
+                             : std::string("n/a"),
+                    boundText.str(), pass ? "PASS" : "FAIL"});
+    }
+  }
+  table.print(out);
+  out << failed << " of " << runs.size() * expectations.size()
+      << " expectations failed\n";
+  return failed;
 }
 
 // ---- SummaryTableSink ----

@@ -31,6 +31,8 @@
 
 namespace avmon::experiments {
 
+struct Expectation;  // experiments/spec.hpp
+
 /// Snapshot of everything one completed scenario run reports.
 struct MetricSet {
   // ---- provenance (which run produced this) ----
@@ -38,6 +40,11 @@ struct MetricSet {
   std::string model;
   std::string hashName;
   std::size_t effectiveN = 0;
+  /// Resolved AVMON knobs: what closed-form expectation bounds are
+  /// evaluated at, with effectiveN.
+  std::size_t cvs = 0;
+  unsigned k = 0;
+  double protocolPeriodSeconds = 0.0;
   std::uint64_t seed = 0;
   unsigned shards = 1;
   double horizonSeconds = 0.0;
@@ -122,6 +129,14 @@ MetricSet collectMetrics(const ScenarioRunner& runner);
 /// the streamed summary reads. O(N): only callers that need the samples
 /// call it.
 MetricSet collectSamples(const ScenarioRunner& runner);
+
+/// Checks every expectation on every run (the sweep's points, in order)
+/// and prints one verdict row per (run, expectation): run, expectation,
+/// measured value, bound, PASS/FAIL. A metric without samples fails.
+/// Returns the number of failed rows.
+std::size_t printVerdicts(const std::vector<Expectation>& expectations,
+                          const std::vector<MetricSet>& runs,
+                          std::ostream& out);
 
 /// Backend interface; see the contract above.
 class MetricsSink {

@@ -149,11 +149,11 @@ struct Scenario {
   double controlFraction = 0.1;     ///< control group size (STAT/SYNTH)
   std::uint64_t seed = 1;
 
-  /// Hash behind the consistency condition. Benches default to the fast
+  /// Hash behind the consistency condition. Scenarios default to the fast
   /// splitmix64 mixer: the metrics count *how many* condition checks the
   /// protocol performs, and the selection distribution is uniform for any
-  /// well-mixing hash, so figures are unchanged (verified by
-  /// bench_abl_hash); MD5 is the paper-faithful default elsewhere.
+  /// well-mixing hash, so figures are unchanged (compared by
+  /// examples/specs/paper/abl_hash.spec); MD5 is the paper-faithful choice.
   std::string hashName = "splitmix64";
 
   /// Protocol settings; defaults to AvmonConfig::paperDefaults(N).

@@ -1,7 +1,11 @@
 #include "experiments/spec.hpp"
 
+#include <algorithm>
+#include <cctype>
 #include <cmath>
+#include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 
@@ -37,15 +41,39 @@ bool parseBool(const std::string& v, std::size_t line) {
   fail(line, "expected a boolean (true/false), got '" + v + "'");
 }
 
-std::uint64_t parseU64(const std::string& v, std::size_t line) {
-  try {
-    std::size_t used = 0;
-    const unsigned long long x = std::stoull(v, &used);
-    if (used != v.size()) throw std::invalid_argument(v);
-    return x;
-  } catch (const std::exception&) {
+// An unsigned integer of type T no larger than `max`: digits only (no sign
+// for std::stoull to wrap), range-checked before the narrowing cast.
+template <typename T>
+T parseUInt(const std::string& v, std::size_t line,
+            std::uint64_t max = static_cast<std::uint64_t>(
+                std::numeric_limits<T>::max())) {
+  if (v.empty() || !std::isdigit(static_cast<unsigned char>(v[0]))) {
     fail(line, "expected an unsigned integer, got '" + v + "'");
   }
+  const auto outOfRange = [&] {
+    fail(line, "'" + v + "' is out of range (at most " + std::to_string(max) +
+                   ")");
+  };
+  std::uint64_t x = 0;
+  try {
+    std::size_t used = 0;
+    x = std::stoull(v, &used);
+    if (used != v.size()) {
+      fail(line, "expected an unsigned integer, got '" + v + "'");
+    }
+  } catch (const std::out_of_range&) {
+    outOfRange();
+  }
+  if (x > max) outOfRange();
+  return static_cast<T>(x);
+}
+
+// Whole minutes as SimDuration milliseconds, bounded so the product cannot
+// overflow.
+SimDuration parseMinutes(const std::string& v, std::size_t line) {
+  constexpr std::uint64_t kMaxMinutes =
+      std::numeric_limits<SimDuration>::max() / kMinute;
+  return parseUInt<SimDuration>(v, line, kMaxMinutes) * kMinute;
 }
 
 double parseDouble(const std::string& v, std::size_t line) {
@@ -131,7 +159,416 @@ const char* measuredName(MeasuredSet m) {
   return "auto";
 }
 
+// The cvs/k keys park their raw values in a placeholder override (both 0
+// until set); expand() resolves it per point through cvsKOverride once the
+// point's model and n are known.
+AvmonConfig& rawCvsK(Scenario& s) {
+  if (!s.configOverride) {
+    AvmonConfig raw;
+    raw.cvs = 0;
+    raw.k = 0;
+    s.configOverride = raw;
+  }
+  return *s.configOverride;
+}
+
+/// One spec key: how one value applies to a Scenario. kKeys' order is the
+/// sweep nesting order, outermost first.
+struct KeyRule {
+  const char* name;
+  void (*apply)(Scenario& s, const std::string& value, std::size_t line);
+  /// The comma list is one value, not a sweep.
+  bool wholeList = false;
+};
+
+const KeyRule kKeys[] = {
+    {"protocol",
+     [](Scenario& s, const std::string& v, std::size_t line) {
+       if (v.empty()) fail(line, "empty protocol name");
+       s.protocol = v;
+     }},
+    {"model",
+     [](Scenario& s, const std::string& v, std::size_t line) {
+       try {
+         s.model = churn::modelFromName(v);
+       } catch (const std::invalid_argument& e) {
+         fail(line, e.what());
+       }
+     }},
+    {"n",
+     [](Scenario& s, const std::string& v, std::size_t line) {
+       s.stableSize = parseUInt<std::size_t>(v, line);
+     }},
+    {"seed",
+     [](Scenario& s, const std::string& v, std::size_t line) {
+       s.seed = parseUInt<std::uint64_t>(v, line);
+     }},
+    {"drop",
+     [](Scenario& s, const std::string& v, std::size_t line) {
+       s.messageDropProbability = parseDouble(v, line);
+     }},
+    {"overreport",
+     [](Scenario& s, const std::string& v, std::size_t line) {
+       s.overreportFraction = parseDouble(v, line);
+     }},
+    {"horizon_min",
+     [](Scenario& s, const std::string& v, std::size_t line) {
+       s.horizon = parseMinutes(v, line);
+     }},
+    {"horizon_ms",
+     [](Scenario& s, const std::string& v, std::size_t line) {
+       s.horizon = parseUInt<SimDuration>(v, line);
+     }},
+    {"warmup_min",
+     [](Scenario& s, const std::string& v, std::size_t line) {
+       s.warmup = parseMinutes(v, line);
+     }},
+    {"warmup_ms",
+     [](Scenario& s, const std::string& v, std::size_t line) {
+       s.warmup = parseUInt<SimTime>(v, line);
+     }},
+    {"control_fraction",
+     [](Scenario& s, const std::string& v, std::size_t line) {
+       s.controlFraction = parseDouble(v, line);
+     }},
+    {"hash",
+     [](Scenario& s, const std::string& v, std::size_t) { s.hashName = v; }},
+    {"cvs",
+     [](Scenario& s, const std::string& v, std::size_t line) {
+       rawCvsK(s).cvs = parseUInt<std::size_t>(v, line);
+     }},
+    {"k",
+     [](Scenario& s, const std::string& v, std::size_t line) {
+       rawCvsK(s).k = parseUInt<unsigned>(v, line);
+     }},
+    {"pr2",
+     [](Scenario& s, const std::string& v, std::size_t line) {
+       s.pr2 = parseBool(v, line);
+     }},
+    {"forgetful",
+     [](Scenario& s, const std::string& v, std::size_t line) {
+       s.forgetful = parseBool(v, line);
+     }},
+    {"forgetful_ewma",
+     [](Scenario& s, const std::string& v, std::size_t line) {
+       s.forgetfulEwma = parseBool(v, line);
+     }},
+    {"rpc_fail",
+     [](Scenario& s, const std::string& v, std::size_t line) {
+       s.rpcFailProbability = parseDouble(v, line);
+     }},
+    {"measured",
+     [](Scenario& s, const std::string& v, std::size_t line) {
+       s.measured = parseMeasured(v, line);
+     }},
+    {"shards",
+     [](Scenario& s, const std::string& v, std::size_t line) {
+       s.shards = parseUInt<unsigned>(v, line);
+     }},
+    {"shuffle",
+     [](Scenario& s, const std::string& v, std::size_t line) {
+       s.shuffle = parseShuffle(v, line);
+     }},
+    {"notify_dedup_max",
+     [](Scenario& s, const std::string& v, std::size_t line) {
+       s.notifyDedupMax = parseUInt<std::uint32_t>(v, line);
+     }},
+    {"history",
+     [](Scenario& s, const std::string& v, std::size_t line) {
+       if (v.empty()) fail(line, "empty history name");
+       s.history = v;
+     }},
+    {"history_param",
+     [](Scenario& s, const std::string& v, std::size_t line) {
+       s.historyParam = parseDouble(v, line);
+     }},
+    {"transport",
+     [](Scenario& s, const std::string& v, std::size_t line) {
+       s.transport = parseTransport(v, line);
+     }},
+    {"udp.port_base",
+     [](Scenario& s, const std::string& v, std::size_t line) {
+       s.udp.portBase = parseUInt<std::uint16_t>(v, line);
+     }},
+    {"udp.retry_max",
+     [](Scenario& s, const std::string& v, std::size_t line) {
+       s.udp.retryMax = parseUInt<std::uint32_t>(v, line);
+     }},
+    {"udp.backoff_ms",
+     [](Scenario& s, const std::string& v, std::size_t line) {
+       s.udp.backoffMs = parseUInt<std::uint32_t>(v, line);
+     }},
+    {"udp.backoff_cap_ms",
+     [](Scenario& s, const std::string& v, std::size_t line) {
+       s.udp.backoffCapMs = parseUInt<std::uint32_t>(v, line);
+     }},
+    {"udp.time_scale",
+     [](Scenario& s, const std::string& v, std::size_t line) {
+       s.udp.timeScale = parseDouble(v, line);
+     }},
+    {"metrics.window",
+     [](Scenario& s, const std::string& v, std::size_t line) {
+       const double seconds = parseDouble(v, line);
+       if (seconds < 0) fail(line, "metrics.window must be >= 0 seconds");
+       s.metrics.window =
+           static_cast<SimDuration>(std::llround(seconds * kSecond));
+     }},
+    {"metrics.reducers",
+     [](Scenario& s, const std::string& v, std::size_t line) {
+       for (const std::string& name : splitList(v)) {
+         if (name.empty()) fail(line, "empty reducer name");
+         s.metrics.reducers.push_back(name);
+       }
+     },
+     true},
+    {"metrics.quantiles",
+     [](Scenario& s, const std::string& v, std::size_t line) {
+       s.metrics.quantiles.clear();
+       for (const std::string& phi : splitList(v)) {
+         s.metrics.quantiles.push_back(parseDouble(phi, line));
+       }
+     },
+     true},
+    {"faults.partition",
+     [](Scenario& s, const std::string& v, std::size_t line) {
+       for (const std::string& entry : splitEntries(v, ';')) {
+         const auto f = splitFields(entry, 3, line, "t0:t1:groups");
+         sim::PartitionWindow w;
+         w.start = parseSeconds(f[0], line);
+         w.end = parseSeconds(f[1], line);
+         w.groups = parseUInt<std::uint32_t>(f[2], line);
+         s.faults.partitions.push_back(w);
+       }
+     }},
+    {"faults.burst",
+     [](Scenario& s, const std::string& v, std::size_t line) {
+       for (const std::string& entry : splitEntries(v, ';')) {
+         const auto f = splitFields(entry, 3, line, "t:duration:fraction");
+         sim::BurstSpec b;
+         b.at = parseSeconds(f[0], line);
+         b.duration = parseSeconds(f[1], line);
+         b.fraction = parseDouble(f[2], line);
+         s.faults.bursts.push_back(b);
+       }
+     }},
+    {"faults.latency",
+     [](Scenario& s, const std::string& v, std::size_t line) {
+       for (const std::string& entry : splitEntries(v, ';')) {
+         const auto f = splitFields(entry, 4, line, "t0:t1:min_ms:max_ms");
+         sim::LatencyWindow w;
+         w.start = parseSeconds(f[0], line);
+         w.end = parseSeconds(f[1], line);
+         w.minLatency = parseUInt<SimDuration>(f[2], line);
+         w.maxLatency = parseUInt<SimDuration>(f[3], line);
+         s.faults.latencyWindows.push_back(w);
+       }
+     }},
+    {"faults.geo",
+     [](Scenario& s, const std::string& v, std::size_t line) {
+       const auto f = splitFields(
+           v, 5, line,
+           "regions:intra_min_ms:intra_max_ms:inter_min_ms:inter_max_ms");
+       s.faults.geo.regions = parseUInt<std::uint32_t>(f[0], line);
+       s.faults.geo.intraMin = parseUInt<SimDuration>(f[1], line);
+       s.faults.geo.intraMax = parseUInt<SimDuration>(f[2], line);
+       s.faults.geo.interMin = parseUInt<SimDuration>(f[3], line);
+       s.faults.geo.interMax = parseUInt<SimDuration>(f[4], line);
+     }},
+    {"attack.collusion",
+     [](Scenario& s, const std::string& v, std::size_t line) {
+       s.attack.collusion = parseUInt<std::uint32_t>(v, line);
+     }},
+    {"attack.victims",
+     [](Scenario& s, const std::string& v, std::size_t line) {
+       s.attack.victims = parseUInt<std::uint32_t>(v, line);
+     }},
+    {"attack.forgetful",
+     [](Scenario& s, const std::string& v, std::size_t line) {
+       s.attack.forgetfulFraction = parseDouble(v, line);
+     }},
+};
+
+constexpr std::size_t kKeyCount = sizeof(kKeys) / sizeof(kKeys[0]);
+
+std::size_t ruleOf(const std::string& key, std::size_t line) {
+  for (std::size_t i = 0; i < kKeyCount; ++i) {
+    if (key == kKeys[i].name) return i;
+  }
+  fail(line, "unknown key '" + key + "'");
+}
+
+// ---- expect.<metric>.<stat> <op> <bound> ----
+
+struct ExpectMetric {
+  const char* name;
+  const streaming::StreamedMetric streaming::StreamedSummary::*metric;
+};
+
+// discovered_fraction (no sketch) is the entry with a null metric.
+constexpr ExpectMetric kExpectMetrics[] = {
+    {"discovery_s", &streaming::StreamedSummary::discoverySeconds},
+    {"discovery2_s", &streaming::StreamedSummary::discovery2Seconds},
+    {"discovery3_s", &streaming::StreamedSummary::discovery3Seconds},
+    {"memory_entries", &streaming::StreamedSummary::memoryEntries},
+    {"outgoing_bps", &streaming::StreamedSummary::outgoingBytesPerSecond},
+    {"useless_pings_per_min",
+     &streaming::StreamedSummary::uselessPingsPerMinute},
+    {"computations_per_s", &streaming::StreamedSummary::computationsPerSecond},
+    {"accuracy_abs_error", &streaming::StreamedSummary::accuracyAbsError},
+    {"discovered_fraction", nullptr},
+};
+
+constexpr char kExpectPrefix[] = "expect.";
+constexpr std::size_t kExpectPrefixLength = sizeof(kExpectPrefix) - 1;
+constexpr char kPlusMinus[] = "\xC2\xB1";  // UTF-8 "±"
+
+Expectation parseExpectation(const std::string& text, std::size_t line) {
+  Expectation e;
+  e.text = text;
+  e.line = line;
+
+  // expect.<metric>.<stat>: the metric holds no dot, the stat may (p99.85).
+  const std::size_t lhsEnd = text.find_first_of(" \t<>=~!");
+  const std::string lhs = text.substr(0, lhsEnd);
+  const std::string target = lhs.substr(kExpectPrefixLength);
+  const std::size_t dot = target.find('.');
+  if (dot == std::string::npos) {
+    fail(line, "expected 'expect.<metric>.<stat> <op> <bound>', got '" +
+                   text + "'");
+  }
+  const std::string metricName = target.substr(0, dot);
+  const std::string statName = target.substr(dot + 1);
+  const ExpectMetric* metric = nullptr;
+  std::string known;
+  for (const ExpectMetric& m : kExpectMetrics) {
+    if (metricName == m.name) metric = &m;
+    known += (known.empty() ? "" : ", ") + std::string(m.name);
+  }
+  if (metric == nullptr) {
+    fail(line, "unknown metric '" + metricName + "' (known: " + known + ")");
+  }
+  e.metric = metric->metric;
+
+  if (statName == "mean") e.stat = Expectation::Stat::kMean;
+  else if (statName == "stddev") e.stat = Expectation::Stat::kStddev;
+  else if (statName == "min") e.stat = Expectation::Stat::kMin;
+  else if (statName == "max") e.stat = Expectation::Stat::kMax;
+  else if (statName == "count") e.stat = Expectation::Stat::kCount;
+  else {
+    const char* digits = statName.c_str() + 1;
+    char* end = nullptr;
+    const double percent =
+        statName.size() > 1 && statName[0] == 'p' &&
+                std::isdigit(static_cast<unsigned char>(*digits))
+            ? std::strtod(digits, &end)
+            : -1.0;
+    if (end != statName.c_str() + statName.size() ||
+        !(percent > 0.0 && percent < 100.0)) {
+      fail(line, "unknown statistic '" + statName +
+                     "' (expected mean, stddev, min, max, count or "
+                     "p<percent> in (0, 100))");
+    }
+    e.stat = Expectation::Stat::kQuantile;
+    e.phi = percent / 100.0;
+  }
+  if (e.metric == nullptr && e.stat != Expectation::Stat::kMean &&
+      e.stat != Expectation::Stat::kCount) {
+    fail(line, "discovered_fraction has only the statistics mean and count");
+  }
+
+  // <op>: the run of operator characters after the target.
+  std::size_t p = lhsEnd == std::string::npos ? text.size() : lhsEnd;
+  while (p < text.size() && (text[p] == ' ' || text[p] == '\t')) ++p;
+  std::size_t q = p;
+  while (q < text.size() && std::string("<>=~!").find(text[q]) !=
+                                std::string::npos) {
+    ++q;
+  }
+  const std::string op = text.substr(p, q - p);
+  if (op == "<") e.op = Expectation::Op::kLess;
+  else if (op == "<=") e.op = Expectation::Op::kLessEqual;
+  else if (op == ">") e.op = Expectation::Op::kGreater;
+  else if (op == ">=") e.op = Expectation::Op::kGreaterEqual;
+  else if (op == "~") e.op = Expectation::Op::kNear;
+  else {
+    fail(line, "unknown operator '" + op +
+                   "' (expected <, <=, >, >= or ~ with a ± tolerance)");
+  }
+
+  // <bound> [± <tolerance>[%]]
+  std::string bound = trim(text.substr(q));
+  const std::size_t pm = bound.find(kPlusMinus);
+  if (e.op == Expectation::Op::kNear) {
+    if (pm == std::string::npos) {
+      fail(line, "'~' needs a tolerance: '~ <bound> ± x' or '± x%'");
+    }
+    std::string tolerance = trim(bound.substr(pm + sizeof(kPlusMinus) - 1));
+    if (!tolerance.empty() && tolerance.back() == '%') {
+      e.relativeTolerance = true;
+      tolerance.pop_back();
+    }
+    e.tolerance = parseDouble(trim(tolerance), line);
+    if (e.tolerance < 0) fail(line, "the tolerance must be >= 0");
+    bound = trim(bound.substr(0, pm));
+  } else if (pm != std::string::npos) {
+    fail(line, "a ± tolerance belongs to '~' only");
+  }
+  const std::string closedPrefix = "closed:";
+  if (bound.compare(0, closedPrefix.size(), closedPrefix) == 0) {
+    const std::string name = bound.substr(closedPrefix.size());
+    e.closed = analysis::findClosedForm(name);
+    if (e.closed == nullptr) {
+      fail(line, "unknown closed form '" + name +
+                     "' (known: " + analysis::closedFormNames() + ")");
+    }
+  } else {
+    e.bound = parseDouble(bound, line);
+  }
+  return e;
+}
+
 }  // namespace
+
+std::optional<double> Expectation::measuredOn(
+    const streaming::StreamedSummary& summary) const {
+  if (metric == nullptr) {  // discovered_fraction
+    if (stat == Stat::kCount) return static_cast<double>(summary.joined);
+    if (summary.joined == 0) return std::nullopt;
+    return summary.discoveredFraction();
+  }
+  const streaming::StreamedMetric& m = summary.*metric;
+  if (stat == Stat::kCount) return static_cast<double>(m.stats.count());
+  if (m.stats.count() == 0) return std::nullopt;
+  switch (stat) {
+    case Stat::kMean: return m.stats.mean();
+    case Stat::kStddev: return m.stats.stddev();
+    case Stat::kMin: return m.stats.min();
+    case Stat::kMax: return m.stats.max();
+    case Stat::kQuantile: return m.sketch.quantile(phi);
+    case Stat::kCount: break;
+  }
+  return std::nullopt;
+}
+
+double Expectation::boundAt(const analysis::ClosedFormPoint& point) const {
+  return closed != nullptr ? closed->eval(point) : bound;
+}
+
+bool Expectation::holds(double measured, double boundValue) const {
+  switch (op) {
+    case Op::kLess: return measured < boundValue;
+    case Op::kLessEqual: return measured <= boundValue;
+    case Op::kGreater: return measured > boundValue;
+    case Op::kGreaterEqual: return measured >= boundValue;
+    case Op::kNear: {
+      const double slack = relativeTolerance
+                               ? tolerance / 100.0 * std::fabs(boundValue)
+                               : tolerance;
+      return std::fabs(measured - boundValue) <= slack;
+    }
+  }
+  return false;
+}
 
 std::optional<AvmonConfig> cvsKOverride(churn::Model model, std::size_t n,
                                         std::size_t cvs, unsigned k) {
@@ -147,13 +584,7 @@ std::optional<AvmonConfig> cvsKOverride(churn::Model model, std::size_t n,
 
 SweepSpec SweepSpec::parse(const std::string& text) {
   SweepSpec spec;
-  Scenario& base = spec.base;
-  std::vector<std::string> seen;
-
-  std::size_t cvs = 0;
-  unsigned k = 0;
-  bool horizonSet = false, warmupSet = false;
-
+  bool warmupSet = false, shortHorizon = false;
   std::istringstream in(text);
   std::string rawLine;
   std::size_t lineNo = 0;
@@ -163,6 +594,10 @@ SweepSpec SweepSpec::parse(const std::string& text) {
     if (comment != std::string::npos) rawLine.resize(comment);
     const std::string line = trim(rawLine);
     if (line.empty()) continue;
+    if (line.compare(0, kExpectPrefixLength, kExpectPrefix) == 0) {
+      spec.expectations.push_back(parseExpectation(line, lineNo));
+      continue;
+    }
 
     const std::size_t eq = line.find('=');
     if (eq == std::string::npos) {
@@ -171,206 +606,38 @@ SweepSpec SweepSpec::parse(const std::string& text) {
     const std::string key = trim(line.substr(0, eq));
     const std::string value = trim(line.substr(eq + 1));
     if (key.empty()) fail(lineNo, "empty key");
-    for (const std::string& prior : seen) {
-      if (prior == key) fail(lineNo, "duplicate key '" + key + "'");
+    const std::size_t rule = ruleOf(key, lineNo);
+    for (const Axis& prior : spec.axes) {
+      if (prior.rule == rule) fail(lineNo, "duplicate key '" + key + "'");
     }
-    seen.push_back(key);
-
-    if (key == "protocol") {
-      for (const std::string& v : splitList(value)) {
-        if (v.empty()) fail(lineNo, "empty protocol name");
-        spec.protocols.push_back(v);
-      }
-    } else if (key == "model") {
-      for (const std::string& v : splitList(value)) {
-        try {
-          spec.models.push_back(churn::modelFromName(v));
-        } catch (const std::invalid_argument& e) {
-          fail(lineNo, e.what());
-        }
-      }
-    } else if (key == "n") {
-      for (const std::string& v : splitList(value)) {
-        spec.sizes.push_back(
-            static_cast<std::size_t>(parseU64(v, lineNo)));
-      }
-    } else if (key == "seed") {
-      for (const std::string& v : splitList(value)) {
-        spec.seeds.push_back(parseU64(v, lineNo));
-      }
-    } else if (key == "drop") {
-      for (const std::string& v : splitList(value)) {
-        spec.drops.push_back(parseDouble(v, lineNo));
-      }
-    } else if (key == "horizon_min") {
-      base.horizon = static_cast<SimDuration>(parseU64(value, lineNo)) *
-                     kMinute;
-      horizonSet = true;
-    } else if (key == "horizon_ms") {
-      base.horizon = static_cast<SimDuration>(parseU64(value, lineNo));
-      horizonSet = true;
-    } else if (key == "warmup_min") {
-      base.warmup = static_cast<SimTime>(parseU64(value, lineNo)) * kMinute;
-      warmupSet = true;
-    } else if (key == "warmup_ms") {
-      base.warmup = static_cast<SimTime>(parseU64(value, lineNo));
-      warmupSet = true;
-    } else if (key == "control_fraction") {
-      base.controlFraction = parseDouble(value, lineNo);
-    } else if (key == "hash") {
-      base.hashName = value;
-    } else if (key == "cvs") {
-      cvs = static_cast<std::size_t>(parseU64(value, lineNo));
-    } else if (key == "k") {
-      k = static_cast<unsigned>(parseU64(value, lineNo));
-    } else if (key == "pr2") {
-      base.pr2 = parseBool(value, lineNo);
-    } else if (key == "forgetful") {
-      base.forgetful = parseBool(value, lineNo);
-    } else if (key == "forgetful_ewma") {
-      base.forgetfulEwma = parseBool(value, lineNo);
-    } else if (key == "overreport") {
-      base.overreportFraction = parseDouble(value, lineNo);
-    } else if (key == "rpc_fail") {
-      base.rpcFailProbability = parseDouble(value, lineNo);
-    } else if (key == "measured") {
-      base.measured = parseMeasured(value, lineNo);
-    } else if (key == "shards") {
-      base.shards = static_cast<unsigned>(parseU64(value, lineNo));
-    } else if (key == "shuffle") {
-      base.shuffle = parseShuffle(value, lineNo);
-    } else if (key == "notify_dedup_max") {
-      base.notifyDedupMax = static_cast<std::uint32_t>(parseU64(value, lineNo));
-    } else if (key == "history") {
-      if (value.empty()) fail(lineNo, "empty history name");
-      base.history = value;
-    } else if (key == "history_param") {
-      base.historyParam = parseDouble(value, lineNo);
-    } else if (key == "faults.partition") {
-      for (const std::string& entry : splitEntries(value, ';')) {
-        const auto f = splitFields(entry, 3, lineNo, "t0:t1:groups");
-        sim::PartitionWindow w;
-        w.start = parseSeconds(f[0], lineNo);
-        w.end = parseSeconds(f[1], lineNo);
-        w.groups = static_cast<std::uint32_t>(parseU64(f[2], lineNo));
-        base.faults.partitions.push_back(w);
-      }
-    } else if (key == "faults.burst") {
-      for (const std::string& entry : splitEntries(value, ';')) {
-        const auto f = splitFields(entry, 3, lineNo, "t:duration:fraction");
-        sim::BurstSpec b;
-        b.at = parseSeconds(f[0], lineNo);
-        b.duration = parseSeconds(f[1], lineNo);
-        b.fraction = parseDouble(f[2], lineNo);
-        base.faults.bursts.push_back(b);
-      }
-    } else if (key == "faults.latency") {
-      for (const std::string& entry : splitEntries(value, ';')) {
-        const auto f = splitFields(entry, 4, lineNo, "t0:t1:min_ms:max_ms");
-        sim::LatencyWindow w;
-        w.start = parseSeconds(f[0], lineNo);
-        w.end = parseSeconds(f[1], lineNo);
-        w.minLatency = static_cast<SimDuration>(parseU64(f[2], lineNo));
-        w.maxLatency = static_cast<SimDuration>(parseU64(f[3], lineNo));
-        base.faults.latencyWindows.push_back(w);
-      }
-    } else if (key == "faults.geo") {
-      const auto f = splitFields(
-          value, 5, lineNo, "regions:intra_min_ms:intra_max_ms:inter_min_ms:inter_max_ms");
-      base.faults.geo.regions = static_cast<std::uint32_t>(parseU64(f[0], lineNo));
-      base.faults.geo.intraMin = static_cast<SimDuration>(parseU64(f[1], lineNo));
-      base.faults.geo.intraMax = static_cast<SimDuration>(parseU64(f[2], lineNo));
-      base.faults.geo.interMin = static_cast<SimDuration>(parseU64(f[3], lineNo));
-      base.faults.geo.interMax = static_cast<SimDuration>(parseU64(f[4], lineNo));
-    } else if (key == "attack.collusion") {
-      base.attack.collusion = static_cast<std::uint32_t>(parseU64(value, lineNo));
-    } else if (key == "attack.victims") {
-      base.attack.victims = static_cast<std::uint32_t>(parseU64(value, lineNo));
-    } else if (key == "attack.forgetful") {
-      base.attack.forgetfulFraction = parseDouble(value, lineNo);
-    } else if (key == "attack.overreport") {
-      for (const std::string& v : splitList(value)) {
-        spec.overreports.push_back(parseDouble(v, lineNo));
-      }
-    } else if (key == "transport") {
-      base.transport = parseTransport(value, lineNo);
-    } else if (key == "udp.port_base") {
-      const std::uint64_t port = parseU64(value, lineNo);
-      if (port > 0xFFFF) fail(lineNo, "udp.port_base must fit a UDP port");
-      base.udp.portBase = static_cast<std::uint16_t>(port);
-    } else if (key == "udp.retry_max") {
-      base.udp.retryMax = static_cast<std::uint32_t>(parseU64(value, lineNo));
-    } else if (key == "udp.backoff_ms") {
-      base.udp.backoffMs = static_cast<std::uint32_t>(parseU64(value, lineNo));
-    } else if (key == "udp.backoff_cap_ms") {
-      base.udp.backoffCapMs =
-          static_cast<std::uint32_t>(parseU64(value, lineNo));
-    } else if (key == "udp.time_scale") {
-      base.udp.timeScale = parseDouble(value, lineNo);
-    } else if (key == "metrics.window") {
-      const double seconds = parseDouble(value, lineNo);
-      if (seconds < 0) fail(lineNo, "metrics.window must be >= 0 seconds");
-      base.metrics.window =
-          static_cast<SimDuration>(std::llround(seconds * kSecond));
-    } else if (key == "metrics.reducers") {
-      for (const std::string& v : splitList(value)) {
-        if (v.empty()) fail(lineNo, "empty reducer name");
-        base.metrics.reducers.push_back(v);
-      }
-    } else if (key == "metrics.quantiles") {
-      base.metrics.quantiles.clear();
-      for (const std::string& v : splitList(value)) {
-        base.metrics.quantiles.push_back(parseDouble(v, lineNo));
-      }
-    } else {
-      fail(lineNo, "unknown key '" + key + "'");
+    Axis axis;
+    axis.rule = rule;
+    axis.line = lineNo;
+    axis.values = kKeys[rule].wholeList ? std::vector<std::string>{value}
+                                        : splitList(value);
+    // Apply every value once now, so a malformed one fails with its line
+    // number before any point is expanded.
+    for (const std::string& v : axis.values) {
+      Scenario probe;
+      kKeys[rule].apply(probe, v, lineNo);
+      shortHorizon |= probe.warmup >= probe.horizon;
     }
+    warmupSet |= key == "warmup_min" || key == "warmup_ms";
+    spec.axes.push_back(std::move(axis));
   }
 
-  if (horizonSet && !warmupSet && base.warmup >= base.horizon) {
-    // A spec that shortens the horizon below the default warm-up almost
-    // certainly forgot warmup_min; say so instead of failing validation
-    // with the defaults' numbers.
+  // A spec that shortens the horizon below the default warm-up almost
+  // certainly forgot warmup_min; say so instead of failing validation with
+  // the defaults' numbers.
+  if (shortHorizon && !warmupSet) {
     throw std::invalid_argument(
         "spec: horizon is shorter than the default 60 min warm-up — set "
         "warmup_min (or warmup_ms) too");
   }
 
-  // The scalar `overreport` and the sweep axis `attack.overreport` both
-  // set overreportFraction — a spec naming both is ambiguous.
-  if (!spec.overreports.empty()) {
-    for (const std::string& prior : seen) {
-      if (prior == "overreport") {
-        throw std::invalid_argument(
-            "spec: 'overreport' (scalar) and 'attack.overreport' (sweep "
-            "axis) both set the over-reporting fraction — use one");
-      }
-    }
-  }
-
-  // Absent axes are singletons of the base's value: expand() is always the
-  // full six-way cross product.
-  if (spec.protocols.empty()) spec.protocols.push_back(base.protocol);
-  if (spec.models.empty()) spec.models.push_back(base.model);
-  if (spec.sizes.empty()) spec.sizes.push_back(base.stableSize);
-  if (spec.seeds.empty()) spec.seeds.push_back(base.seed);
-  if (spec.drops.empty()) spec.drops.push_back(base.messageDropProbability);
-  if (spec.overreports.empty())
-    spec.overreports.push_back(base.overreportFraction);
-
-  // The cvs/k keys: nonzero pins the value, everything else keeps paper
-  // defaults. The override is resolved per expanded scenario in expand()
-  // so each size gets its own paper baseline.
-  spec.base.configOverride.reset();
-  if (cvs != 0 || k != 0) {
-    // Stash the raw overrides in a config built later; encode via the
-    // first size now and fix up per point in expand().
-    AvmonConfig cfg;  // placeholder; expand() rebuilds per size
-    cfg.cvs = cvs;
-    cfg.k = k;
-    spec.base.configOverride = cfg;
-  }
-
+  // Nesting order is key-table order, whatever order the lines came in.
+  std::sort(spec.axes.begin(), spec.axes.end(),
+            [](const Axis& a, const Axis& b) { return a.rule < b.rule; });
   return spec;
 }
 
@@ -383,38 +650,33 @@ SweepSpec SweepSpec::parseFile(const std::string& path) {
 }
 
 std::size_t SweepSpec::pointCount() const {
-  return protocols.size() * models.size() * sizes.size() * seeds.size() *
-         drops.size() * overreports.size();
+  std::size_t count = 1;
+  for (const Axis& axis : axes) count *= axis.values.size();
+  return count;
 }
 
 std::vector<Scenario> SweepSpec::expand() const {
+  const std::size_t count = pointCount();
   std::vector<Scenario> out;
-  out.reserve(pointCount());
-  for (const std::string& protocol : protocols) {
-    for (const churn::Model model : models) {
-      for (const std::size_t n : sizes) {
-        for (const std::uint64_t seed : seeds) {
-          for (const double drop : drops) {
-            for (const double overreport : overreports) {
-              Scenario s = base;
-              s.protocol = protocol;
-              s.model = model;
-              s.stableSize = n;
-              s.seed = seed;
-              s.messageDropProbability = drop;
-              s.overreportFraction = overreport;
-              if (base.configOverride) {
-                // Re-derive per point: each swept size gets its own paper
-                // baseline with the spec's nonzero knobs pinned.
-                s.configOverride = cvsKOverride(model, n,
-                                                base.configOverride->cvs,
-                                                base.configOverride->k);
-              }
-              out.push_back(std::move(s));
-            }
-          }
-        }
-      }
+  out.reserve(count);
+  std::vector<std::size_t> digit(axes.size(), 0);
+  for (std::size_t point = 0; point < count; ++point) {
+    Scenario s;
+    for (std::size_t a = 0; a < axes.size(); ++a) {
+      kKeys[axes[a].rule].apply(s, axes[a].values[digit[a]], axes[a].line);
+    }
+    if (s.configOverride) {
+      // Each point gets its own paper baseline for its model and n, with
+      // the spec's nonzero cvs/k pinned.
+      s.configOverride = cvsKOverride(s.model, s.stableSize,
+                                      s.configOverride->cvs,
+                                      s.configOverride->k);
+    }
+    out.push_back(std::move(s));
+    // Odometer: the innermost axis turns fastest.
+    for (std::size_t a = axes.size(); a-- > 0;) {
+      if (++digit[a] < axes[a].values.size()) break;
+      digit[a] = 0;
     }
   }
   return out;
@@ -422,6 +684,12 @@ std::vector<Scenario> SweepSpec::expand() const {
 
 Scenario Scenario::fromSpec(const std::string& text) {
   const SweepSpec spec = SweepSpec::parse(text);
+  if (!spec.expectations.empty()) {
+    const Expectation& first = spec.expectations.front();
+    fail(first.line, "Scenario::fromSpec runs one scenario and checks no "
+                     "expectations — '" + first.text +
+                     "' needs avmon_sim (SweepSpec::parse)");
+  }
   if (spec.pointCount() != 1) {
     throw std::invalid_argument(
         "Scenario::fromSpec: spec expands to " +

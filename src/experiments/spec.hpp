@@ -3,23 +3,25 @@
 // Grammar — one `key = value` pair per line, `#` starts a comment:
 //
 //     # AVMON vs. the baselines under SYNTH churn, 3 seeds
-//     protocol = avmon, broadcast, central     # list keys sweep
+//     protocol = avmon, broadcast, central     # a comma list sweeps
 //     model    = SYNTH
 //     n        = 150
 //     seed     = 1, 2, 3
 //     horizon_min = 80
 //     warmup_min  = 30
+//     expect.discovery_s.p96 <= 30             # checked on every point
 //
-// Scalar keys (applied to every expanded scenario): horizon_min or
+// Keys: protocol, model, n, seed, drop, overreport, horizon_min or
 // horizon_ms, warmup_min or warmup_ms, control_fraction, hash, cvs, k
-// (0 = paper default), pr2, forgetful, forgetful_ewma, overreport,
-// rpc_fail, measured (auto|control|born_after_warmup|all), shards,
+// (0 = paper default), pr2, forgetful, forgetful_ewma, rpc_fail,
+// measured (auto|control|born_after_warmup|all), shards,
 // shuffle (union-sample|swap), notify_dedup_max,
 // history (raw|recent|aged|compact) with history_param (style-specific
-// knob; compact: max run-length runs per target),
-// metrics.window (seconds; 0 = one window closing at the horizon),
-// metrics.reducers (comma list of ReducerRegistry names; applies as one
-// value, not a sweep axis), metrics.quantiles (comma list in (0,1)).
+// knob; compact: max run-length runs per target), transport (sim|udp),
+// udp.port_base, udp.retry_max, udp.backoff_ms, udp.backoff_cap_ms,
+// udp.time_scale, metrics.window (seconds; 0 = one window closing at the
+// horizon), metrics.reducers (ReducerRegistry names) and
+// metrics.quantiles (each in (0,1)).
 //
 // Fault-injection and adversary keys (sim/fault_plan.hpp and
 // experiments/adversary.hpp; times in seconds, latencies in ms,
@@ -31,43 +33,94 @@
 //     attack.collusion = C          # coalition size
 //     attack.victims   = V          # targets (default 1 when C > 0)
 //     attack.forgetful = fraction   # storage-wiping cohort
-// List keys (comma-separated, cross-producted in
-// protocol > model > n > seed > drop > attack.overreport order):
-// protocol, model, n, seed, drop, attack.overreport (sweepable alias of
-// the scalar `overreport`; naming both is an error).  A spec whose lists
-// are all singletons is exactly one Scenario — Scenario::fromSpec /
-// toSpec round-trip through this grammar, and `avmon_sim --spec file`
-// runs the file.
+//
+// Sweeps: a comma list on any key except metrics.reducers and
+// metrics.quantiles (which take a list as one value) sweeps that key, and
+// the points are the cross product. protocol > model > n > seed > drop >
+// overreport nest outermost in that order; every other swept key nests
+// inside them in the order of the key list above. A spec whose lists are
+// all singletons is exactly one Scenario — Scenario::fromSpec / toSpec
+// round-trip through this grammar, and `avmon_sim --spec file` runs the
+// file.
+//
+// Expectations: a line `expect.<metric>.<stat> <op> <bound>` is checked on
+// every point after it runs (avmon_sim prints one verdict row per point
+// and expectation, and exits 1 if any fails).
+//     <metric>  discovery_s, discovery2_s, discovery3_s (first, second and
+//               third monitor), memory_entries, outgoing_bps,
+//               useless_pings_per_min, computations_per_s,
+//               accuracy_abs_error, discovered_fraction (mean|count only)
+//     <stat>    mean, stddev, min, max, count, or p<percent> (p96, p99.85)
+//               read from the metric's quantile sketch
+//     <op>      <, <=, >, >=, or ~ with a `± x` or `± x%` tolerance
+//     <bound>   a number, or closed:<name> — a Section 4 closed form
+//               (analysis/formulas.hpp) at the point's effective N and
+//               resolved cvs, K and protocol period
+// One comparison per line: no arithmetic, no predicates across points.
 //
 // This header also hosts the small argv reader both command-line tools
 // share, so flag parsing lives in one place.
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "analysis/formulas.hpp"
 #include "common/format_double.hpp"
 #include "experiments/scenario.hpp"
+#include "experiments/streaming/reducer.hpp"
 
 namespace avmon::experiments {
 
-/// A parsed sweep: one base scenario plus the axes to cross-product.
-struct SweepSpec {
-  Scenario base;  ///< scalar keys applied to every point
+/// One parsed `expect.<metric>.<stat> <op> <bound>` line. Parsing resolves
+/// the metric, the statistic and the closed form, so a spec that parses
+/// can be checked on any run.
+struct Expectation {
+  enum class Stat { kMean, kStddev, kMin, kMax, kCount, kQuantile };
+  enum class Op { kLess, kLessEqual, kGreater, kGreaterEqual, kNear };
 
-  // Sweep axes; parse() fills absent axes with the base's single value,
-  // so expand() is always the full cross product of six lists.
-  std::vector<std::string> protocols;
-  std::vector<churn::Model> models;
-  std::vector<std::size_t> sizes;
-  std::vector<std::uint64_t> seeds;
-  std::vector<double> drops;        ///< messageDropProbability axis
-  std::vector<double> overreports;  ///< attack.overreport axis
+  std::string text;  ///< the line as written, without its comment
+  std::size_t line = 0;
+  /// The summary metric read; nullptr for discovered_fraction.
+  const streaming::StreamedMetric streaming::StreamedSummary::*metric =
+      nullptr;
+  Stat stat = Stat::kMean;
+  double phi = 0.0;  ///< quantile in (0, 1) for Stat::kQuantile
+  Op op = Op::kLess;
+  double bound = 0.0;                            ///< when closed is null
+  const analysis::ClosedForm* closed = nullptr;  ///< closed:<name>
+  /// `~` only: the `± x` slack, in the metric's unit or, when
+  /// relativeTolerance (`± x%`), in percent of the bound.
+  double tolerance = 0.0;
+  bool relativeTolerance = false;
+
+  /// The statistic on a run's summary; nullopt when the metric has no
+  /// sample (every statistic but count).
+  std::optional<double> measuredOn(
+      const streaming::StreamedSummary& summary) const;
+  /// The bound at `point` (the number itself unless closed:<name>).
+  double boundAt(const analysis::ClosedFormPoint& point) const;
+  /// Whether `measured` satisfies the comparison against `bound`.
+  bool holds(double measured, double bound) const;
+};
+
+/// A parsed sweep: every key's values plus the expectations to check.
+struct SweepSpec {
+  /// One key's line and its values (one per swept point).
+  struct Axis {
+    std::size_t rule = 0;  ///< index into the key table (spec.cpp)
+    std::size_t line = 0;
+    std::vector<std::string> values;
+  };
+  std::vector<Axis> axes;  ///< nesting order, outermost first
+  std::vector<Expectation> expectations;
 
   /// Parses spec text; throws std::invalid_argument naming the offending
-  /// line on unknown keys, duplicates, or malformed values.
+  /// line on unknown keys, duplicates, malformed or out-of-range values,
+  /// and malformed expect lines.
   static SweepSpec parse(const std::string& text);
 
   /// Reads and parses a spec file; throws std::runtime_error if the file
@@ -77,9 +130,9 @@ struct SweepSpec {
   /// Number of scenarios expand() will produce.
   std::size_t pointCount() const;
 
-  /// The cross product, in deterministic nested order: protocol
-  /// (outermost), model, n, seed, drop, attack.overreport (innermost).
-  /// Same spec, same expansion — sweeps are reproducible by construction.
+  /// The cross product, in deterministic nested order (see the header
+  /// comment). Same spec, same expansion — sweeps are reproducible by
+  /// construction.
   std::vector<Scenario> expand() const;
 };
 

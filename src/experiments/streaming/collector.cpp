@@ -32,6 +32,12 @@ NodeProbe probeNode(const ScenarioRunner& runner, const NodeId& id) {
     if (const auto d = protocol.discoveryDelay(id, 1)) {
       probe.discoverySeconds = toSeconds(*d);
     }
+    if (const auto d = protocol.discoveryDelay(id, 2)) {
+      probe.discovery2Seconds = toSeconds(*d);
+    }
+    if (const auto d = protocol.discoveryDelay(id, 3)) {
+      probe.discovery3Seconds = toSeconds(*d);
+    }
     const double upSeconds = toSeconds(nt->totalUpTime());
     if (upSeconds >= 1.0) {
       probe.computationsPerSecond =

@@ -24,6 +24,12 @@ class SummaryReducer final : public Reducer {
 
   void onNode(const NodeProbe& probe) override {
     if (probe.discoverySeconds) agg_.discoverySeconds.add(*probe.discoverySeconds);
+    if (probe.discovery2Seconds) {
+      agg_.discovery2Seconds.add(*probe.discovery2Seconds);
+    }
+    if (probe.discovery3Seconds) {
+      agg_.discovery3Seconds.add(*probe.discovery3Seconds);
+    }
     if (probe.memoryEntries) agg_.memoryEntries.add(*probe.memoryEntries);
     if (probe.outgoingBytesPerSecond) {
       agg_.outgoingBytesPerSecond.add(*probe.outgoingBytesPerSecond);
@@ -47,6 +53,8 @@ class SummaryReducer final : public Reducer {
   void mergeFrom(const Reducer& other) override {
     const auto& o = dynamic_cast<const SummaryReducer&>(other);
     agg_.discoverySeconds.merge(o.agg_.discoverySeconds);
+    agg_.discovery2Seconds.merge(o.agg_.discovery2Seconds);
+    agg_.discovery3Seconds.merge(o.agg_.discovery3Seconds);
     agg_.memoryEntries.merge(o.agg_.memoryEntries);
     agg_.outgoingBytesPerSecond.merge(o.agg_.outgoingBytesPerSecond);
     agg_.uselessPingsPerMinute.merge(o.agg_.uselessPingsPerMinute);
@@ -60,7 +68,9 @@ class SummaryReducer final : public Reducer {
 
   std::size_t stateBytes() const override {
     return sizeof(*this) - sizeof(StreamedSummary) +
-           agg_.discoverySeconds.stateBytes() + agg_.memoryEntries.stateBytes() +
+           agg_.discoverySeconds.stateBytes() +
+           agg_.discovery2Seconds.stateBytes() +
+           agg_.discovery3Seconds.stateBytes() + agg_.memoryEntries.stateBytes() +
            agg_.outgoingBytesPerSecond.stateBytes() +
            agg_.uselessPingsPerMinute.stateBytes() +
            agg_.computationsPerSecond.stateBytes() +

@@ -76,6 +76,9 @@ struct NodeProbe {
   bool measured = false;
   bool joined = false;  ///< measured node that joined (discovery denominator)
   std::optional<double> discoverySeconds;
+  /// Second and third monitor's discovery delay (Figure 6).
+  std::optional<double> discovery2Seconds;
+  std::optional<double> discovery3Seconds;
   std::optional<double> memoryEntries;
   std::optional<double> outgoingBytesPerSecond;
   std::optional<double> uselessPingsPerMinute;
@@ -121,6 +124,10 @@ struct StreamedMetric {
 /// (experiments/adversary.hpp) against the final protocol state.
 struct StreamedSummary {
   StreamedMetric discoverySeconds;
+  /// Second and third monitor's discovery delay: read by expect.* lines,
+  /// not by the table and JSON sinks.
+  StreamedMetric discovery2Seconds;
+  StreamedMetric discovery3Seconds;
   StreamedMetric memoryEntries;
   StreamedMetric outgoingBytesPerSecond;
   StreamedMetric uselessPingsPerMinute;

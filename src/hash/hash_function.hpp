@@ -4,7 +4,7 @@
 // function H : bytes -> [0,1) that every node computes identically. The
 // paper uses the first 64 bits of MD5; SHA-1 is named as an alternative.
 // We expose both plus a fast non-cryptographic mixer (splitmix64) as an
-// ablation (bench_abl_hash): verifiability only requires agreement on H,
+// ablation (examples/specs/paper/abl_hash.spec): verifiability only requires agreement on H,
 // so a faster mixer trades collusion-grinding resistance for CPU.
 #pragma once
 

@@ -2,7 +2,7 @@
 //
 // The paper notes MD-5 *or* SHA-1 can implement the consistency condition
 // (Section 3.1); we provide both so the hash choice is an ablation axis
-// (bench_abl_hash). Like MD5, SHA-1 is used as a mixer, not for security.
+// (examples/specs/paper/abl_hash.spec). Like MD5, SHA-1 is used as a mixer, not for security.
 #pragma once
 
 #include <array>

@@ -2,18 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 namespace avmon::stats {
 
 Cdf::Cdf(std::vector<double> samples) : samples_(std::move(samples)) {
   std::sort(samples_.begin(), samples_.end());
-}
-
-double Cdf::fractionAtOrBelow(double x) const noexcept {
-  if (samples_.empty()) return 0.0;
-  const auto it = std::upper_bound(samples_.begin(), samples_.end(), x);
-  return static_cast<double>(it - samples_.begin()) /
-         static_cast<double>(samples_.size());
 }
 
 double Cdf::percentile(double p) const noexcept {
@@ -25,27 +19,6 @@ double Cdf::percentile(double p) const noexcept {
   const auto rank = static_cast<std::size_t>(
       std::ceil(p * static_cast<double>(samples_.size())));
   return samples_[std::min(rank == 0 ? 0 : rank - 1, samples_.size() - 1)];
-}
-
-std::vector<std::pair<double, double>> Cdf::curve(std::size_t points) const {
-  std::vector<std::pair<double, double>> out;
-  if (samples_.empty() || points == 0) return out;
-  out.reserve(points);
-  const double lo = samples_.front();
-  const double hi = samples_.back();
-  if (points == 1 || hi == lo) {
-    out.emplace_back(hi, 1.0);
-    return out;
-  }
-  for (std::size_t i = 0; i + 1 < points; ++i) {
-    const double x =
-        lo + (hi - lo) * static_cast<double>(i) / static_cast<double>(points - 1);
-    out.emplace_back(x, fractionAtOrBelow(x));
-  }
-  // Emit the endpoint exactly: lo + (hi-lo)*1.0 can round below hi, which
-  // would leave the curve short of y = 1.0 when the max sample is unique.
-  out.emplace_back(hi, 1.0);
-  return out;
 }
 
 }  // namespace avmon::stats

@@ -1,8 +1,8 @@
-// Empirical CDFs — half the paper's figures are CDFs across nodes.
+// Empirical CDF over a sample set: the exact quantiles the streaming
+// quantile sketch is tested against.
 #pragma once
 
 #include <cstddef>
-#include <utility>
 #include <vector>
 
 namespace avmon::stats {
@@ -16,19 +16,13 @@ class Cdf {
 
   std::size_t count() const noexcept { return samples_.size(); }
 
-  /// Fraction of samples <= x.
-  double fractionAtOrBelow(double x) const noexcept;
-
-  /// Smallest sample s such that fractionAtOrBelow(s) >= p, for p in (0,1].
+  /// Smallest sample s such that a fraction >= p of the samples is <= s,
+  /// for p in (0,1].
   /// p <= 0 returns the minimum sample.
   double percentile(double p) const noexcept;
 
   double min() const noexcept { return samples_.empty() ? 0.0 : samples_.front(); }
   double max() const noexcept { return samples_.empty() ? 0.0 : samples_.back(); }
-
-  /// (x, F(x)) pairs at `points` evenly spaced x positions across
-  /// [min, max] — the series the benches print for CDF figures.
-  std::vector<std::pair<double, double>> curve(std::size_t points) const;
 
   const std::vector<double>& sorted() const noexcept { return samples_; }
 

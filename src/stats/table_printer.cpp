@@ -6,6 +6,20 @@
 
 namespace avmon::stats {
 
+namespace {
+
+// Columns a UTF-8 cell occupies: continuation bytes take none, so "±"
+// pads like one character.
+std::size_t displayWidth(const std::string& cell) {
+  std::size_t width = 0;
+  for (const char c : cell) {
+    if ((static_cast<unsigned char>(c) & 0xC0) != 0x80) ++width;
+  }
+  return width;
+}
+
+}  // namespace
+
 std::string TablePrinter::num(double v, int precision) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%.*f", precision, v);
@@ -20,7 +34,7 @@ void TablePrinter::print(std::ostream& out) const {
   const auto grow = [&](const std::vector<std::string>& cells) {
     if (cells.size() > widths.size()) widths.resize(cells.size(), 0);
     for (std::size_t i = 0; i < cells.size(); ++i)
-      widths[i] = std::max(widths[i], cells[i].size());
+      widths[i] = std::max(widths[i], displayWidth(cells[i]));
   };
   if (!header_.empty()) grow(header_);
   for (const auto& row : rows_) grow(row);
@@ -29,7 +43,7 @@ void TablePrinter::print(std::ostream& out) const {
     for (std::size_t i = 0; i < cells.size(); ++i) {
       out << cells[i];
       if (i + 1 < cells.size())
-        out << std::string(widths[i] - cells[i].size() + 2, ' ');
+        out << std::string(widths[i] - displayWidth(cells[i]) + 2, ' ');
     }
     out << '\n';
   };

@@ -126,6 +126,22 @@ TEST(FormulaTest, SystemWideCollusionFreedom) {
   EXPECT_LT(probSystemCollusionFree(1000, 10, 1000), 0.01);
 }
 
+TEST(FormulaTest, MemoryAndCheckClosedForms) {
+  EXPECT_DOUBLE_EQ(expectedMemoryEntries(27, 11), 49.0);  // Figure 9, N=2000
+  EXPECT_DOUBLE_EQ(checksPerPeriod(27), 1458.0);
+}
+
+TEST(FormulaTest, ClosedFormsResolveByName) {
+  const ClosedFormPoint point{2000, 27, 11, 60.0};
+  ASSERT_NE(findClosedForm("memory_entries"), nullptr);
+  EXPECT_DOUBLE_EQ(findClosedForm("memory_entries")->eval(point), 49.0);
+  EXPECT_DOUBLE_EQ(findClosedForm("checks_per_s")->eval(point), 1458.0 / 60);
+  EXPECT_DOUBLE_EQ(findClosedForm("discovery_s")->eval(point),
+                   expectedDiscoveryRounds(27, 2000) * 60.0);
+  EXPECT_EQ(findClosedForm("nope"), nullptr);
+  EXPECT_NE(closedFormNames().find("checks_per_s"), std::string::npos);
+}
+
 TEST(Table1Test, HasFiveRowsWithExpectedOrdering) {
   const auto rows = table1(1000000, 100);
   ASSERT_EQ(rows.size(), 5u);

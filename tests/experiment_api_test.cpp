@@ -4,7 +4,10 @@
 // stream-failure contract.
 #include <gtest/gtest.h>
 
+#include <sys/wait.h>
+
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <sstream>
 
@@ -14,6 +17,7 @@
 #include "experiments/spec.hpp"
 #include "experiments/streaming/reducer_registry.hpp"
 #include "golden_hash.hpp"
+#include "stats/table_printer.hpp"
 
 namespace avmon::experiments {
 namespace {
@@ -310,9 +314,60 @@ TEST(ScenarioSpecTest, ErrorsNameTheOffendingLine) {
   expectError("faults.latency = 0:60:30\n", "t0:t1:min_ms:max_ms");
   expectError("faults.geo = 4:5:20\n", "regions:intra_min_ms");
   expectError("shuffle = shake\n", "union-sample|swap");
-  // The scalar `overreport` and the sweep axis `attack.overreport` both
-  // drive overreportFraction — naming both is ambiguous, not a merge.
-  expectError("overreport = 0.1\nattack.overreport = 0.2, 0.4\n", "sweep");
+  // A swept horizon below the default warm-up names the missing key.
+  expectError("horizon_min = 120, 30\n", "set warmup_min");
+
+  // Integers: no sign for stoull to wrap, and every narrowing key checks
+  // its range before it casts or multiplies.
+  expectError("model = STAT\nseed = -3\n",
+              "spec line 2: expected an unsigned integer, got '-3'");
+  expectError("k = 4294967297\n", "spec line 1: '4294967297' is out of range");
+  expectError("shards = -1\n", "spec line 1: expected an unsigned integer");
+  expectError("horizon_min = 153722867280912930\n",
+              "spec line 1: '153722867280912930' is out of range");
+  expectError("warmup_min = 153722867280912930\n", "spec line 1: ");
+  expectError("horizon_ms = 9223372036854775808\n", "out of range");
+  expectError("n = 18446744073709551616\n", "out of range");
+  expectError("notify_dedup_max = 4294967296\n", "out of range");
+  expectError("attack.collusion = 4294967296\n", "out of range");
+  expectError("attack.victims = -1\n", "unsigned integer");
+  expectError("faults.partition = 0:60:4294967296\n", "out of range");
+  expectError("faults.geo = 4294967296:5:20:50:150\n", "out of range");
+  expectError("udp.retry_max = 4294967296\n", "out of range");
+  expectError("udp.backoff_ms = -5\n", "unsigned integer");
+  expectError("udp.backoff_cap_ms = 99999999999\n", "out of range");
+  expectError("udp.port_base = 65536\n", "out of range");
+
+  // Malformed expect lines name their line too.
+  expectError("model = STAT\nexpect.bogus.mean < 1\n",
+              "spec line 2: unknown metric 'bogus'");
+  expectError("expect.discovery_s.median < 1\n",
+              "spec line 1: unknown statistic 'median'");
+  expectError("expect.discovery_s.p100 < 1\n", "unknown statistic 'p100'");
+  expectError("expect.discovery_s.mean = 1\n",
+              "spec line 1: unknown operator '='");
+  expectError("expect.discovery_s.mean < closed:nope\n",
+              "spec line 1: unknown closed form 'nope'");
+  expectError("expect.discovery_s.mean ~ 30\n",
+              "spec line 1: '~' needs a tolerance");
+  expectError("expect.discovery_s.mean < 30 \xC2\xB1 2\n", "'~' only");
+  expectError("expect.discovered_fraction.p50 >= 0.5\n",
+              "discovered_fraction has only");
+  expectError("expect.discovery_s < 30\n", "expect.<metric>.<stat>");
+}
+
+TEST(ScenarioSpecTest, FromSpecRejectsExpectations) {
+  try {
+    Scenario::fromSpec(
+        "model = STAT\n\nexpect.discovery_s.mean < 60\n"
+        "expect.memory_entries.max < 9\n");
+    FAIL() << "expected invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("spec line 3"), std::string::npos) << what;
+    EXPECT_NE(what.find("expect.discovery_s.mean < 60"), std::string::npos)
+        << what;
+  }
 }
 
 TEST(ScenarioSpecTest, FromSpecRejectsSweeps) {
@@ -502,10 +557,10 @@ TEST(SweepSpecTest, ExpansionCountAndOrderAreDeterministic) {
   }
 }
 
-TEST(SweepSpecTest, AttackOverreportIsTheInnermostSweepAxis) {
+TEST(SweepSpecTest, OverreportIsTheInnermostOfTheSixOuterAxes) {
   const SweepSpec sweep = SweepSpec::parse(
       "model = STAT\nn = 60\nseed = 1, 2\n"
-      "attack.overreport = 0, 0.5\n");
+      "overreport = 0, 0.5\n");
   EXPECT_EQ(sweep.pointCount(), 4u);
   const auto scenarios = sweep.expand();
   ASSERT_EQ(scenarios.size(), 4u);
@@ -517,12 +572,69 @@ TEST(SweepSpecTest, AttackOverreportIsTheInnermostSweepAxis) {
   EXPECT_EQ(scenarios[2].seed, 2u);
   EXPECT_DOUBLE_EQ(scenarios[3].overreportFraction, 0.5);
 
-  // The scalar spelling feeds the same field as a one-point axis.
+  // A single value is a one-point axis.
   const auto scalar = SweepSpec::parse("model = STAT\nn = 60\n"
                                        "overreport = 0.3\n")
                           .expand();
   ASSERT_EQ(scalar.size(), 1u);
   EXPECT_DOUBLE_EQ(scalar[0].overreportFraction, 0.3);
+}
+
+TEST(SweepSpecTest, AnySweptKeyNestsInsideSeed) {
+  // hash precedes cvs in the key list, so it is the outer of the two.
+  const SweepSpec sweep = SweepSpec::parse(
+      "cvs = 8, 12\nhash = md5, splitmix64\nmodel = STAT\nn = 60\n"
+      "seed = 1, 2\n");
+  ASSERT_EQ(sweep.pointCount(), 8u);
+  const auto scenarios = sweep.expand();
+  ASSERT_EQ(scenarios.size(), 8u);
+  const AvmonConfig defaults = AvmonConfig::paperDefaults(60);
+  for (std::size_t i = 0; i < scenarios.size(); ++i) {
+    const Scenario& s = scenarios[i];
+    EXPECT_EQ(s.seed, i < 4 ? 1u : 2u) << i;
+    EXPECT_EQ(s.hashName, i % 4 < 2 ? "md5" : "splitmix64") << i;
+    ASSERT_TRUE(s.configOverride.has_value()) << i;
+    EXPECT_EQ(s.configOverride->cvs, i % 2 == 0 ? 8u : 12u) << i;
+    EXPECT_EQ(s.configOverride->k, defaults.k) << i;
+  }
+
+  // Line order never changes the nesting.
+  const auto reordered = SweepSpec::parse(
+      "seed = 1, 2\nn = 60\nmodel = STAT\nhash = md5, splitmix64\n"
+      "cvs = 8, 12\n").expand();
+  ASSERT_EQ(reordered.size(), scenarios.size());
+  for (std::size_t i = 0; i < scenarios.size(); ++i) {
+    EXPECT_EQ(reordered[i].toSpec(), scenarios[i].toSpec()) << i;
+  }
+}
+
+TEST(SweepSpecTest, ListValuedMetricsKeysStayOnePoint) {
+  const SweepSpec sweep = SweepSpec::parse(
+      "model = STAT\nn = 60\nmetrics.reducers = summary, traffic\n"
+      "metrics.quantiles = 0.5, 0.9\n");
+  EXPECT_EQ(sweep.pointCount(), 1u);
+  const auto scenarios = sweep.expand();
+  ASSERT_EQ(scenarios.size(), 1u);
+  EXPECT_EQ(scenarios[0].metrics.reducers,
+            (std::vector<std::string>{"summary", "traffic"}));
+  EXPECT_EQ(scenarios[0].metrics.quantiles, (std::vector<double>{0.5, 0.9}));
+}
+
+TEST(SweepSpecTest, EveryExpandedPointRoundTrips) {
+  const auto scenarios =
+      SweepSpec::parse(
+          "protocol = avmon, self_report\nmodel = SYNTH\nn = 80\n"
+          "seed = 3\ncvs = 9, 0\nk = 0, 4\npr2 = true, false\n"
+          "forgetful = false, true\nshuffle = swap, union-sample\n"
+          "history = raw, compact\nhorizon_min = 40\nwarmup_min = 10\n"
+          "metrics.reducers = summary, discovery\n")
+          .expand();
+  ASSERT_EQ(scenarios.size(), 2u * 2u * 2u * 2u * 2u * 2u * 2u);
+  for (std::size_t i = 0; i < scenarios.size(); ++i) {
+    const Scenario back = Scenario::fromSpec(scenarios[i].toSpec());
+    EXPECT_TRUE(scenarioEquals(scenarios[i], back)) << i;
+    EXPECT_EQ(scenarios[i].toSpec(), back.toSpec()) << i;
+  }
 }
 
 TEST(SweepSpecTest, AbsentAxesDefaultToSingletons) {
@@ -801,6 +913,155 @@ TEST(ScenarioSpecTest, SpecReproducesCodeBuiltScenario) {
   EXPECT_TRUE(scenarioEquals(built, spec));
   EXPECT_EQ(built.toSpec(), spec.toSpec());
 }
+
+// ---- expectations ----
+
+TEST(ExpectationTest, ComparisonsAndTolerances) {
+  const auto one = [](const std::string& line) {
+    const SweepSpec sweep = SweepSpec::parse(line + "\n");
+    EXPECT_EQ(sweep.expectations.size(), 1u) << line;
+    return sweep.expectations.front();
+  };
+  EXPECT_TRUE(one("expect.discovery_s.mean < 30").holds(29.9, 30));
+  EXPECT_FALSE(one("expect.discovery_s.mean < 30").holds(30, 30));
+  EXPECT_TRUE(one("expect.discovery_s.mean <= 30").holds(30, 30));
+  EXPECT_TRUE(one("expect.discovery_s.mean > 30").holds(30.1, 30));
+  EXPECT_FALSE(one("expect.discovery_s.mean >= 30").holds(29.9, 30));
+  const Expectation relative = one("expect.memory_entries.mean ~ 40 \xC2\xB1 10%");
+  EXPECT_TRUE(relative.holds(44, 40));
+  EXPECT_FALSE(relative.holds(44.5, 40));
+  const Expectation absolute = one("expect.memory_entries.mean ~ 40 \xC2\xB1 2");
+  EXPECT_TRUE(absolute.holds(38, 40));
+  EXPECT_FALSE(absolute.holds(37.5, 40));
+
+  // p<percent> reads the sketch at percent / 100.
+  const Expectation p = one("expect.outgoing_bps.p99.85 <= 11");
+  EXPECT_EQ(p.stat, Expectation::Stat::kQuantile);
+  EXPECT_DOUBLE_EQ(p.phi, 0.9985);
+
+  // closed:<name> evaluates the formulas.hpp closed form at the point.
+  const analysis::ClosedFormPoint point{2000, 27, 11, 60.0};
+  EXPECT_DOUBLE_EQ(
+      one("expect.memory_entries.mean ~ closed:memory_entries \xC2\xB1 10%")
+          .boundAt(point),
+      27.0 + 2.0 * 11.0);
+  EXPECT_DOUBLE_EQ(
+      one("expect.computations_per_s.mean < closed:checks_per_s")
+          .boundAt(point),
+      2.0 * 27.0 * 27.0 / 60.0);
+  EXPECT_DOUBLE_EQ(one("expect.discovery_s.mean < 30").boundAt(point), 30.0);
+}
+
+Scenario tinyRun() {
+  Scenario s;
+  s.model = churn::Model::kStat;
+  s.stableSize = 40;
+  s.horizon = 30 * kMinute;
+  s.warmup = 10 * kMinute;
+  s.seed = 5;
+  return s;
+}
+
+TEST(ExpectationTest, VerdictRowsCarryTheMeasuredValue) {
+  ScenarioRunner runner(tinyRun());
+  runner.run();
+  const MetricSet set = collectMetrics(runner);
+  const SweepSpec sweep = SweepSpec::parse(
+      "expect.memory_entries.mean > 0\n"
+      "expect.memory_entries.mean < 0\n");
+  const double mean = set.summary().memoryEntries.stats.mean();
+  ASSERT_GT(mean, 0.0);
+  EXPECT_EQ(sweep.expectations[0].measuredOn(set.summary()), mean);
+
+  std::ostringstream out;
+  EXPECT_EQ(printVerdicts(sweep.expectations, {set}, out), 1u);
+  const std::string text = out.str();
+  const std::string measured = stats::TablePrinter::num(mean, 4);
+  const std::size_t pass = text.find("expect.memory_entries.mean > 0");
+  const std::size_t fail = text.find("expect.memory_entries.mean < 0");
+  ASSERT_NE(pass, std::string::npos) << text;
+  ASSERT_NE(fail, std::string::npos) << text;
+  const std::string passRow = text.substr(pass, text.find('\n', pass) - pass);
+  const std::string failRow = text.substr(fail, text.find('\n', fail) - fail);
+  EXPECT_NE(passRow.find(measured), std::string::npos) << passRow;
+  EXPECT_NE(passRow.find("PASS"), std::string::npos) << passRow;
+  EXPECT_NE(failRow.find(measured), std::string::npos) << failRow;
+  EXPECT_NE(failRow.find("FAIL"), std::string::npos) << failRow;
+  EXPECT_NE(text.find("1 of 2 expectations failed"), std::string::npos);
+
+  // A metric without samples fails: no vacuous pass on an empty sketch.
+  const SweepSpec empty =
+      SweepSpec::parse("expect.discovery3_s.max <= 1e9\n");
+  MetricSet none = set;
+  none.streamed->discovery3Seconds = streaming::StreamedMetric{};
+  std::ostringstream quiet;
+  EXPECT_EQ(printVerdicts(empty.expectations, {none}, quiet), 1u);
+  EXPECT_NE(quiet.str().find("n/a"), std::string::npos);
+}
+
+#ifdef AVMON_SIM_BINARY
+std::string readFile(const std::string& path) {
+  std::ifstream f(path);
+  std::ostringstream buffer;
+  buffer << f.rdbuf();
+  return buffer.str();
+}
+
+// Runs the avmon_sim binary on `spec`; returns its exit status.
+int runAvmonSim(const std::string& spec, const std::string& stdoutPath,
+                const std::string& jsonPath) {
+  const std::string specPath = ::testing::TempDir() + "avmon_sim_expect.spec";
+  std::ofstream(specPath) << spec;
+  const std::string command = std::string(AVMON_SIM_BINARY) + " --spec " +
+                              specPath + " --json " + jsonPath + " > " +
+                              stdoutPath + " 2>&1";
+  const int status = std::system(command.c_str());
+  std::remove(specPath.c_str());
+  return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+}
+
+// Expectations change no run: with and without its expect lines a spec
+// prints the same tables and writes the same JSON; the verdict rows follow
+// the tables, and one failed row makes the exit status 1.
+TEST(ExpectationTest, AvmonSimChecksWithoutChangingTheRun) {
+  const std::string base =
+      "model = STAT\nn = 40\nhorizon_min = 30\nwarmup_min = 10\n"
+      "seed = 5, 6\n";
+  const std::string dir = ::testing::TempDir();
+  const std::string json = dir + "avmon_sim_expect.json";
+
+  ASSERT_EQ(runAvmonSim(base, dir + "avmon_sim_plain.txt", json), 0);
+  const std::string plainOut = readFile(dir + "avmon_sim_plain.txt");
+  const std::string plainJson = readFile(json);
+
+  ASSERT_EQ(runAvmonSim(base + "expect.discovered_fraction.count >= 0\n",
+                        dir + "avmon_sim_pass.txt", json),
+            0);
+  const std::string passOut = readFile(dir + "avmon_sim_pass.txt");
+  EXPECT_EQ(readFile(json), plainJson);
+
+  ASSERT_EQ(runAvmonSim(base + "expect.discovered_fraction.count >= 0\n"
+                               "expect.memory_entries.mean < 0\n",
+                        dir + "avmon_sim_fail.txt", json),
+            1);
+  const std::string failOut = readFile(dir + "avmon_sim_fail.txt");
+  EXPECT_EQ(readFile(json), plainJson);
+
+  for (const std::string* out : {&passOut, &failOut}) {
+    ASSERT_GT(out->size(), plainOut.size());
+    EXPECT_EQ(out->substr(0, plainOut.size()), plainOut);
+    EXPECT_EQ(out->substr(plainOut.size()).rfind("== expectations ==", 0), 0u)
+        << *out;
+  }
+  EXPECT_NE(passOut.find("0 of 2 expectations failed"), std::string::npos);
+  EXPECT_NE(failOut.find("2 of 4 expectations failed"), std::string::npos);
+  for (const char* name :
+       {"avmon_sim_plain.txt", "avmon_sim_pass.txt", "avmon_sim_fail.txt"}) {
+    std::remove((dir + name).c_str());
+  }
+  std::remove(json.c_str());
+}
+#endif
 
 }  // namespace
 }  // namespace avmon::experiments

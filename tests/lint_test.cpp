@@ -345,7 +345,7 @@ TEST(LintGetenvTest, GetenvTriggersAndAnnotatedPasses) {
       "const char* f() {\n"
       "  " + allow("getenv", "operator scale knob, read once at startup") +
       "\n"
-      "  return std::getenv(\"AVMON_BENCH_SCALE\");\n"
+      "  return std::getenv(\"AVMON_SCALE_KNOB\");\n"
       "}\n");
   EXPECT_TRUE(ok.empty()) << dump(ok);
 }

@@ -68,18 +68,7 @@ TEST(SummaryTest, MergeWithEmpty) {
 TEST(CdfTest, EmptyIsSafe) {
   Cdf cdf({});
   EXPECT_EQ(cdf.count(), 0u);
-  EXPECT_DOUBLE_EQ(cdf.fractionAtOrBelow(10), 0.0);
   EXPECT_DOUBLE_EQ(cdf.percentile(0.5), 0.0);
-  EXPECT_TRUE(cdf.curve(10).empty());
-}
-
-TEST(CdfTest, FractionAtOrBelow) {
-  Cdf cdf({1, 2, 3, 4, 5});
-  EXPECT_DOUBLE_EQ(cdf.fractionAtOrBelow(0), 0.0);
-  EXPECT_DOUBLE_EQ(cdf.fractionAtOrBelow(1), 0.2);
-  EXPECT_DOUBLE_EQ(cdf.fractionAtOrBelow(3), 0.6);
-  EXPECT_DOUBLE_EQ(cdf.fractionAtOrBelow(5), 1.0);
-  EXPECT_DOUBLE_EQ(cdf.fractionAtOrBelow(100), 1.0);
 }
 
 TEST(CdfTest, Percentiles) {
@@ -88,20 +77,6 @@ TEST(CdfTest, Percentiles) {
   EXPECT_DOUBLE_EQ(cdf.percentile(0.5), 20.0);
   EXPECT_DOUBLE_EQ(cdf.percentile(1.0), 40.0);
   EXPECT_DOUBLE_EQ(cdf.percentile(0.0), 10.0);
-}
-
-TEST(CdfTest, CurveIsMonotoneAndEndsAtOne) {
-  Rng rng(5);
-  std::vector<double> samples;
-  for (int i = 0; i < 500; ++i) samples.push_back(rng.uniformReal(0, 100));
-  Cdf cdf(std::move(samples));
-  const auto curve = cdf.curve(32);
-  ASSERT_EQ(curve.size(), 32u);
-  for (std::size_t i = 1; i < curve.size(); ++i) {
-    EXPECT_GE(curve[i].first, curve[i - 1].first);
-    EXPECT_GE(curve[i].second, curve[i - 1].second);
-  }
-  EXPECT_DOUBLE_EQ(curve.back().second, 1.0);
 }
 
 TEST(CdfTest, PercentileOneReturnsMaxForAllSizes) {
@@ -126,24 +101,6 @@ TEST(CdfTest, SingleSamplePercentileIsTotal) {
   }
 }
 
-TEST(CdfTest, CurveEndsExactlyAtMaxAndOne) {
-  // lo + (hi - lo) rounds below hi for these values; the endpoint must still
-  // be emitted as (hi, 1.0), not a near-miss x whose F(x) excludes the max.
-  Cdf cdf({0.1, 0.2, 0.30000000000000004});
-  const auto curve = cdf.curve(7);
-  ASSERT_EQ(curve.size(), 7u);
-  EXPECT_DOUBLE_EQ(curve.back().first, cdf.max());
-  EXPECT_DOUBLE_EQ(curve.back().second, 1.0);
-}
-
-TEST(CdfTest, IdenticalSamplesCollapse) {
-  Cdf cdf({7, 7, 7});
-  const auto curve = cdf.curve(10);
-  ASSERT_EQ(curve.size(), 1u);
-  EXPECT_DOUBLE_EQ(curve[0].first, 7.0);
-  EXPECT_DOUBLE_EQ(curve[0].second, 1.0);
-}
-
 TEST(TablePrinterTest, AlignsColumnsAndPrintsTitle) {
   TablePrinter t("Figure X: demo");
   t.setHeader({"model", "N", "value"});
@@ -161,6 +118,22 @@ TEST(TablePrinterTest, AlignsColumnsAndPrintsTitle) {
   const auto l2 = s.find("SYNTH-BD");
   ASSERT_NE(l1, std::string::npos);
   ASSERT_NE(l2, std::string::npos);
+}
+
+TEST(TablePrinterTest, PadsMultiByteCellsByDisplayWidth) {
+  TablePrinter t("widths");
+  t.setHeader({"bound", "verdict"});
+  t.addRow({"24.3 \xC2\xB1 10%", "PASS"});
+  t.addRow({"24.3 +- 10%", "FAIL"});
+  std::ostringstream out;
+  t.print(out);
+  const std::string text = out.str();
+  // "±" occupies one column, so both verdicts start in the same column.
+  const std::size_t pass = text.find("PASS");
+  const std::size_t fail = text.find("FAIL");
+  const std::size_t passLine = text.rfind('\n', pass) + 1;
+  const std::size_t failLine = text.rfind('\n', fail) + 1;
+  EXPECT_EQ(pass - passLine, fail - failLine + 1);  // +1: ± is two bytes
 }
 
 TEST(TablePrinterTest, NumFormatsPrecision) {

@@ -399,6 +399,37 @@ TEST(StreamingLaneTest, StreamedSummariesMatchSamplesAcrossShards) {
   }
 }
 
+// The second and third monitor's delays stream through the same probe as
+// the first: counts and means equal those recomputed from
+// discoveryDelay(id, 2) and discoveryDelay(id, 3) over the measured set,
+// at one shard and at three.
+TEST(StreamingLaneTest, SecondAndThirdMonitorDelaysMatchTheProbes) {
+  for (const unsigned shards : {1u, 3u}) {
+    Scenario s = goldenScenarios().front();  // STAT
+    s.shards = shards;
+    ScenarioRunner runner(s);
+    runner.run();
+    const StreamedSummary& summary = runner.streamingCollector().summary();
+    for (const std::size_t l : {2u, 3u}) {
+      std::vector<double> delays;
+      for (const NodeId& id : runner.measuredIds()) {
+        if (const auto d = runner.protocol().discoveryDelay(id, l)) {
+          delays.push_back(toSeconds(*d));
+        }
+      }
+      const StreamedMetric& m = l == 2 ? summary.discovery2Seconds
+                                       : summary.discovery3Seconds;
+      ASSERT_FALSE(delays.empty()) << "l=" << l;
+      ASSERT_EQ(m.stats.count(), delays.size()) << "S=" << shards;
+      ExactSum exact;
+      for (double x : delays) exact.add(x);
+      EXPECT_EQ(m.stats.mean(),
+                exact.value() / static_cast<double>(delays.size()))
+          << "S=" << shards << " l=" << l;
+    }
+  }
+}
+
 // The CSV files of a sharded, windowed run are written from the rows:
 // discovery.csv carries one data line per measured node that discovered a
 // monitor, however many shards and windows the run had.
@@ -439,9 +470,11 @@ TEST(StreamingLaneTest, ShardedRunWritesOneDiscoveryLinePerDiscoveredNode) {
 // horizon accuracy scan materialized a per-node estimate map inside
 // finish(); the window-incremental probes replaced it, and this test keeps
 // it dead — quadrupling the population may not grow the collector's
-// retained bytes more than the sketches' bin spread (a few hundred bytes),
-// and the absolute footprint stays under a flat ceiling no million-node
-// run could meet with any per-node container left on the path.
+// retained bytes more than the sketches' bin spread (a few hundred bytes
+// for each of the summary's eight sketches; one 8-byte id per added node
+// in each shard bank would add 1440 B on top of it), and the absolute
+// footprint stays under a flat ceiling no million-node run could meet
+// with any per-node container left on the path.
 TEST(StreamingLaneTest, CollectorStateIsPopulationIndependent) {
   const auto streamedStateBytes = [](std::size_t stableSize) {
     Scenario s = goldenScenarios().front();  // STAT
@@ -456,7 +489,7 @@ TEST(StreamingLaneTest, CollectorStateIsPopulationIndependent) {
   };
   const std::size_t small = streamedStateBytes(60);
   const std::size_t large = streamedStateBytes(240);
-  EXPECT_LT(large, small + 2048u)
+  EXPECT_LT(large, small + 3072u)
       << "streamed metric state grew with N — a per-node container is back "
          "on the probe path";
   EXPECT_LT(large, 65536u) << "collector footprint exceeds the flat ceiling";

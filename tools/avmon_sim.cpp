@@ -3,9 +3,10 @@
 // Runs the scenario — or the declarative sweep — a spec file describes,
 // for any registered protocol, and reports through the unified metrics
 // sinks: a summary table (plus a cross-run comparison table for sweeps)
-// on stdout, optional CSV files, optional JSON. All figure benches are
-// fixed-recipe wrappers over the same runner; this tool is the free-form
-// entry point.
+// on stdout, optional CSV files, optional JSON. The paper's figures are
+// spec files (examples/specs/paper/): when a spec carries expect.* lines,
+// a verdict table follows the tables and the exit status is 1 if any
+// expectation failed.
 //
 // Usage:
 //   avmon_sim --spec FILE [--csv PREFIX] [--json FILE]
@@ -27,7 +28,8 @@ using namespace avmon;
       << "  --spec FILE      run the scenario(s) a declarative spec file\n"
       << "                   describes (see examples/specs/ and the key list\n"
       << "                   in src/experiments/spec.hpp); list-valued keys\n"
-      << "                   sweep and print a comparison table\n"
+      << "                   sweep and print a comparison table; expect.*\n"
+      << "                   lines print verdicts and set the exit status\n"
       << "  --csv PREFIX     write PREFIX[.<run>].{discovery,memory,\n"
       << "                   bandwidth,pernode}.csv (+ .windows.csv when a\n"
       << "                   windowed reducer ran)\n"
@@ -53,8 +55,9 @@ int main(int argc, char** argv) {
       throw experiments::UsageError("--spec FILE is required");
     }
 
-    const std::vector<experiments::Scenario> scenarios =
-        experiments::SweepSpec::parseFile(specPath).expand();
+    const experiments::SweepSpec sweep =
+        experiments::SweepSpec::parseFile(specPath);
+    const std::vector<experiments::Scenario> scenarios = sweep.expand();
 
     // Fail on a bad scenario before any world is built (validate is also
     // run by every ScenarioRunner; doing it here makes spec typos cheap).
@@ -98,6 +101,11 @@ int main(int argc, char** argv) {
     }
     if (!jsonPath.empty()) {
       std::cout << "wrote " << jsonPath << "\n";
+    }
+    if (!sweep.expectations.empty() &&
+        experiments::printVerdicts(sweep.expectations, metricSets,
+                                   std::cout) > 0) {
+      return 1;
     }
   } catch (const experiments::UsageError& e) {
     std::cerr << "error: " << e.what() << "\n\n";
