@@ -99,12 +99,13 @@ ShardedSimulator::TreeBarrier::TreeBarrier(unsigned parties) {
   nodes_.back().root = true;
 }
 
-void ShardedSimulator::TreeBarrier::arriveAndWait(unsigned party) {
-  const std::uint64_t gen = generation_.load(std::memory_order_acquire);
+bool ShardedSimulator::TreeBarrier::arrive(unsigned party) {
   unsigned index = leafOf_[party];
   for (;;) {
     Node& node = nodes_[index];
-    if (node.pending.fetch_sub(1, std::memory_order_acq_rel) != 1) break;
+    if (node.pending.fetch_sub(1, std::memory_order_acq_rel) != 1) {
+      return false;
+    }
     // Last arrival at this node: reset it for the next generation, then
     // count one arrival at the parent — or release everyone from the
     // root. The root bump happens only after every node in the tree has
@@ -112,18 +113,37 @@ void ShardedSimulator::TreeBarrier::arriveAndWait(unsigned party) {
     // in the next generation always find reset counters.
     node.pending.store(node.expected, std::memory_order_relaxed);
     if (node.root) {
-      generation_.fetch_add(1, std::memory_order_release);
-      return;
+      release();
+      return true;
     }
     index = node.parent;
   }
-  int spins = 0;
-  while (generation_.load(std::memory_order_acquire) == gen) {
-    if (++spins > 512) {
-      std::this_thread::yield();
-      spins = 0;
-    }
+}
+
+void ShardedSimulator::TreeBarrier::release() {
+  // seq_cst pairs with the parker's count-then-check (see sleepers_).
+  generation_.fetch_add(1, std::memory_order_seq_cst);
+  if (sleepers_.load(std::memory_order_seq_cst) != 0) {
+    const std::lock_guard<std::mutex> lock(parkMutex_);
+    parkedCv_.notify_all();
   }
+}
+
+void ShardedSimulator::TreeBarrier::arriveAndWait(unsigned party) {
+  const std::uint64_t gen = generation_.load(std::memory_order_acquire);
+  if (arrive(party)) return;
+  for (unsigned round = 0; round < kSpinRounds; ++round) {
+    for (unsigned spin = 0; spin < kSpinsPerRound; ++spin) {
+      if (generation_.load(std::memory_order_acquire) != gen) return;
+    }
+    std::this_thread::yield();
+  }
+  std::unique_lock<std::mutex> lock(parkMutex_);
+  sleepers_.fetch_add(1, std::memory_order_seq_cst);
+  parkedCv_.wait(lock, [&] {
+    return generation_.load(std::memory_order_seq_cst) != gen;
+  });
+  sleepers_.fetch_sub(1, std::memory_order_relaxed);
 }
 
 unsigned ShardedSimulator::computeWorkerCount(const Config& config) noexcept {
@@ -175,17 +195,34 @@ ShardedSimulator::ShardedSimulator(Config config)
     shards_.push_back(std::move(shard));
   }
 
-  for (unsigned w = 1; w < workerCount_; ++w) {
-    workers_.emplace_back([this, w] { workerLoop(w); });
+  try {
+    workers_.reserve(workerCount_ - 1);
+    for (unsigned w = 1; w < workerCount_; ++w) {
+      workers_.emplace_back([this, w] { workerLoop(w); });
+    }
+  } catch (...) {
+    // A spawn failed (e.g. EAGAIN at the host's thread limit). The
+    // destructor will not run, so stop and join the workers that did
+    // start here: destroying a joinable std::thread calls std::terminate.
+    stopWorkers();
+    throw;
   }
 }
 
 ShardedSimulator::~ShardedSimulator() {
-  if (!workers_.empty()) {
-    stop_.store(true, std::memory_order_release);
-    barrier_.arriveAndWait(0);  // releases workers into the stop check
-    for (std::thread& t : workers_) t.join();
+  if (!workers_.empty()) stopWorkers();
+}
+
+void ShardedSimulator::stopWorkers() {
+  stop_.store(true, std::memory_order_release);
+  // Arrive for the parties whose thread never started, so the release
+  // waits only on the workers that exist; it wakes any that are parked.
+  for (auto party = static_cast<unsigned>(workers_.size()) + 1;
+       party < workerCount_; ++party) {
+    barrier_.arrive(party);
   }
+  barrier_.arriveAndWait(0);  // releases workers into the stop check
+  for (std::thread& t : workers_) t.join();
 }
 
 Simulator& ShardedSimulator::simOf(std::size_t shard) {
@@ -252,9 +289,9 @@ void ShardedSimulator::runShardsStealing(SimTime target) {
   }
 }
 
-void ShardedSimulator::drainOwnedShards(unsigned worker) {
+void ShardedSimulator::drainShards(std::size_t first, std::size_t stride) {
   try {
-    for (std::size_t d = worker; d < shards_.size(); d += workerCount_) {
+    for (std::size_t d = first; d < shards_.size(); d += stride) {
       Shard& dest = *shards_[d];
       // Sanctioned barrier-phase insertion: while draining, this worker
       // acts as destination shard d.
@@ -315,28 +352,32 @@ void ShardedSimulator::workerLoop(unsigned worker) {
     }
     runShardsStealing(phaseTarget_);
     barrier_.arriveAndWait(worker);  // B: every shard reached the window end
-    drainOwnedShards(worker);
+    drainShards(worker, workerCount_);
     barrier_.arriveAndWait(worker);  // C: every barrier insertion done
   }
 }
 
-std::uint64_t ShardedSimulator::executeWindow(SimTime wEnd) {
+std::uint64_t ShardedSimulator::executeWindow(SimTime wEnd, bool onPool) {
   // A window phase is in flight until the final barrier: any unscoped
   // touch of shard-owned state in this span is a violation.
   AVMON_DET_PHASE_SCOPE(detDomain_);
   std::uint64_t drainedBefore = 0;
   for (const auto& s : shards_) drainedBefore += s->drained;
   stealCursor_.store(0, std::memory_order_relaxed);
-  if (workers_.empty()) {
-    runShardsStealing(wEnd);
-    drainOwnedShards(0);
-  } else {
+  if (onPool) {
     phaseTarget_ = wEnd;
     barrier_.arriveAndWait(0);  // A
     runShardsStealing(wEnd);
     barrier_.arriveAndWait(0);  // B
-    drainOwnedShards(0);
+    drainShards(0, workerCount_);
     barrier_.arriveAndWait(0);  // C
+  } else {
+    // The coordinator alone: it claims every shard, then drains every
+    // destination. The workers wait at barrier A (parked once their spin
+    // runs out); the crossings on either side of a serial stretch order
+    // their queue pushes and drains against this thread's.
+    runShardsStealing(wEnd);
+    drainShards(0, 1);
   }
   rethrowPendingError();
   std::uint64_t drainedAfter = 0;
@@ -378,11 +419,16 @@ void ShardedSimulator::runUntil(SimTime until) {
     const SimTime fullEnd = windowStart_ + window_ - 1;
     const SimTime wEnd = std::min(fullEnd, until);
     const std::uint64_t executedBefore = totalExecuted();
-    const std::uint64_t drained = executeWindow(wEnd);
+    const bool onPool = nextOnPool_ && !workers_.empty();
+    const std::uint64_t drained = executeWindow(wEnd, onPool);
+    const std::uint64_t executed = totalExecuted() - executedBefore;
+    // A count, never a clock: the same world makes the same choices.
+    nextOnPool_ = executed >= kPoolMinEvents;
     ++windowsRun_;
+    if (onPool) ++poolWindows_;
     handoffsCarried_ += drained;
     if (wEnd != fullEnd) break;  // stopped mid-window; resume here later
-    if (drained == 0 && totalExecuted() == executedBefore) {
+    if (drained == 0 && executed == 0) {
       // Idle window: hop straight to the window holding the next pending
       // event instead of grinding through empty ones. (Safe: the queues
       // were just drained, so every pending event is inside a simulator.)

@@ -3,6 +3,16 @@
 // slot Network), and the shards run in lock-stepped time windows on a
 // thread pool.
 //
+// The pool steps aside for windows too small to split. A window runs on
+// the pool only when the window before it executed at least kPoolMinEvents
+// events (summed over shards), and a world's first window always does;
+// every other window runs on the coordinator alone — every shard's events,
+// then every destination's drain — with no barrier crossing. The trigger
+// is an event count, never a clock, so the choice is reproducible; and
+// which thread runs a shard never reaches results, so both paths give
+// bit-identical worlds. Workers waiting out a serial stretch park after a
+// bounded spin instead of burning their cores.
+//
 // Correctness model (conservative parallel discrete-event simulation with
 // the network's minimum latency as lookahead):
 //
@@ -32,6 +42,7 @@
 #pragma once
 
 #include <atomic>
+#include <condition_variable>
 #include <cstdint>
 #include <exception>
 #include <functional>
@@ -90,7 +101,9 @@ class ShardedSimulator {
     /// Seed shared by every shard's Network; per-node streams derive from
     /// (seed, node id), so the partitioning never shifts a node's draws.
     std::uint64_t netSeed = 1;
-    /// Worker threads; 0 = min(shards, hardware concurrency).
+    /// The most threads a pool window may use (visits always use them
+    /// all); 0 = min(shards, hardware concurrency). Windows below the
+    /// pool threshold run on the calling thread whatever this says.
     unsigned threads = 0;
     /// Cross-shard lookahead bounding the window length; 0 (the default)
     /// means net.minLatency. A fault plan whose latency windows or geo
@@ -161,6 +174,12 @@ class ShardedSimulator {
   std::uint64_t lost() const;
   /// Windows actually executed (idle stretches are skipped in one hop).
   std::uint64_t windowsRun() const noexcept { return windowsRun_; }
+  /// Of those, the windows that ran on the worker pool; the rest ran on
+  /// the calling thread. Always 0 without worker threads.
+  std::uint64_t poolWindows() const noexcept { return poolWindows_; }
+  /// Workers blocked at the barrier right now (a snapshot: a worker parks
+  /// once its bounded spin runs out, e.g. during a serial stretch).
+  unsigned parkedWorkers() const noexcept { return barrier_.parked(); }
   /// Hand-off items carried across window barriers so far.
   std::uint64_t handoffsCarried() const noexcept { return handoffsCarried_; }
 
@@ -168,21 +187,53 @@ class ShardedSimulator {
   class ShardPort;
   struct Shard;
 
+  // A window runs on the pool only if the window before it executed at
+  // least this many events, summed over shards. The break-even lies
+  // between two traced workloads at 4 shards (seed 1, 4-vCPU hosts):
+  // stat_dense's windows, 11.6 events each, ran at 0.84–1.06x of one
+  // shard on the pool, and wide_sparse's, 183 each, at 1.88–2.83x. 32 is
+  // ~3x the first and ~6x below the second, and the choice is flat
+  // around it: on sharded_faults (2.8 events per window) 16 put 1 903 of
+  // 319 027 windows on the pool, 32 put 101 and 64 put 63, for run
+  // medians of 0.68, 0.62 and 0.63 s; wide_sparse ran all 24 001 of its
+  // windows on the pool at all three.
+  static constexpr std::uint64_t kPoolMinEvents = 32;
+
   // Reusable sense-reversing combining-tree barrier. Each party arrives
   // at its leaf group node (kFanIn parties per node); the last arriver at
   // a node propagates one arrival to the parent, and the root release is
-  // a single generation bump every waiter spins on (short spin, then
-  // yield — the window cadence is far too fast for a condvar round-trip
-  // per phase). Per-barrier contention is O(fan-in) per cache line
-  // instead of every party hammering one counter, which is what the old
-  // flat barrier cost three times per window at high worker counts.
+  // a single generation bump. A waiter spins on the generation for a
+  // bounded budget, then parks on a condition variable until the bump, so
+  // a worker left at barrier A through a serial stretch, or after the
+  // world's last window, sleeps instead of burning its core. Per-barrier
+  // contention is O(fan-in) per cache line instead of every party
+  // hammering one counter, which is what a flat barrier costs three times
+  // per window at high worker counts.
   class TreeBarrier {
    public:
     explicit TreeBarrier(unsigned parties);
     /// `party` is the calling thread's stable index in [0, parties).
     void arriveAndWait(unsigned party);
+    /// Counts `party`'s arrival without waiting for the release; returns
+    /// true when it was the last arrival and released everyone.
+    bool arrive(unsigned party);
+    /// Waiters currently parked.
+    unsigned parked() const noexcept {
+      return sleepers_.load(std::memory_order_relaxed);
+    }
 
    private:
+    // Spin budget before parking: kSpinRounds rounds of kSpinsPerRound
+    // generation loads, each round ending in a yield. It lasts 14–30 µs
+    // on a 4-vCPU EPYC host with the other cores idle, longer when they
+    // are busy: well above the coordinator's bookkeeping between two pool
+    // windows (under 1 µs), so a run of pool windows keeps its workers
+    // awake, and far below a serial stretch (sharded_faults switches
+    // paths 30 times in 319 027 windows, so its serial stretches average
+    // ~20 000 windows, tens of ms), so a stretch parks them almost at
+    // once.
+    static constexpr unsigned kSpinRounds = 64;
+    static constexpr unsigned kSpinsPerRound = 512;
     static constexpr unsigned kFanIn = 4;
     struct alignas(64) Node {
       std::atomic<unsigned> pending{0};
@@ -190,9 +241,21 @@ class ShardedSimulator {
       unsigned parent = 0;  ///< unused on the root
       bool root = false;
     };
+    void release();
+
     std::vector<Node> nodes_;        ///< leaves first, root last
     std::vector<unsigned> leafOf_;   ///< party -> leaf node index
     std::atomic<std::uint64_t> generation_{0};
+    // Parking: a waiter past its spin budget counts itself in sleepers_
+    // and blocks on parkedCv_ until the generation moves. The release
+    // bumps the generation, then reads sleepers_; the waiter counts
+    // itself, then reads the generation. All four are seq_cst, so at
+    // least one side sees the other: either the waiter sees the bump and
+    // never blocks, or the release sees the sleeper and notifies under
+    // parkMutex_, which the waiter holds from its count until it blocks.
+    std::atomic<unsigned> sleepers_{0};
+    std::mutex parkMutex_;
+    std::condition_variable parkedCv_;
   };
 
   void enqueue(std::size_t srcShard, Handoff handoff);
@@ -201,16 +264,22 @@ class ShardedSimulator {
   // until none remain (per-window work stealing — a worker whose shards
   // went idle picks up the stragglers instead of spinning at the barrier).
   void runShardsStealing(SimTime target);
-  // Drain/visit phases keep the static home map (shard s -> worker
-  // s % workerCount_): drains reuse each destination's inbox scratch, and
-  // visitShards promises reducer banks a single touching thread.
-  void drainOwnedShards(unsigned worker);
+  // Drain/visit phases on the pool keep the static home map (shard s ->
+  // worker s % workerCount_): drains reuse each destination's inbox
+  // scratch, and visitShards promises reducer banks a single touching
+  // thread. drainShards(first, stride) drains destinations first,
+  // first + stride, ...: (worker, workerCount_) on the pool, (0, 1) for a
+  // serial window.
+  void drainShards(std::size_t first, std::size_t stride);
   void visitOwnedShards(unsigned worker);
 
-  // One full window on the current thread layout; returns items drained.
-  std::uint64_t executeWindow(SimTime wEnd);
+  // One full window, on the pool or on this thread alone; returns items
+  // drained.
+  std::uint64_t executeWindow(SimTime wEnd, bool onPool);
 
   void workerLoop(unsigned worker);
+  // Releases the pool into its stop check and joins it.
+  void stopWorkers();
   void rethrowPendingError();
 
   std::uint64_t totalExecuted() const;
@@ -224,11 +293,19 @@ class ShardedSimulator {
   SimTime windowStart_ = 0;  ///< start of the next (or partially run) window
   SimTime now_ = 0;
   std::uint64_t windowsRun_ = 0;
+  std::uint64_t poolWindows_ = 0;
   std::uint64_t handoffsCarried_ = 0;
+  // Whether the next window may use the pool: the last window executed at
+  // least kPoolMinEvents events. True before the first window, which holds
+  // the t = 0 join burst; starting it on the pool also spreads every
+  // shard's first allocations over the workers' malloc arenas (run on one
+  // thread, wide_sparse's peak RSS rose 7%).
+  bool nextOnPool_ = true;
 
-  // Thread pool (empty when one worker suffices).
+  // Thread pool: workerCount_ - 1 threads beside the coordinator (none
+  // when one worker suffices); workers_ is declared last, after everything
+  // its threads use.
   unsigned workerCount_ = 1;
-  std::vector<std::thread> workers_;
   TreeBarrier barrier_;
   // Next unclaimed shard of the current run phase; reset by the
   // coordinator before each release (the barrier orders the reads).
@@ -247,6 +324,7 @@ class ShardedSimulator {
   std::atomic<bool> stop_{false};
   std::exception_ptr firstError_;  // guarded by errorMutex_
   std::mutex errorMutex_;
+  std::vector<std::thread> workers_;
 };
 
 }  // namespace avmon::sim

@@ -60,6 +60,12 @@ TEST(MillionNodeTest, MillionNodeSmokeFingerprintPinned) {
   runner.run();
   EXPECT_EQ(summaryHash(runner), 0xae92f15b08ba8fbaULL);
   EXPECT_EQ(perNodeHash(runner), 0x524362948a712bd5ULL);
+  // The pins cover both window paths: this world's heavy windows run on
+  // the worker pool and its light ones on the coordinator alone.
+  if (runner.world().workerThreads() > 1) {
+    EXPECT_GT(runner.world().poolWindows(), 0u);
+    EXPECT_LT(runner.world().poolWindows(), runner.world().windowsRun());
+  }
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <optional>
 #include <string>
 #include <thread>
@@ -250,44 +251,54 @@ TEST(ShardedSimulatorTest, DeferredRpcToDownNodeTimesOutAtExactDeadline) {
   EXPECT_EQ(world.netOf(1).traffic(b).bytesSent, 0u);  // never served
 }
 
-TEST(ShardedSimulatorTest, ForcedThreadPoolMatchesSerialExecution) {
-  // Config::threads = 4 forces the spin-barrier worker pool even on a
-  // single-core host (threads = 0 would collapse to one worker there), so
-  // the barrier/drain phases run on real threads in every environment —
-  // and under TSan this validates their happens-before edges. The pooled
-  // run must reproduce the serial run exactly.
-  auto runWorld = [](unsigned threads) {
-    ShardedSimulator::Config cfg = fixedLatencyConfig(4, 10);
-    cfg.net.maxLatency = 40;  // varied latencies → real cross-window traffic
-    cfg.threads = threads;
-    ShardedSimulator world(cfg);
-    std::vector<NodeId> ids;
-    std::vector<std::unique_ptr<RecordingEndpoint>> endpoints;
-    for (std::uint32_t i = 0; i < 8; ++i) {
+// Eight nodes on four shards with a 10–40 ms latency band, each recording
+// what it receives. Config::threads forces the worker pool even on a
+// single-core host (threads = 0 would collapse to one worker there).
+class BombardedWorld {
+ public:
+  explicit BombardedWorld(unsigned threads) : world_(config(threads)) {
+    for (std::uint32_t i = 0; i < kNodes; ++i) {
       const NodeId id = NodeId::fromIndex(100 + i);
-      world.registerNode(id);
-      const std::size_t shard = world.shardOf(id);
-      endpoints.push_back(
-          std::make_unique<RecordingEndpoint>(world.simOf(shard)));
-      world.netOf(shard).attach(id, *endpoints.back());
-      world.netOf(shard).setUp(id, true);
-      ids.push_back(id);
+      world_.registerNode(id);
+      const std::size_t shard = world_.shardOf(id);
+      endpoints_.push_back(
+          std::make_unique<RecordingEndpoint>(world_.simOf(shard)));
+      world_.netOf(shard).attach(id, *endpoints_.back());
+      world_.netOf(shard).setUp(id, true);
+      ids_.push_back(id);
     }
-    // Every node bombards every other node across several windows.
-    for (std::uint32_t i = 0; i < 8; ++i) {
-      const std::size_t shard = world.shardOf(ids[i]);
-      world.simOf(shard).at(0, [&world, &ids, i, shard] {
+  }
+
+  ShardedSimulator& world() { return world_; }
+
+  // At `at`, every node sends 20 messages to every other node.
+  void bombard(SimTime at) {
+    for (std::uint32_t i = 0; i < kNodes; ++i) {
+      const std::size_t shard = world_.shardOf(ids_[i]);
+      world_.simOf(shard).at(at, [this, i, shard] {
         for (int round = 0; round < 20; ++round) {
-          for (std::uint32_t j = 0; j < 8; ++j) {
+          for (std::uint32_t j = 0; j < kNodes; ++j) {
             if (j == i) continue;
-            world.netOf(shard).send(ids[i], ids[j],
-                                    TextMessage{std::to_string(i), 1});
+            world_.netOf(shard).send(ids_[i], ids_[j],
+                                     TextMessage{std::to_string(i), 1});
           }
         }
       });
     }
-    world.runUntil(kSecond);
-    // Fingerprint the observable outcome: per-endpoint arrival streams.
+  }
+
+  // One message per window from node 0 to node 1, over [from, to).
+  void trickle(SimTime from, SimTime to) {
+    const std::size_t shard = world_.shardOf(ids_[0]);
+    for (SimTime t = from; t < to; t += world_.windowLength()) {
+      world_.simOf(shard).at(t, [this, shard] {
+        world_.netOf(shard).send(ids_[0], ids_[1], TextMessage{"q", 1});
+      });
+    }
+  }
+
+  // The observable outcome: per-endpoint arrival streams.
+  std::uint64_t fingerprint() const {
     std::uint64_t fp = 1469598103934665603ULL;
     const auto mix = [&fp](std::uint64_t x) {
       for (int b = 0; b < 8; ++b) {
@@ -295,21 +306,115 @@ TEST(ShardedSimulatorTest, ForcedThreadPoolMatchesSerialExecution) {
         fp *= 1099511628211ULL;
       }
     };
-    for (const auto& ep : endpoints) {
+    for (const auto& ep : endpoints_) {
       mix(ep->received.size());
       for (const auto& r : ep->received) {
         mix(static_cast<std::uint64_t>(r.at));
         mix((static_cast<std::uint64_t>(r.from.ip()) << 16) | r.from.port());
       }
     }
-    return std::pair<std::uint64_t, unsigned>(fp, world.workerThreads());
+    return fp;
+  }
+
+ private:
+  static constexpr std::uint32_t kNodes = 8;
+
+  static ShardedSimulator::Config config(unsigned threads) {
+    ShardedSimulator::Config cfg = fixedLatencyConfig(4, 10);
+    cfg.net.maxLatency = 40;  // varied latencies → real cross-window traffic
+    cfg.threads = threads;
+    return cfg;
+  }
+
+  ShardedSimulator world_;
+  std::vector<NodeId> ids_;
+  std::vector<std::unique_ptr<RecordingEndpoint>> endpoints_;
+};
+
+TEST(ShardedSimulatorTest, ForcedThreadPoolMatchesSerialExecution) {
+  // threads = 4 gives the world a worker pool, so the windows heavy enough
+  // to split run their barrier/drain phases on real threads in every
+  // environment (under TSan this validates their happens-before edges),
+  // and the rest run on the coordinator. The run must reproduce the
+  // serial one exactly.
+  BombardedWorld serial(1);
+  serial.bombard(0);
+  serial.world().runUntil(0);
+  serial.world().runUntil(kSecond);
+  EXPECT_EQ(serial.world().workerThreads(), 1u);
+  EXPECT_EQ(serial.world().poolWindows(), 0u);
+
+  BombardedWorld pooled(4);
+  pooled.bombard(0);
+  pooled.world().runUntil(0);
+  EXPECT_EQ(pooled.world().poolWindows(), 1u);  // a world's first window
+  pooled.world().runUntil(kSecond);
+  EXPECT_EQ(pooled.world().workerThreads(), 4u);  // the pool really spun up
+  // The t = 0 bombardment uses the pool; its tail steps aside.
+  EXPECT_GT(pooled.world().poolWindows(), 1u);
+  EXPECT_LT(pooled.world().poolWindows(), pooled.world().windowsRun());
+  EXPECT_EQ(serial.world().windowsRun(), pooled.world().windowsRun());
+  EXPECT_EQ(pooled.fingerprint(), serial.fingerprint());
+}
+
+TEST(ShardedSimulatorTest, PoolParksThroughQuietStretchesAndWakes) {
+  // Burst, a quiet stretch of one message per window, a second burst,
+  // visits, then destruction: the workers park through the quiet stretch
+  // and after each phase, and each release must wake them (a lost
+  // wake-up hangs here). The world must still match the serial run.
+  constexpr SimTime kQuietEnd = 60 * kSecond;  // 5 900 quiet windows
+  const auto drive = [](BombardedWorld& w) {
+    w.bombard(0);
+    w.trickle(kSecond, kQuietEnd);
+    w.bombard(kQuietEnd);
+    w.world().runUntil(kQuietEnd - 1);
+  };
+  // Polls until every worker is blocked at the barrier: they park once
+  // their bounded spin runs out, so this ends.
+  const auto awaitParked = [](ShardedSimulator& world) {
+    while (world.parkedWorkers() < world.workerThreads() - 1) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
   };
 
-  const auto serial = runWorld(1);
-  const auto pooled = runWorld(4);
-  EXPECT_EQ(serial.second, 1u);
-  EXPECT_EQ(pooled.second, 4u);  // the pool really spun up
-  EXPECT_EQ(pooled.first, serial.first);
+  BombardedWorld serial(1);
+  drive(serial);
+  serial.world().runUntil(2 * kQuietEnd);
+
+  std::vector<std::thread::id> home;
+  std::uint64_t fingerprint = 0;
+  {
+    BombardedWorld pooled(4);
+    ShardedSimulator& world = pooled.world();
+    drive(pooled);
+    const std::uint64_t poolAfterQuiet = world.poolWindows();
+    EXPECT_GT(poolAfterQuiet, 0u);  // the first burst ran on the pool
+    awaitParked(world);
+
+    world.runUntil(2 * kQuietEnd);  // the second burst wakes the pool
+    EXPECT_GT(world.poolWindows(), poolAfterQuiet);
+    EXPECT_LT(world.poolWindows(), world.windowsRun());
+    EXPECT_EQ(world.windowsRun(), serial.world().windowsRun());
+    fingerprint = pooled.fingerprint();
+
+    // Each visit runs shard s on its home worker, parked or not.
+    for (int visit = 0; visit < 3; ++visit) {
+      if (visit > 0) awaitParked(world);
+      std::vector<std::thread::id> seen(world.shardCount());
+      world.visitShards(
+          [&seen](std::size_t s) { seen[s] = std::this_thread::get_id(); });
+      if (home.empty()) home = seen;
+      EXPECT_EQ(seen, home) << "visit " << visit;
+    }
+    awaitParked(world);
+  }  // destroyed with every worker parked
+
+  ASSERT_EQ(home.size(), 4u);
+  EXPECT_EQ(home[0], std::this_thread::get_id());  // shard 0: coordinator
+  for (std::size_t s = 1; s < home.size(); ++s) {
+    for (std::size_t t = 0; t < s; ++t) EXPECT_NE(home[s], home[t]);
+  }
+  EXPECT_EQ(fingerprint, serial.fingerprint());
 }
 
 TEST(ShardedSimulatorTest, IdleStretchesAreSkippedInOneHop) {
