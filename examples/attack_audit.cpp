@@ -80,12 +80,12 @@ int main() {
                    "victim records |err|"});
 
   std::vector<std::unique_ptr<ScenarioRunner>> runners;
-  SummaryTableSink sink(std::cout);
+  std::vector<MetricSet> runs;
   for (const Scenario& scenario : sweep.expand()) {
     runners.push_back(std::make_unique<ScenarioRunner>(scenario));
     ScenarioRunner& runner = *runners.back();
     runner.run();
-    sink.add(collectMetrics(runner));
+    runs.push_back(collectMetrics(runner));
 
     const ResolvedAdversary& adversary = runner.adversary();
     const auto outcomes =
@@ -109,7 +109,7 @@ int main() {
              ? stats::TablePrinter::num(victimErr / victimReporters, 3)
              : "n/a"});
   }
-  sink.close();
+  printSummaryTables(runs, std::cout);
   audit.print(std::cout);
   std::cout << "Self-reporting hands the coalition its own records for free "
                "(reported 100%, actual far below); AVMON's hash-selected "

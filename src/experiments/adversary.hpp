@@ -1,6 +1,7 @@
 // Adversary layer: deterministic resolution of a scenario's attack spec
 // into concrete hostile cohorts, plus the post-run resilience probes the
-// harness, the streaming `resilience` reducer, tests, and benches share.
+// harness, the streaming `resilience` metric group, tests, and benches
+// share.
 //
 // Threat model (paper Section 4.3, Figure 20):
 //  * Collusion coalition — `attack.collusion` nodes that answer

@@ -31,7 +31,7 @@ MetricStats statsOf(const streaming::StreamedMetric& m) {
   return out;
 }
 
-/// The rows every table-shaped backend reports, in one place so the
+/// The rows every table-shaped writer reports, in one place so the
 /// summary and comparison views can never drift apart.
 struct NamedMetric {
   const char* name;
@@ -54,7 +54,7 @@ MetricStats statsOf(const MetricSet& set, const NamedMetric& metric) {
 void writeTextFile(const std::string& path, const std::string& content) {
   std::ofstream f(path);
   if (!f) {
-    throw std::runtime_error("metrics sink: cannot open " + path +
+    throw std::runtime_error("metrics: cannot open " + path +
                              " for writing");
   }
   f << content;
@@ -64,7 +64,7 @@ void writeTextFile(const std::string& path, const std::string& content) {
   // truncated file — this is the failure the old avmon_sim CSV writer
   // swallowed in the ofstream destructor.
   if (f.fail()) {
-    throw std::runtime_error("metrics sink: write to " + path +
+    throw std::runtime_error("metrics: write to " + path +
                              " failed (file may be truncated)");
   }
 }
@@ -196,8 +196,8 @@ MetricSet collectMetrics(const ScenarioRunner& runner) {
     }
   }
 
-  // The per-shard reducers already hold everything the sinks need: the
-  // snapshot's metric state is O(reducers x sketch bins), not O(N).
+  // The per-shard banks already hold everything the writers need: the
+  // snapshot's metric state is O(sketch bins + window rows), not O(N).
   const streaming::StreamingCollector& collector = runner.streamingCollector();
   out.streamed = collector.summary();
   out.windows = collector.windows();
@@ -284,15 +284,9 @@ std::size_t printVerdicts(const std::vector<Expectation>& expectations,
   return failed;
 }
 
-// ---- SummaryTableSink ----
-
-void SummaryTableSink::add(const MetricSet& metrics) {
-  sets_.push_back(metrics);
-}
-
-void SummaryTableSink::close() {
-  std::ostream& out = *out_;
-  for (const MetricSet& set : sets_) {
+void printSummaryTables(const std::vector<MetricSet>& runs,
+                        std::ostream& out) {
+  for (const MetricSet& set : runs) {
     stats::TablePrinter table("scenario summary: " + set.label());
     table.setHeader({"metric", "mean", "stddev", "p50", "p99", "n"});
     for (const NamedMetric& metric : kMetrics) {
@@ -327,15 +321,15 @@ void SummaryTableSink::close() {
 
   // Two or more runs: the head-to-head view, one column per run. This is
   // the paper's comparison-table shape (Table 1 measured, not analytic).
-  if (sets_.size() >= 2) {
+  if (runs.size() >= 2) {
     stats::TablePrinter table("protocol comparison (column = run)");
     std::vector<std::string> header = {"metric"};
-    for (const MetricSet& set : sets_) header.push_back(set.label());
+    for (const MetricSet& set : runs) header.push_back(set.label());
     table.setHeader(std::move(header));
     for (const NamedMetric& metric : kMetrics) {
       for (const char* stat : {"mean", "p99"}) {
         std::vector<std::string> row = {std::string(metric.name) + " " + stat};
-        for (const MetricSet& set : sets_) {
+        for (const MetricSet& set : runs) {
           const MetricStats s = statsOf(set, metric);
           row.push_back(stats::TablePrinter::num(
               std::string(stat) == "mean" ? s.mean : s.p99, 2));
@@ -345,7 +339,7 @@ void SummaryTableSink::close() {
     }
     std::vector<std::string> discovered = {"discovered fraction"};
     std::vector<std::string> accuracyRow = {"estimate mean |error|"};
-    for (const MetricSet& set : sets_) {
+    for (const MetricSet& set : runs) {
       discovered.push_back(
           stats::TablePrinter::num(set.discoveredFraction, 4));
       const auto err = set.accuracyMeanAbsError();
@@ -357,11 +351,11 @@ void SummaryTableSink::close() {
     // Degradation rows appear only when some run faced an adversary: the
     // side-by-side then reads as "how much worse under attack".
     bool anyVictims = false;
-    for (const MetricSet& set : sets_) anyVictims |= set.victimCount > 0;
+    for (const MetricSet& set : runs) anyVictims |= set.victimCount > 0;
     if (anyVictims) {
       std::vector<std::string> eclipsedRow = {"victims eclipsed"};
       std::vector<std::string> victimErrRow = {"victim mean |error|"};
-      for (const MetricSet& set : sets_) {
+      for (const MetricSet& set : runs) {
         eclipsedRow.push_back(set.victimCount > 0
                                   ? std::to_string(set.eclipsedCount) + "/" +
                                         std::to_string(set.victimCount)
@@ -379,37 +373,35 @@ void SummaryTableSink::close() {
 
   out.flush();
   if (!out) {
-    throw std::runtime_error("metrics sink: summary output stream failed");
+    throw std::runtime_error("printSummaryTables: output stream failed");
   }
 }
 
-// ---- CsvSink ----
-
-void CsvSink::add(const MetricSet& metrics) { sets_.push_back(metrics); }
-
-void CsvSink::close() {
+std::vector<std::string> writeCsvFiles(const std::string& prefix,
+                                       const std::vector<MetricSet>& runs) {
   // Every run is checked before any file is written, so a sweep with one
   // row-less set leaves no partial output behind. A run always has at
   // least one trace node, so empty perNode means the rows were never
   // collected.
-  for (const MetricSet& set : sets_) {
+  for (const MetricSet& set : runs) {
     if (set.perNode.empty()) {
       throw std::invalid_argument(
-          "CsvSink: run '" + set.label() +
+          "writeCsvFiles: run '" + set.label() +
           "' carries no per-sample rows — build it with collectSamples");
     }
   }
-  for (const MetricSet& set : sets_) {
+  std::vector<std::string> written;
+  for (const MetricSet& set : runs) {
     // Single-run sweeps keep the historical avmon_sim file names; multi-
     // run sweeps get one set of files per run, keyed by its label.
     const std::string base =
-        sets_.size() == 1 ? prefix_ : prefix_ + "." + set.fileLabel();
+        runs.size() == 1 ? prefix : prefix + "." + set.fileLabel();
 
     const auto emit = [&](const std::string& suffix,
                           const std::string& content) {
       const std::string path = base + suffix;
       writeTextFile(path, content);
-      written_.push_back(path);
+      written.push_back(path);
     };
 
     emit(".discovery.csv",
@@ -430,7 +422,7 @@ void CsvSink::close() {
     emit(".pernode.csv", perNode.str());
 
     // Windowed time-series from the streaming pipeline: one row per metric
-    // window, columns in reducer-registration order (fixed per run).
+    // window, columns in the scenario's metrics.reducers order.
     if (!set.windows.empty()) {
       std::ostringstream windowsCsv;
       windowsCsv << "window_start_s,window_end_s";
@@ -451,17 +443,14 @@ void CsvSink::close() {
       emit(".windows.csv", windowsCsv.str());
     }
   }
+  return written;
 }
 
-// ---- JsonSink ----
-
-void JsonSink::add(const MetricSet& metrics) { sets_.push_back(metrics); }
-
-void JsonSink::close() {
+void writeJson(const std::string& path, const std::vector<MetricSet>& runs) {
   std::ostringstream out;
   out << "[\n";
-  for (std::size_t i = 0; i < sets_.size(); ++i) {
-    const MetricSet& set = sets_[i];
+  for (std::size_t i = 0; i < runs.size(); ++i) {
+    const MetricSet& set = runs[i];
     out << "  {\n";
     out << "    \"protocol\": \"" << set.protocol << "\",\n";
     out << "    \"model\": \"" << set.model << "\",\n";
@@ -530,10 +519,10 @@ void JsonSink::close() {
         << (accuracyErr ? formatDouble(*accuracyErr) : std::string("null"))
         << ",\n";
     out << "    \"accuracy_nodes\": " << set.accuracyNodeCount() << "\n";
-    out << "  }" << (i + 1 < sets_.size() ? "," : "") << "\n";
+    out << "  }" << (i + 1 < runs.size() ? "," : "") << "\n";
   }
   out << "]\n";
-  writeTextFile(path_, out.str());
+  writeTextFile(path, out.str());
 }
 
 }  // namespace avmon::experiments

@@ -1,27 +1,25 @@
-// Unified metrics sink: one snapshot type (MetricSet) for everything a
-// completed scenario reports, and pluggable backends (MetricsSink) that
-// consume snapshots — a summary/comparison table, per-node CSVs, JSON.
+// Metrics snapshots and their writers: one snapshot type (MetricSet) for
+// everything a completed scenario reports, and three functions that write
+// a run list — summary/comparison tables, per-node CSVs, JSON.
 //
 // Every run is measured by its streaming collector: collectMetrics copies
-// the streamed summary and windows, which is all the table and JSON sinks
-// read. The per-sample rows (CDF figures, CsvSink) are O(N) and filled only
-// on request by collectSamples, from the same per-node probe the streamed
-// summary reads, so the two always hold the same samples.
+// the streamed summary and windows, which is all the tables and the JSON
+// read. The per-sample rows (CDF figures, the CSV files) are O(N) and
+// filled only on request by collectSamples, from the same per-node probe
+// the streamed summary reads, so the two always hold the same samples.
 //
 // Every protocol the registry knows produces the same MetricSet through
 // the same ScenarioRunner code path, so cross-protocol comparison tables
-// (the paper's Sections 5–6 head-to-heads) fall out of feeding several
-// snapshots to one sink; no per-scheme reporting code exists anywhere.
+// (the paper's Sections 5–6 head-to-heads) fall out of passing several
+// snapshots to one writer; no per-scheme reporting code exists anywhere.
 //
-// Sink contract: add() each completed run's snapshot, then close() once.
-// close() performs (or finishes) the writes and THROWS std::runtime_error
-// if any backing stream failed — a full disk truncating a CSV is an error,
-// never a silently shorter file.
+// A writer THROWS std::runtime_error, naming the path, if its stream
+// failed — a full disk truncating a CSV is an error, never a silently
+// shorter file.
 #pragma once
 
 #include <cstdint>
 #include <iosfwd>
-#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -72,9 +70,9 @@ struct MetricSet {
 
   // ---- streamed summary (every run) ----
   /// Final summary from the streaming collector. collectMetrics always
-  /// engages it; every sink reads its statistics from here.
+  /// engages it; every writer reads its statistics from here.
   std::optional<streaming::StreamedSummary> streamed;
-  /// Windowed time-series rows (empty unless a windowed reducer ran).
+  /// Windowed time-series rows (empty unless a windowed group ran).
   std::vector<streaming::WindowRow> windows;
   /// Quantiles the scenario asked the streamed summary to report.
   std::vector<double> streamedQuantiles;
@@ -108,12 +106,12 @@ struct MetricSet {
   /// that collectMetrics did not build.
   const streaming::StreamedSummary& summary() const { return streamed.value(); }
 
-  /// "protocol model N=.. seed=.." — how sinks caption this run.
+  /// "protocol model N=.. seed=.." — how the writers caption this run.
   std::string label() const;
   /// label() restricted to filesystem-safe characters, for file suffixes.
   std::string fileLabel() const;
   /// Mean |estimated - actual| over the measured nodes with a reporting
-  /// monitor; nullopt when none reported (sinks render "n/a").
+  /// monitor; nullopt when none reported (the writers render "n/a").
   std::optional<double> accuracyMeanAbsError() const;
   /// Nodes contributing to the accuracy metric.
   std::size_t accuracyNodeCount() const;
@@ -138,64 +136,23 @@ std::size_t printVerdicts(const std::vector<Expectation>& expectations,
                           const std::vector<MetricSet>& runs,
                           std::ostream& out);
 
-/// Backend interface; see the contract above.
-class MetricsSink {
- public:
-  virtual ~MetricsSink() = default;
-  virtual void add(const MetricSet& metrics) = 0;
-  virtual void close() = 0;
-};
+/// Human-readable tables on `out`: one summary table per run, plus — for
+/// two or more runs — a side-by-side comparison table (runs as columns,
+/// metrics as rows).
+void printSummaryTables(const std::vector<MetricSet>& runs, std::ostream& out);
 
-/// Human-readable tables on an ostream: one summary table per run, plus —
-/// when two or more runs were added — a side-by-side comparison table
-/// (runs as columns, metrics as rows).
-class SummaryTableSink final : public MetricsSink {
- public:
-  /// `out` must outlive the sink.
-  explicit SummaryTableSink(std::ostream& out) : out_(&out) {}
+/// Per-metric CSV files PREFIX[.<run>].{discovery,memory,bandwidth,
+/// pernode}.csv, plus PREFIX[.<run>].windows.csv for a run with window
+/// rows; the run infix appears only for several runs. Written from the
+/// per-sample rows: throws std::invalid_argument, naming the run, before
+/// writing any file if a run was not built by collectSamples. Returns the
+/// paths written, in order.
+std::vector<std::string> writeCsvFiles(const std::string& prefix,
+                                       const std::vector<MetricSet>& runs);
 
-  void add(const MetricSet& metrics) override;
-  void close() override;
-
- private:
-  std::ostream* out_;
-  std::vector<MetricSet> sets_;
-};
-
-/// Per-metric CSV files: PREFIX[.<run>].{discovery,memory,bandwidth,
-/// pernode}.csv — the run infix appears only when several runs are added.
-/// Written from the per-sample rows: close() throws std::invalid_argument,
-/// naming the run, for a MetricSet that collectSamples did not build.
-class CsvSink final : public MetricsSink {
- public:
-  explicit CsvSink(std::string prefix) : prefix_(std::move(prefix)) {}
-
-  void add(const MetricSet& metrics) override;
-  void close() override;
-
-  /// Paths written by close() (for logs and tests).
-  const std::vector<std::string>& writtenFiles() const noexcept {
-    return written_;
-  }
-
- private:
-  std::string prefix_;
-  std::vector<MetricSet> sets_;
-  std::vector<std::string> written_;
-};
-
-/// One JSON document holding every added run (summary statistics, not the
-/// raw sample vectors) — the machine-readable artifact CI uploads.
-class JsonSink final : public MetricsSink {
- public:
-  explicit JsonSink(std::string path) : path_(std::move(path)) {}
-
-  void add(const MetricSet& metrics) override;
-  void close() override;
-
- private:
-  std::string path_;
-  std::vector<MetricSet> sets_;
-};
+/// One JSON document holding every run (summary statistics and window
+/// rows, not the raw sample vectors) — the machine-readable artifact CI
+/// uploads.
+void writeJson(const std::string& path, const std::vector<MetricSet>& runs);
 
 }  // namespace avmon::experiments

@@ -8,7 +8,6 @@
 #include "experiments/protocol.hpp"
 #include "experiments/protocol_registry.hpp"
 #include "experiments/streaming/collector.hpp"
-#include "experiments/streaming/reducer_registry.hpp"
 
 namespace avmon::experiments {
 
@@ -133,11 +132,22 @@ void Scenario::validate() const {
         "Scenario: metrics.window must be >= 0 (0 = one window closing at "
         "the horizon)");
   }
-  for (const std::string& name : metrics.reducers) {
-    if (streaming::ReducerRegistry::instance().find(name) == nullptr) {
-      throw std::invalid_argument(
-          "Scenario: unknown reducer '" + name + "' — known reducers: " +
-          streaming::ReducerRegistry::instance().namesJoined());
+  const auto& groups = streaming::kMetricGroups;
+  for (auto it = metrics.reducers.begin(); it != metrics.reducers.end();
+       ++it) {
+    if (std::find(groups.begin(), groups.end(), *it) == groups.end()) {
+      std::string known;
+      for (const std::string_view group : groups) {
+        if (!known.empty()) known += ", ";
+        known += group;
+      }
+      throw std::invalid_argument("Scenario: unknown reducer '" + *it +
+                                  "' — known reducers: " + known);
+    }
+    // A repeated group would repeat its window columns (and JSON keys).
+    if (std::find(metrics.reducers.begin(), it, *it) != it) {
+      throw std::invalid_argument("Scenario: metrics.reducers names '" + *it +
+                                  "' more than once");
     }
   }
   for (const double q : metrics.quantiles) {
@@ -330,7 +340,7 @@ void ScenarioRunner::run() {
     }
   }
   if (scenario_.metrics.window > 0 && collector_->anyWindowed()) {
-    // Windowed reducers: stop at metric-window boundaries to take barrier
+    // Windowed metric groups: stop at metric-window boundaries to take barrier
     // probes. Each nominal boundary (a multiple of metrics.window) is
     // aligned UP to the end of the sharding window containing it, so no
     // runUntil call ever splits a sharding window — a split would divide

@@ -65,7 +65,8 @@ struct StreamingMetricsSpec {
   /// sharding-window grid, so a windowed run's event execution is
   /// bit-identical to an uninterrupted one.
   SimDuration window = 0;
-  /// ReducerRegistry names to run; empty = every registered reducer.
+  /// Metric groups to run (streaming::kMetricGroups names, each at most
+  /// once), in window-column order; empty = all four.
   std::vector<std::string> reducers;
   /// Quantiles the streamed summary reports (each in (0, 1)).
   std::vector<double> quantiles{0.5, 0.99};

@@ -20,7 +20,8 @@
 // knob; compact: max run-length runs per target), transport (sim|udp),
 // udp.port_base, udp.retry_max, udp.backoff_ms, udp.backoff_cap_ms,
 // udp.time_scale, metrics.window (seconds; 0 = one window closing at the
-// horizon), metrics.reducers (ReducerRegistry names) and
+// horizon), metrics.reducers (metric groups, each at most once: summary,
+// traffic, discovery, resilience; see streaming::kMetricGroups) and
 // metrics.quantiles (each in (0,1)).
 //
 // Fault-injection and adversary keys (sim/fault_plan.hpp and

@@ -7,7 +7,6 @@
 #include "experiments/adversary.hpp"
 #include "experiments/protocol.hpp"
 #include "experiments/scenario.hpp"
-#include "experiments/streaming/reducer_registry.hpp"
 #include "sim/sharded_simulator.hpp"
 
 namespace avmon::experiments::streaming {
@@ -83,31 +82,24 @@ NodeProbe probeNode(const ScenarioRunner& runner, const NodeId& id) {
   return probe;
 }
 
-StreamingCollector::StreamingCollector(
-    const ScenarioRunner& runner, const std::vector<std::string>& reducerNames)
+StreamingCollector::StreamingCollector(const ScenarioRunner& runner,
+                                       const std::vector<std::string>& groups)
     : runner_(&runner) {
-  const ReducerRegistry& registry = ReducerRegistry::instance();
-  names_ = reducerNames.empty() ? registry.names() : reducerNames;
-  for (const std::string& name : names_) {
-    const ReducerFactory* factory = registry.find(name);
-    if (factory == nullptr) {
-      throw std::invalid_argument(
-          "StreamingCollector: unknown reducer '" + name +
-          "' — known reducers: " + registry.namesJoined());
-    }
-    prototypes_.push_back(factory->make());
-    windowed_.push_back(factory->windowed);
-    anyWindowed_ = anyWindowed_ || factory->windowed;
+  if (groups.empty()) {
+    groups_ = {kSummary, kTraffic, kDiscovery, kResilience};
+  }
+  for (const std::string& name : groups) {
+    groups_.push_back(static_cast<Group>(
+        std::find(kMetricGroups.begin(), kMetricGroups.end(), name) -
+        kMetricGroups.begin()));
+  }
+  for (const Group group : groups_) {
+    summarize_ = summarize_ || group == kSummary;
+    anyWindowed_ = anyWindowed_ || group != kSummary;
   }
 
   const sim::ShardedSimulator& world = runner.world();
   banks_.resize(world.shardCount());
-  for (ShardBank& bank : banks_) {
-    bank.reducers.reserve(prototypes_.size());
-    for (const auto& prototype : prototypes_) {
-      bank.reducers.push_back(prototype->fork());
-    }
-  }
 
   // Partition the participant population by home shard so the final node
   // scan runs where each node lives. Every protocol builds one participant
@@ -118,8 +110,8 @@ StreamingCollector::StreamingCollector(
     if (runner.isMeasured(id)) bank.measuredHome.push_back(id);
   });
 
-  // Collusion victims, partitioned the same way, so the resilience
-  // reducer's barrier gauges are computed on each victim's home thread.
+  // Collusion victims, partitioned the same way, so the barrier's eclipse
+  // gauges are computed on each victim's home thread.
   for (const NodeId& id : runner.adversary().victims) {
     banks_[world.shardOf(id)].victimsHome.push_back(id);
   }
@@ -128,23 +120,22 @@ StreamingCollector::StreamingCollector(
 void StreamingCollector::onWindowBarrier(sim::ShardedSimulator& world,
                                          SimTime boundary) {
   const Protocol& protocol = runner_->protocol();
+  const ResolvedAdversary& adversary = runner_->adversary();
+  // The warm-up resetTraffic zeroes every shard's totals at the warm-up
+  // instant, so the window holding it counts from the reset, not from the
+  // last barrier's (pre-reset) totals.
+  const SimTime warmup = runner_->scenario().warmup;
+  const bool holdsReset =
+      warmup > 0 && lastBoundary_ < warmup && warmup <= boundary;
   world.visitShards([&](std::size_t s) {
     ShardBank& bank = banks_[s];
-    WindowProbe probe;
-    probe.shard = s;
-    probe.windowStart = lastBoundary_;
-    probe.windowEnd = boundary;
     // Aggregate counters are differenced, not scanned: O(1) per shard per
-    // window. The warm-up resetTraffic zeroes the totals mid-window, so a
-    // "backwards" total means this window's delta restarts at the reset.
+    // window.
     const sim::TrafficCounters totals = world.netOf(s).totalTraffic();
-    probe.bytesSentDelta = totals.bytesSent >= bank.lastTotals.bytesSent
-                               ? totals.bytesSent - bank.lastTotals.bytesSent
-                               : totals.bytesSent;
-    probe.messagesSentDelta =
-        totals.messagesSent >= bank.lastTotals.messagesSent
-            ? totals.messagesSent - bank.lastTotals.messagesSent
-            : totals.messagesSent;
+    const sim::TrafficCounters since =
+        holdsReset ? sim::TrafficCounters{} : bank.lastTotals;
+    bank.windowTraffic = {totals.bytesSent - since.bytesSent,
+                          totals.messagesSent - since.messagesSent};
     bank.lastTotals = totals;
     // A recorded first-monitor delay implies the discovery already happened
     // (<= boundary), so the running count minus the last barrier's count is
@@ -153,12 +144,11 @@ void StreamingCollector::onWindowBarrier(sim::ShardedSimulator& world,
     for (const NodeId& id : bank.measuredHome) {
       if (protocol.discoveryDelay(id, 1)) ++discovered;
     }
-    probe.discoveries =
-        static_cast<std::uint64_t>(discovered - bank.discoveredSoFar);
+    bank.windowDiscoveries = discovered - bank.discoveredSoFar;
     bank.discoveredSoFar = discovered;
     // Eclipse gauges over the victims homed here (the victim list is tiny
     // — the attack spec's victim count — so this stays O(1)-ish).
-    const ResolvedAdversary& adversary = runner_->adversary();
+    bank.victimsMonitored = bank.victimsEclipsed = 0;
     for (const NodeId& id : bank.victimsHome) {
       std::size_t monitors = 0, colluding = 0;
       protocol.visitMonitorsOf(id, [&](const NodeId& m) {
@@ -166,20 +156,50 @@ void StreamingCollector::onWindowBarrier(sim::ShardedSimulator& world,
         if (adversary.isColluder(m)) ++colluding;
       });
       if (monitors > 0) {
-        ++probe.victimsMonitored;
-        if (colluding == monitors) ++probe.victimsEclipsed;
+        ++bank.victimsMonitored;
+        if (colluding == monitors) ++bank.victimsEclipsed;
       }
     }
-    for (auto& reducer : bank.reducers) reducer->onWindow(probe);
   });
 
+  // Integer sums in shard order: the row is the same at every shard count.
+  std::uint64_t bytes = 0, messages = 0, discoveries = 0, discovered = 0,
+                monitored = 0, eclipsed = 0;
+  for (const ShardBank& bank : banks_) {
+    bytes += bank.windowTraffic.bytesSent;
+    messages += bank.windowTraffic.messagesSent;
+    discoveries += bank.windowDiscoveries;
+    discovered += bank.discoveredSoFar;
+    monitored += bank.victimsMonitored;
+    eclipsed += bank.victimsEclipsed;
+  }
   WindowRow row;
   row.windowStart = lastBoundary_;
   row.windowEnd = boundary;
-  for (std::size_t i = 0; i < prototypes_.size(); ++i) {
-    if (!windowed_[i]) continue;
-    mergedRoot(i)->emitWindowColumns(row);
-    for (ShardBank& bank : banks_) bank.reducers[i]->resetWindow();
+  const double seconds = toSeconds(boundary - lastBoundary_);
+  const auto column = [&row](const char* name, std::uint64_t value) {
+    row.columns.emplace_back(name, static_cast<double>(value));
+  };
+  for (const Group group : groups_) {
+    switch (group) {
+      case kSummary:
+        break;
+      case kTraffic:
+        column("traffic_bytes", bytes);
+        column("traffic_messages", messages);
+        row.columns.emplace_back(
+            "traffic_bytes_per_sec",
+            seconds > 0.0 ? static_cast<double>(bytes) / seconds : 0.0);
+        break;
+      case kDiscovery:
+        column("discoveries", discoveries);
+        column("discovered_total", discovered);
+        break;
+      case kResilience:
+        column("victims_monitored", monitored);
+        column("victims_eclipsed", eclipsed);
+        break;
+    }
   }
   windows_.push_back(std::move(row));
   lastBoundary_ = boundary;
@@ -193,23 +213,16 @@ void StreamingCollector::finish(sim::ShardedSimulator& world,
   if (anyWindowed_ && lastBoundary_ < horizon) {
     onWindowBarrier(world, horizon);  // final (possibly shorter) window
   }
-  world.visitShards([&](std::size_t s) {
-    ShardBank& bank = banks_[s];
-    for (const NodeId& id : bank.participants) {
-      const NodeProbe probe = probeNode(*runner_, id);
-      for (auto& reducer : bank.reducers) reducer->onNode(probe);
-    }
-  });
-  for (std::size_t i = 0; i < prototypes_.size(); ++i) {
-    mergedRoot(i)->finish(summary_);
+  if (summarize_) {
+    world.visitShards([&](std::size_t s) {
+      ShardBank& bank = banks_[s];
+      for (const NodeId& id : bank.participants) {
+        bank.summary.add(probeNode(*runner_, id));
+      }
+    });
+    for (const ShardBank& bank : banks_) summary_.merge(bank.summary);
   }
   finished_ = true;
-}
-
-std::unique_ptr<Reducer> StreamingCollector::mergedRoot(std::size_t i) const {
-  std::unique_ptr<Reducer> root = prototypes_[i]->fork();
-  for (const ShardBank& bank : banks_) root->mergeFrom(*bank.reducers[i]);
-  return root;
 }
 
 const StreamedSummary& StreamingCollector::summary() const {
@@ -222,9 +235,9 @@ const StreamedSummary& StreamingCollector::summary() const {
 
 std::size_t StreamingCollector::stateBytes() const {
   std::size_t bytes = 0;
-  for (const auto& prototype : prototypes_) bytes += prototype->stateBytes();
   for (const ShardBank& bank : banks_) {
-    for (const auto& reducer : bank.reducers) bytes += reducer->stateBytes();
+    bytes += sizeof(ShardBank) - sizeof(StreamedSummary) +
+             bank.summary.stateBytes();
   }
   for (const WindowRow& row : windows_) {
     bytes += sizeof(WindowRow) +

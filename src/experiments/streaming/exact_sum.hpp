@@ -1,6 +1,6 @@
 // Order- and partition-independent exact summation of doubles.
 //
-// The streaming pipeline's core determinism problem: per-shard reducers
+// The streaming pipeline's core determinism problem: per-shard banks
 // see DIFFERENT sub-multisets of the same samples depending on the shard
 // count (round-robin partitioning interleaves them), so any accumulator
 // whose result depends on addition order — a plain `double sum`, Kahan,
@@ -17,7 +17,7 @@
 //
 // value() rounds the exact sum to the nearest double (ties to even).
 // Cost: ~280 bytes of state and a few limb operations per add — trivial
-// next to a protocol probe, and reducers keep O(1) of them.
+// next to a protocol probe, and each bank keeps O(1) of them.
 #pragma once
 
 #include <array>

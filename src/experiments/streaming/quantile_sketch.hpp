@@ -22,8 +22,8 @@
 // practice tens of entries, bounded by kSubBins per octave of dynamic
 // range. Storage is a flat sorted vector probed by binary search: at these
 // sizes that beats the old std::map (one ~48-byte red-black node plus an
-// allocation per bin; the sketch is forked per shard per reducer, so node
-// churn multiplied). Iteration stays ascending-by-bin, so results are
+// allocation per bin; every shard bank holds one sketch per metric, so
+// node churn multiplied). Iteration stays ascending-by-bin, so results are
 // bit-identical to the map layout and avmon_lint-clean.
 #pragma once
 

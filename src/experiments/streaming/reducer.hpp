@@ -1,38 +1,19 @@
-// Reducer: the pluggable unit of the metrics pipeline.
+// The data the metrics pipeline carries: what one node contributes
+// (NodeProbe), one time-series row (WindowRow), and the end-of-run summary
+// (StreamedSummary) the collector folds from its per-shard banks
+// (collector.hpp).
 //
-// Reducers SUBSCRIBE to a run instead of scanning it: one Reducer instance
-// lives inside every ShardedSimulator shard, fed two probe streams by the
-// StreamingCollector:
-//
-//   onWindow(WindowProbe)  at every metric-window barrier, with the owning
-//                          shard's aggregate deltas for the closed window
-//                          (bytes, messages, first-monitor discoveries)
-//                          and its victim eclipse gauges;
-//   onNode(NodeProbe)      once per participant at the final barrier, with
-//                          the node's per-metric samples (probeNode in
-//                          collector.hpp holds the qualification rules).
-//
-// Aggregation is hierarchical: after each window the collector merges the
-// shard instances into a root copy IN SHARD-INDEX ORDER and asks it for
-// that window's time-series columns; at the horizon the same merge
-// produces the final StreamedSummary. Reducer state must therefore be
-// mergeable with an ASSOCIATIVE, PARTITION-INDEPENDENT merge — build it
-// from the sketch library (ExactSum/OnlineStats/QuantileSketch) and
-// integer counters, never from a bare floating accumulator, and the
-// streamed output reproduces S = 1 bit-for-bit at every shard count (the
-// same discipline the sharded simulator pins for the protocols).
-//
-// Determinism rules for new reducers (enforced by review + avmon_lint):
-//   * no unordered-container iteration without a fixed order or a
-//     reasoned `lint:allow` — use std::map/vectors like the built-ins;
-//   * no wall clock, no private RNG seeds;
-//   * onWindow/onNode run on shard worker threads: touch only this
-//     instance's state (the collector hands each shard its own instance).
+// Summary state is mergeable with an ASSOCIATIVE, PARTITION-INDEPENDENT
+// merge: it is built from the sketch library (ExactSum/OnlineStats/
+// QuantileSketch) and integer counters, never from a bare floating
+// accumulator, so the streamed output reproduces S = 1 bit-for-bit at
+// every shard count (the same discipline the sharded simulator pins for
+// the protocols).
 #pragma once
 
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <string>
 #include <utility>
@@ -45,27 +26,6 @@
 #include "experiments/streaming/quantile_sketch.hpp"
 
 namespace avmon::experiments::streaming {
-
-/// One shard's aggregate deltas for one closed metric window. Every field
-/// is a sum of per-node integer counters, so totals across shards are
-/// independent of the partition.
-struct WindowProbe {
-  std::size_t shard = 0;
-  SimTime windowStart = 0;  ///< exclusive
-  SimTime windowEnd = 0;    ///< inclusive
-  std::uint64_t bytesSentDelta = 0;
-  std::uint64_t messagesSentDelta = 0;
-  /// Measured nodes whose FIRST monitor discovery instant fell inside
-  /// (windowStart, windowEnd].
-  std::uint64_t discoveries = 0;
-  /// Collusion-attack victims homed in this shard with >= 1 discovered
-  /// monitor at the barrier, and those whose monitors are ALL coalition
-  /// members. Gauges, not deltas — each victim lives in exactly one shard,
-  /// so the cross-shard sum is the system-wide count. Always 0 when the
-  /// scenario arms no attack.
-  std::uint64_t victimsMonitored = 0;
-  std::uint64_t victimsEclipsed = 0;
-};
 
 /// One participant's end-of-run samples. Each optional is engaged exactly
 /// when the node contributes a sample to that metric (probeNode holds the
@@ -87,9 +47,10 @@ struct NodeProbe {
   std::optional<AvailabilityAccuracy> accuracy;
 };
 
-/// One merged time-series row: the window plus named columns contributed
-/// by each windowed reducer in registration order (fixed, so CSV/JSON
-/// column order is deterministic).
+/// One metric window's time-series row: the window plus named columns,
+/// one group of columns per selected windowed group in the scenario's
+/// metrics.reducers order (fixed, so CSV/JSON column order is
+/// deterministic).
 struct WindowRow {
   SimTime windowStart = 0;
   SimTime windowEnd = 0;
@@ -117,15 +78,15 @@ struct StreamedMetric {
   }
 };
 
-/// The MetricSet-compatible end-of-run summary the "summary" reducer
-/// fills: one StreamedMetric per paper metric plus the discovery and
-/// accuracy aggregates. O(reducers), never O(N). Attack victims are not
+/// The MetricSet-compatible end-of-run summary the "summary" group fills:
+/// one StreamedMetric per paper metric plus the discovery and accuracy
+/// aggregates. O(sketch bins), never O(N). Attack victims are not
 /// summarized here: MetricSet takes their rows from victimOutcomes
 /// (experiments/adversary.hpp) against the final protocol state.
 struct StreamedSummary {
   StreamedMetric discoverySeconds;
   /// Second and third monitor's discovery delay: read by expect.* lines,
-  /// not by the table and JSON sinks.
+  /// not by the tables and the JSON.
   StreamedMetric discovery2Seconds;
   StreamedMetric discovery3Seconds;
   StreamedMetric memoryEntries;
@@ -133,10 +94,64 @@ struct StreamedSummary {
   StreamedMetric uselessPingsPerMinute;
   StreamedMetric computationsPerSecond;
   /// Mean |estimated - actual| feeds accuracyMeanAbsError; count is the
-  /// reporting-node count the sinks print.
+  /// reporting-node count the tables print.
   StreamedMetric accuracyAbsError;
   std::uint64_t joined = 0;  ///< measured nodes that ever joined
   std::uint64_t found = 0;   ///< of those, discovered >= 1 monitor
+
+  /// Folds in one participant's samples.
+  void add(const NodeProbe& probe) {
+    if (probe.discoverySeconds) discoverySeconds.add(*probe.discoverySeconds);
+    if (probe.discovery2Seconds) {
+      discovery2Seconds.add(*probe.discovery2Seconds);
+    }
+    if (probe.discovery3Seconds) {
+      discovery3Seconds.add(*probe.discovery3Seconds);
+    }
+    if (probe.memoryEntries) memoryEntries.add(*probe.memoryEntries);
+    if (probe.outgoingBytesPerSecond) {
+      outgoingBytesPerSecond.add(*probe.outgoingBytesPerSecond);
+    }
+    if (probe.uselessPingsPerMinute) {
+      uselessPingsPerMinute.add(*probe.uselessPingsPerMinute);
+    }
+    if (probe.computationsPerSecond) {
+      computationsPerSecond.add(*probe.computationsPerSecond);
+    }
+    if (probe.accuracy) {
+      accuracyAbsError.add(
+          std::fabs(probe.accuracy->estimated - probe.accuracy->actual));
+    }
+    if (probe.joined) {
+      ++joined;
+      if (probe.discoverySeconds) ++found;
+    }
+  }
+
+  /// Folds in another (shard's) summary: exact, so any partition of the
+  /// same probes merges to identical bits.
+  void merge(const StreamedSummary& other) {
+    discoverySeconds.merge(other.discoverySeconds);
+    discovery2Seconds.merge(other.discovery2Seconds);
+    discovery3Seconds.merge(other.discovery3Seconds);
+    memoryEntries.merge(other.memoryEntries);
+    outgoingBytesPerSecond.merge(other.outgoingBytesPerSecond);
+    uselessPingsPerMinute.merge(other.uselessPingsPerMinute);
+    computationsPerSecond.merge(other.computationsPerSecond);
+    accuracyAbsError.merge(other.accuracyAbsError);
+    joined += other.joined;
+    found += other.found;
+  }
+
+  /// Retained bytes (for MetricSet::metricStateBytes).
+  std::size_t stateBytes() const noexcept {
+    return discoverySeconds.stateBytes() + discovery2Seconds.stateBytes() +
+           discovery3Seconds.stateBytes() + memoryEntries.stateBytes() +
+           outgoingBytesPerSecond.stateBytes() +
+           uselessPingsPerMinute.stateBytes() +
+           computationsPerSecond.stateBytes() + accuracyAbsError.stateBytes() +
+           2 * sizeof(std::uint64_t);
+  }
 
   double discoveredFraction() const noexcept {
     return joined == 0
@@ -144,54 +159,5 @@ struct StreamedSummary {
                : static_cast<double>(found) / static_cast<double>(joined);
   }
 };
-
-/// One pluggable online reduction. Lifetime: the registry's make() builds
-/// the root prototype; fork() clones an EMPTY instance per shard; the
-/// collector feeds shard instances, merges them into root copies, and
-/// calls the emit hooks on the merged result only.
-class Reducer {
- public:
-  virtual ~Reducer() = default;
-
-  /// Registry key ("summary", "traffic", "discovery", ...).
-  virtual std::string name() const = 0;
-
-  /// A fresh, empty instance of the same concrete type.
-  virtual std::unique_ptr<Reducer> fork() const = 0;
-
-  // ---- per-shard ingest (shard worker thread, own instance only) ----
-  virtual void onWindow(const WindowProbe& probe) { (void)probe; }
-  virtual void onNode(const NodeProbe& probe) { (void)probe; }
-
-  /// Merges `other` (same concrete type) into this instance. The
-  /// collector merges shard instances in shard-index order; the merge
-  /// must be associative and partition-independent (see header comment).
-  virtual void mergeFrom(const Reducer& other) = 0;
-
-  // ---- root-side emission (coordinator thread, merged copies) ----
-
-  /// Appends this reducer's columns for the window just closed. Called on
-  /// a root merge of the shard instances; windowed reducers override.
-  virtual void emitWindowColumns(WindowRow& row) const { (void)row; }
-
-  /// Clears window-scoped state on the shard instances after the root
-  /// consumed it (run-scoped state — cumulative counters, summary
-  /// sketches — stays).
-  virtual void resetWindow() {}
-
-  /// Contributes to the final summary. Called once, on the root merge at
-  /// the horizon.
-  virtual void finish(StreamedSummary& out) const { (void)out; }
-
-  /// Retained bytes of reducer state (MetricSet::metricStateBytes).
-  virtual std::size_t stateBytes() const = 0;
-};
-
-/// Built-in reducer factories (reducer.cpp); pre-registered by
-/// ReducerRegistry, exposed for direct use in tests.
-std::unique_ptr<Reducer> makeSummaryReducer();
-std::unique_ptr<Reducer> makeTrafficReducer();
-std::unique_ptr<Reducer> makeDiscoveryReducer();
-std::unique_ptr<Reducer> makeResilienceReducer();
 
 }  // namespace avmon::experiments::streaming

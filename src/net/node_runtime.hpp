@@ -56,7 +56,8 @@ class NodeRuntime {
 
   /// The per-node final report: protocol counters, wire counters,
   /// discovery delay, and per-target availability estimates, as one JSON
-  /// object. The driver aggregates these into the MetricsSink summary.
+  /// object. The driver (avmon_live) aggregates these into its metrics
+  /// JSON.
   void writeMetricsJson(std::ostream& out) const;
 
   const AvmonNode& node() const noexcept { return *node_; }

@@ -387,7 +387,7 @@ std::uint64_t ShardedSimulator::executeWindow(SimTime wEnd, bool onPool) {
 
 void ShardedSimulator::visitShards(const std::function<void(std::size_t)>& fn) {
   // The visit borrows the window-phase machinery: same shard->worker
-  // assignment, same sentinel scopes, so a reducer bank a visit populates
+  // assignment, same sentinel scopes, so a metric bank a visit populates
   // is touched by exactly one thread for the whole run.
   AVMON_DET_PHASE_SCOPE(detDomain_);
   visitFn_ = &fn;

@@ -157,10 +157,10 @@ class ShardedSimulator {
   /// shard's determinism-sentinel scope. Unlike the run phase — which
   /// steals shards across workers per window — visits always use the
   /// static home assignment, so state `fn` accumulates per shard (e.g. a
-  /// reducer bank) is touched by exactly one thread for the whole run.
+  /// metric bank) is touched by exactly one thread for the whole run.
   /// The shards must be quiescent (between runUntil calls); `fn` may read
   /// the shard's sub-world and write only per-shard state it owns. This is
-  /// how per-shard reducer banks ingest window probes without any state
+  /// how per-shard metric banks ingest window probes without any state
   /// ever crossing a shard boundary (experiments/streaming). Exceptions
   /// from `fn` are rethrown on this thread after every shard completed.
   void visitShards(const std::function<void(std::size_t)>& fn);
@@ -266,7 +266,7 @@ class ShardedSimulator {
   void runShardsStealing(SimTime target);
   // Drain/visit phases on the pool keep the static home map (shard s ->
   // worker s % workerCount_): drains reuse each destination's inbox
-  // scratch, and visitShards promises reducer banks a single touching
+  // scratch, and visitShards promises metric banks a single touching
   // thread. drainShards(first, stride) drains destinations first,
   // first + stride, ...: (worker, workerCount_) on the pool, (0, 1) for a
   // serial window.

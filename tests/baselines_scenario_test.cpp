@@ -226,7 +226,7 @@ TEST(BaselinesScenarioTest, DhtRingMemoryIsPsPlusTs) {
 TEST(BaselinesScenarioTest, AllFiveProtocolsOneComparisonTable) {
   // The acceptance shape of the redesign: every registered protocol runs
   // the same workload through the same runner, snapshots into the same
-  // MetricSet, and one sink prints one comparison table.
+  // MetricSet, and one writer prints one comparison table.
   std::vector<Scenario> scenarios;
   for (const char* protocol :
        {"avmon", "broadcast", "central", "dht_ring", "self_report"}) {
@@ -240,15 +240,13 @@ TEST(BaselinesScenarioTest, AllFiveProtocolsOneComparisonTable) {
       scenarios, [](ScenarioRunner& runner) { return collectSamples(runner); });
   ASSERT_EQ(metricSets.size(), 5u);
 
-  std::ostringstream out;
-  SummaryTableSink sink(out);
   for (const MetricSet& set : metricSets) {
     EXPECT_FALSE(set.memoryEntries.empty()) << set.protocol;
     // Same trace everywhere: 60 stable + 6 control nodes, one row each.
     EXPECT_EQ(set.perNode.size(), 66u) << set.protocol;
-    sink.add(set);
   }
-  sink.close();
+  std::ostringstream out;
+  printSummaryTables(metricSets, out);
 
   const std::string table = out.str();
   EXPECT_NE(table.find("protocol comparison"), std::string::npos);

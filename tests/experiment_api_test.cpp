@@ -1,6 +1,6 @@
 // The protocol-agnostic experiment API: protocol registry, declarative
 // scenario specs (round-trip property), sweep expansion determinism,
-// Scenario::validate(), the measured-set rule, and the metrics sinks'
+// Scenario::validate(), the measured-set rule, and the metrics writers'
 // stream-failure contract.
 #include <gtest/gtest.h>
 
@@ -15,7 +15,7 @@
 #include "experiments/protocol_registry.hpp"
 #include "experiments/scenario.hpp"
 #include "experiments/spec.hpp"
-#include "experiments/streaming/reducer_registry.hpp"
+#include "experiments/streaming/collector.hpp"
 #include "golden_hash.hpp"
 #include "stats/table_printer.hpp"
 
@@ -183,9 +183,8 @@ TEST(ScenarioSpecTest, RoundTripIsFixedPointProperty) {
         nextRand() % 3 == 0 ? 0 : static_cast<SimDuration>(nextRand() % kHour);
     if (nextRand() % 2 == 0) {
       s.metrics.reducers.clear();
-      const auto reducers = streaming::ReducerRegistry::instance().names();
-      for (const std::string& r : reducers) {
-        if (nextRand() % 2 == 0) s.metrics.reducers.push_back(r);
+      for (const std::string_view r : streaming::kMetricGroups) {
+        if (nextRand() % 2 == 0) s.metrics.reducers.emplace_back(r);
       }
     }
     if (nextRand() % 3 == 0) {
@@ -683,6 +682,11 @@ TEST(ScenarioValidateTest, ActionableErrors) {
   expectError([](Scenario& s) { s.metrics.window = -1; }, "metrics.window");
   expectError([](Scenario& s) { s.metrics.reducers = {"nope"}; },
               "unknown reducer");
+  expectError(
+      [](Scenario& s) {
+        s.metrics.reducers = {"summary", "traffic", "traffic"};
+      },
+      "metrics.reducers names 'traffic' more than once");
   expectError([](Scenario& s) { s.metrics.quantiles = {1.5}; },
               "metrics.quantiles");
   expectError([](Scenario& s) { s.faults.partitions.push_back({600, 500, 2}); },
@@ -756,7 +760,7 @@ TEST(MeasuredSetTest, RunnerMeasuresTheScheduleFilteredByTheRule) {
   }
 }
 
-// ---- metrics sinks ----
+// ---- metrics writers ----
 
 MetricSet tinySet(const std::string& protocol, std::uint64_t seed) {
   MetricSet set;
@@ -783,18 +787,21 @@ MetricSet tinySet(const std::string& protocol, std::uint64_t seed) {
   return set;
 }
 
-TEST(MetricsSinkTest, CsvSinkRejectsASetWithoutRowsNamingTheRun) {
+TEST(MetricsWriterTest, CsvFilesRejectASetWithoutRowsNamingTheRun) {
   const std::string prefix = ::testing::TempDir() + "avmon_csv_norows";
-  CsvSink sink(prefix);
+  std::vector<std::string> validRunFiles;
+  for (const char* suffix :
+       {".discovery.csv", ".memory.csv", ".bandwidth.csv", ".pernode.csv"}) {
+    validRunFiles.push_back(prefix + ".avmon-STAT-n10-s1" + suffix);
+    std::remove(validRunFiles.back().c_str());
+  }
   MetricSet summaryOnly = tinySet("central", 4);
   summaryOnly.discoverySeconds.clear();
   summaryOnly.memoryEntries.clear();
   summaryOnly.outgoingBytesPerSecond.clear();
   summaryOnly.perNode.clear();
-  sink.add(tinySet("avmon", 1));
-  sink.add(summaryOnly);
   try {
-    sink.close();
+    writeCsvFiles(prefix, {tinySet("avmon", 1), summaryOnly});
     FAIL() << "expected invalid_argument for a MetricSet without rows";
   } catch (const std::invalid_argument& e) {
     EXPECT_NE(std::string(e.what()).find(summaryOnly.label()),
@@ -802,14 +809,15 @@ TEST(MetricsSinkTest, CsvSinkRejectsASetWithoutRowsNamingTheRun) {
         << e.what();
   }
   // Nothing was written, not even the valid run's files.
-  EXPECT_TRUE(sink.writtenFiles().empty());
+  for (const std::string& path : validRunFiles) {
+    EXPECT_FALSE(std::ifstream(path).good()) << path;
+  }
 }
 
-TEST(MetricsSinkTest, CsvSinkReportsStreamFailureOnClose) {
-  CsvSink sink("/nonexistent-dir-for-avmon-test/prefix");
-  sink.add(tinySet("avmon", 1));
+TEST(MetricsWriterTest, CsvFilesReportStreamFailure) {
   try {
-    sink.close();
+    writeCsvFiles("/nonexistent-dir-for-avmon-test/prefix",
+                  {tinySet("avmon", 1)});
     FAIL() << "expected runtime_error for unwritable CSV target";
   } catch (const std::runtime_error& e) {
     EXPECT_NE(std::string(e.what()).find("/nonexistent-dir-for-avmon-test"),
@@ -818,48 +826,39 @@ TEST(MetricsSinkTest, CsvSinkReportsStreamFailureOnClose) {
   }
 }
 
-TEST(MetricsSinkTest, CsvSinkWritesAllFilesAndPerNodeRows) {
+TEST(MetricsWriterTest, CsvFilesWriteAllFilesAndPerNodeRows) {
   const std::string prefix = ::testing::TempDir() + "avmon_csv_sink";
-  CsvSink sink(prefix);
-  sink.add(tinySet("avmon", 1));
-  sink.close();
-  ASSERT_EQ(sink.writtenFiles().size(), 4u);
-  for (const std::string& path : sink.writtenFiles()) {
+  const std::vector<std::string> written =
+      writeCsvFiles(prefix, {tinySet("avmon", 1)});
+  ASSERT_EQ(written.size(), 4u);
+  for (const std::string& path : written) {
     std::ifstream f(path);
     EXPECT_TRUE(f.good()) << path;
     std::remove(path.c_str());
   }
   // Single-run sweeps keep the historical file names.
-  EXPECT_EQ(sink.writtenFiles()[0], prefix + ".discovery.csv");
+  EXPECT_EQ(written[0], prefix + ".discovery.csv");
 }
 
-TEST(MetricsSinkTest, MultiRunCsvFilesAreKeyedByRunLabel) {
+TEST(MetricsWriterTest, MultiRunCsvFilesAreKeyedByRunLabel) {
   const std::string prefix = ::testing::TempDir() + "avmon_csv_multi";
-  CsvSink sink(prefix);
-  sink.add(tinySet("avmon", 1));
-  sink.add(tinySet("broadcast", 1));
-  sink.close();
-  ASSERT_EQ(sink.writtenFiles().size(), 8u);
-  EXPECT_NE(sink.writtenFiles()[0].find("avmon-STAT"), std::string::npos);
-  EXPECT_NE(sink.writtenFiles()[4].find("broadcast-STAT"),
-            std::string::npos);
-  for (const std::string& path : sink.writtenFiles()) {
-    std::remove(path.c_str());
-  }
+  const std::vector<std::string> written =
+      writeCsvFiles(prefix, {tinySet("avmon", 1), tinySet("broadcast", 1)});
+  ASSERT_EQ(written.size(), 8u);
+  EXPECT_NE(written[0].find("avmon-STAT"), std::string::npos);
+  EXPECT_NE(written[4].find("broadcast-STAT"), std::string::npos);
+  for (const std::string& path : written) std::remove(path.c_str());
 }
 
-TEST(MetricsSinkTest, JsonSinkReportsStreamFailureOnClose) {
-  JsonSink sink("/nonexistent-dir-for-avmon-test/metrics.json");
-  sink.add(tinySet("avmon", 1));
-  EXPECT_THROW(sink.close(), std::runtime_error);
+TEST(MetricsWriterTest, JsonReportsStreamFailure) {
+  EXPECT_THROW(writeJson("/nonexistent-dir-for-avmon-test/metrics.json",
+                         {tinySet("avmon", 1)}),
+               std::runtime_error);
 }
 
-TEST(MetricsSinkTest, JsonSinkEmitsOneObjectPerRun) {
+TEST(MetricsWriterTest, JsonEmitsOneObjectPerRun) {
   const std::string path = ::testing::TempDir() + "avmon_metrics.json";
-  JsonSink sink(path);
-  sink.add(tinySet("avmon", 1));
-  sink.add(tinySet("central", 2));
-  sink.close();
+  writeJson(path, {tinySet("avmon", 1), tinySet("central", 2)});
   std::ifstream f(path);
   ASSERT_TRUE(f.good());
   std::stringstream buffer;
@@ -872,23 +871,18 @@ TEST(MetricsSinkTest, JsonSinkEmitsOneObjectPerRun) {
   std::remove(path.c_str());
 }
 
-TEST(MetricsSinkTest, SummaryTableSinkPrintsComparisonForMultipleRuns) {
+TEST(MetricsWriterTest, SummaryTablesPrintComparisonForMultipleRuns) {
   std::ostringstream out;
-  SummaryTableSink sink(out);
-  sink.add(tinySet("avmon", 1));
-  sink.add(tinySet("broadcast", 1));
-  sink.close();
+  printSummaryTables({tinySet("avmon", 1), tinySet("broadcast", 1)}, out);
   const std::string text = out.str();
   EXPECT_NE(text.find("protocol comparison"), std::string::npos);
   EXPECT_NE(text.find("avmon"), std::string::npos);
   EXPECT_NE(text.find("broadcast"), std::string::npos);
 }
 
-TEST(MetricsSinkTest, SummaryTableSinkSingleRunHasNoComparison) {
+TEST(MetricsWriterTest, SummaryTablesSingleRunHasNoComparison) {
   std::ostringstream out;
-  SummaryTableSink sink(out);
-  sink.add(tinySet("avmon", 1));
-  sink.close();
+  printSummaryTables({tinySet("avmon", 1)}, out);
   EXPECT_EQ(out.str().find("protocol comparison"), std::string::npos);
 }
 

@@ -1,8 +1,10 @@
 // Streaming metrics pipeline: sketch-algebra properties (exactness,
 // associativity, partition independence), the quantile rank-error bound,
-// the ReducerRegistry contract, and the summary-vs-rows regression — the
-// streamed summary agrees exactly with collectSamples' rows and is
-// bit-identical across every shard count on the golden workloads.
+// the summary-vs-rows regression — the streamed summary agrees exactly
+// with collectSamples' rows and is bit-identical across every shard count
+// on the golden workloads — and the window rows: their columns follow the
+// spec's metric-group order, and their traffic adds up to the post-warm-up
+// traffic.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -11,6 +13,7 @@
 #include <fstream>
 #include <limits>
 #include <random>
+#include <string>
 #include <vector>
 
 #include "experiments/metrics.hpp"
@@ -20,7 +23,6 @@
 #include "experiments/streaming/exact_sum.hpp"
 #include "experiments/streaming/online_stats.hpp"
 #include "experiments/streaming/quantile_sketch.hpp"
-#include "experiments/streaming/reducer_registry.hpp"
 #include "golden_hash.hpp"
 #include "stats/cdf.hpp"
 
@@ -244,41 +246,23 @@ TEST(QuantileSketchTest, EmptyAndZeroStreams) {
   EXPECT_EQ(zeros.count(), 5u);
 }
 
-// --------------------------------------------------------- ReducerRegistry
+// ------------------------------------------------------ summary vs rows
 
-TEST(ReducerRegistryTest, BuiltinsAreRegistered) {
-  auto& registry = ReducerRegistry::instance();
-  const auto names = registry.names();
-  ASSERT_GE(names.size(), 3u);
-  EXPECT_EQ(names[0], "summary");
-  EXPECT_EQ(names[1], "traffic");
-  EXPECT_EQ(names[2], "discovery");
-  EXPECT_FALSE(registry.find("summary")->windowed);
-  EXPECT_TRUE(registry.find("traffic")->windowed);
-  EXPECT_TRUE(registry.find("discovery")->windowed);
-  EXPECT_EQ(registry.create("summary")->name(), "summary");
-}
-
-TEST(ReducerRegistryTest, UnknownNameThrowsListingKnown) {
-  try {
-    ReducerRegistry::instance().create("nope");
-    FAIL() << "expected std::invalid_argument";
-  } catch (const std::invalid_argument& e) {
-    EXPECT_NE(std::string(e.what()).find("summary"), std::string::npos);
+/// Two runs' window rows are equal: same windows, same columns, same bits.
+void expectSameRows(const std::vector<WindowRow>& got,
+                    const std::vector<WindowRow>& want,
+                    const std::string& what) {
+  ASSERT_EQ(got.size(), want.size()) << what;
+  for (std::size_t r = 0; r < want.size(); ++r) {
+    EXPECT_EQ(got[r].windowStart, want[r].windowStart) << what;
+    EXPECT_EQ(got[r].windowEnd, want[r].windowEnd) << what;
+    ASSERT_EQ(got[r].columns.size(), want[r].columns.size()) << what;
+    for (std::size_t c = 0; c < want[r].columns.size(); ++c) {
+      EXPECT_EQ(got[r].columns[c].first, want[r].columns[c].first) << what;
+      EXPECT_EQ(got[r].columns[c].second, want[r].columns[c].second) << what;
+    }
   }
 }
-
-TEST(ReducerRegistryTest, DuplicateAndMalformedRegistrationsThrow) {
-  auto& registry = ReducerRegistry::instance();
-  EXPECT_THROW(registry.add({"summary", "dup", false, makeSummaryReducer}),
-               std::invalid_argument);
-  EXPECT_THROW(registry.add({"", "anon", false, makeSummaryReducer}),
-               std::invalid_argument);
-  EXPECT_THROW(registry.add({"nofactory", "x", false, nullptr}),
-               std::invalid_argument);
-}
-
-// ------------------------------------------------------ summary vs rows
 
 // Extends the golden regime of scenario_metrics_test / sharded_sim_test to
 // windowed metrics: on the STAT and SYNTH-BD golden workloads 60 s metric
@@ -305,7 +289,7 @@ TEST(StreamingLaneTest, StreamedSummariesMatchSamplesAcrossShards) {
     for (const unsigned s : shardCounts) {
       Scenario sc = golden[p.goldenIndex];
       sc.shards = s;
-      sc.metrics.window = 60 * kSecond;  // all reducers, windowed path on
+      sc.metrics.window = 60 * kSecond;  // all groups, windowed path on
       scenarios.push_back(sc);
     }
     // Control: same workload, default metrics (one window at the horizon).
@@ -341,18 +325,9 @@ TEST(StreamingLaneTest, StreamedSummariesMatchSamplesAcrossShards) {
       EXPECT_EQ(s.joined, summary.joined);
       EXPECT_EQ(s.found, summary.found);
       // Windowed time-series rows are partition-invariant too.
-      const auto& wref = first.windows();
-      const auto& wrun = run.streamingCollector().windows();
-      ASSERT_EQ(wrun.size(), wref.size());
-      for (std::size_t r = 0; r < wref.size(); ++r) {
-        EXPECT_EQ(wrun[r].windowStart, wref[r].windowStart);
-        EXPECT_EQ(wrun[r].windowEnd, wref[r].windowEnd);
-        ASSERT_EQ(wrun[r].columns.size(), wref[r].columns.size());
-        for (std::size_t c = 0; c < wref[r].columns.size(); ++c) {
-          EXPECT_EQ(wrun[r].columns[c].first, wref[r].columns[c].first);
-          EXPECT_EQ(wrun[r].columns[c].second, wref[r].columns[c].second);
-        }
-      }
+      expectSameRows(run.streamingCollector().windows(), first.windows(),
+                     std::string(p.name) + " S=" +
+                         std::to_string(shardCounts[i]));
     }
 
     // The unwindowed control streams the same summary.
@@ -444,18 +419,15 @@ TEST(StreamingLaneTest, ShardedRunWritesOneDiscoveryLinePerDiscoveredNode) {
   runner.run();
 
   const std::string prefix = ::testing::TempDir() + "avmon_sharded_csv";
-  CsvSink sink(prefix);
-  sink.add(collectSamples(runner));
-  sink.close();
+  const std::vector<std::string> written =
+      writeCsvFiles(prefix, {collectSamples(runner)});
   std::ifstream discovery(prefix + ".discovery.csv");
   ASSERT_TRUE(discovery.good());
   std::string line;
   std::size_t dataLines = 0;
   ASSERT_TRUE(std::getline(discovery, line));  // header
   while (std::getline(discovery, line)) ++dataLines;
-  for (const std::string& path : sink.writtenFiles()) {
-    std::remove(path.c_str());
-  }
+  for (const std::string& path : written) std::remove(path.c_str());
 
   std::size_t discovered = 0;
   for (const NodeId& id : runner.measuredIds()) {
@@ -466,7 +438,7 @@ TEST(StreamingLaneTest, ShardedRunWritesOneDiscoveryLinePerDiscoveredNode) {
 }
 
 // Memory regression guard for the collector (the million-node diet):
-// retained metric state must be O(shards x reducers), never O(N). The old
+// retained metric state must be O(shards x sketch bins), never O(N). The old
 // horizon accuracy scan materialized a per-node estimate map inside
 // finish(); the window-incremental probes replaced it, and this test keeps
 // it dead — quadrupling the population may not grow the collector's
@@ -482,7 +454,7 @@ TEST(StreamingLaneTest, CollectorStateIsPopulationIndependent) {
     s.horizon = 45 * kMinute;
     s.warmup = 15 * kMinute;
     s.shards = 2;
-    s.metrics.window = 60 * kSecond;  // all reducers, windowed path on
+    s.metrics.window = 60 * kSecond;  // all groups, windowed path on
     ScenarioRunner runner(s);
     runner.run();
     return runner.streamingCollector().stateBytes();
@@ -493,6 +465,119 @@ TEST(StreamingLaneTest, CollectorStateIsPopulationIndependent) {
       << "streamed metric state grew with N — a per-node container is back "
          "on the probe path";
   EXPECT_LT(large, 65536u) << "collector footprint exceeds the flat ceiling";
+}
+
+// ------------------------------------------------------------ window rows
+
+// The window columns come out group by group in the scenario's
+// metrics.reducers order — an empty list runs every group in
+// kMetricGroups order — and "summary" adds none, so a summary-only run
+// takes no window rows at all. The rows are the same at one shard and at
+// three. A collusion attack gives the resilience columns victims to count.
+TEST(StreamingLaneTest, WindowColumnsFollowTheSpecOrder) {
+  const std::vector<std::string> traffic = {
+      "traffic_bytes", "traffic_messages", "traffic_bytes_per_sec"};
+  const std::vector<std::string> discovery = {"discoveries",
+                                              "discovered_total"};
+  const std::vector<std::string> resilience = {"victims_monitored",
+                                               "victims_eclipsed"};
+  const auto concat = [](std::vector<std::vector<std::string>> parts) {
+    std::vector<std::string> out;
+    for (const auto& part : parts) {
+      out.insert(out.end(), part.begin(), part.end());
+    }
+    return out;
+  };
+  struct Case {
+    std::vector<std::string> groups;
+    std::vector<std::string> columns;  ///< empty: no window rows
+  };
+  const Case cases[] = {
+      {{}, concat({traffic, discovery, resilience})},
+      {{"summary", "traffic", "resilience", "discovery"},  // sharded_faults
+       concat({traffic, resilience, discovery})},
+      {{"summary"}, {}},
+  };
+  const unsigned shardCounts[] = {1, 3};
+
+  std::vector<Scenario> scenarios;
+  for (const Case& c : cases) {
+    for (const unsigned shards : shardCounts) {
+      Scenario s = goldenScenarios().front();  // STAT
+      s.stableSize = 60;
+      s.horizon = 45 * kMinute;
+      s.warmup = 15 * kMinute;
+      s.attack.collusion = 6;
+      s.attack.victims = 4;
+      s.shards = shards;
+      s.metrics.window = 300 * kSecond;
+      s.metrics.reducers = c.groups;
+      scenarios.push_back(s);
+    }
+  }
+  const auto runners = ParallelScenarioRunner(4).runAll(scenarios);
+  ASSERT_EQ(runners.size(), scenarios.size());
+
+  for (std::size_t i = 0; i < runners.size(); ++i) {
+    const Case& c = cases[i / 2];
+    const std::string what = "case " + std::to_string(i / 2) +
+                             " S=" + std::to_string(shardCounts[i % 2]);
+    const std::vector<WindowRow>& rows =
+        runners[i]->streamingCollector().windows();
+    if (c.columns.empty()) {
+      EXPECT_TRUE(rows.empty()) << what;
+      continue;
+    }
+    ASSERT_FALSE(rows.empty()) << what;
+    for (const WindowRow& row : rows) {
+      std::vector<std::string> names;
+      for (const auto& column : row.columns) names.push_back(column.first);
+      EXPECT_EQ(names, c.columns) << what;
+    }
+    expectSameRows(rows, runners[i - i % 2]->streamingCollector().windows(),
+                   what);
+  }
+}
+
+// The windows' traffic adds up to the post-warm-up traffic: the window
+// holding the warm-up reset counts from the reset, whichever way the
+// shard totals moved across it. At warmup_min = 7 the reset falls inside
+// the window (300 s, 600 s], and more is sent after it than the total at
+// the 300 s barrier, so the totals rise across the reset. At
+// warmup_min = 5 the reset falls on the 300 s window boundary.
+TEST(StreamingLaneTest, WindowTrafficSumsToPostWarmupTraffic) {
+  for (const int warmupMin : {7, 5}) {
+    for (const unsigned shards : {1u, 3u}) {
+      const Scenario s = Scenario::fromSpec(
+          "model = STAT\nn = 200\nhorizon_min = 15\nwarmup_min = " +
+          std::to_string(warmupMin) +
+          "\nseed = 5\nmetrics.window = 300\n"
+          "metrics.reducers = summary, traffic\nshards = " +
+          std::to_string(shards) + "\n");
+      ScenarioRunner runner(s);
+      runner.run();
+      const std::string what = "warmup_min=" + std::to_string(warmupMin) +
+                               " S=" + std::to_string(shards);
+
+      double windowBytes = 0.0, windowMessages = 0.0;
+      for (const WindowRow& row : runner.streamingCollector().windows()) {
+        if (row.windowEnd < s.warmup) continue;
+        ASSERT_EQ(row.columns.size(), 3u) << what;
+        ASSERT_EQ(row.columns[0].first, "traffic_bytes") << what;
+        ASSERT_EQ(row.columns[1].first, "traffic_messages") << what;
+        windowBytes += row.columns[0].second;
+        windowMessages += row.columns[1].second;
+      }
+      std::uint64_t nodeBytes = 0, nodeMessages = 0;
+      for (const MetricSet::PerNodeRow& row : collectSamples(runner).perNode) {
+        nodeBytes += row.bytesSent;
+        nodeMessages += row.messagesSent;
+      }
+      EXPECT_GT(nodeBytes, 0u) << what;
+      EXPECT_EQ(windowBytes, static_cast<double>(nodeBytes)) << what;
+      EXPECT_EQ(windowMessages, static_cast<double>(nodeMessages)) << what;
+    }
+  }
 }
 
 }  // namespace

@@ -1,12 +1,12 @@
 // avmon_sim — command-line scenario driver.
 //
 // Runs the scenario — or the declarative sweep — a spec file describes,
-// for any registered protocol, and reports through the unified metrics
-// sinks: a summary table (plus a cross-run comparison table for sweeps)
-// on stdout, optional CSV files, optional JSON. The paper's figures are
-// spec files (examples/specs/paper/): when a spec carries expect.* lines,
-// a verdict table follows the tables and the exit status is 1 if any
-// expectation failed.
+// for any registered protocol, and reports through the metrics writers
+// (experiments/metrics.hpp): a summary table (plus a cross-run comparison
+// table for sweeps) on stdout, optional CSV files, optional JSON. The
+// paper's figures are spec files (examples/specs/paper/): when a spec
+// carries expect.* lines, a verdict table follows the tables and the exit
+// status is 1 if any expectation failed.
 //
 // Usage:
 //   avmon_sim --spec FILE [--csv PREFIX] [--json FILE]
@@ -31,8 +31,8 @@ using namespace avmon;
       << "                   sweep and print a comparison table; expect.*\n"
       << "                   lines print verdicts and set the exit status\n"
       << "  --csv PREFIX     write PREFIX[.<run>].{discovery,memory,\n"
-      << "                   bandwidth,pernode}.csv (+ .windows.csv when a\n"
-      << "                   windowed reducer ran)\n"
+      << "                   bandwidth,pernode}.csv (+ .windows.csv when\n"
+      << "                   metrics.reducers selects a windowed group)\n"
       << "  --json FILE      write summary statistics for every run as JSON\n";
   std::exit(2);
 }
@@ -80,22 +80,11 @@ int main(int argc, char** argv) {
                                  : experiments::collectMetrics(runner);
             });
 
-    // File-backed sinks close before the stdout one: a reader that stops
-    // consuming stdout (| head) must not prevent the artifacts from
-    // being written.
-    std::vector<std::unique_ptr<experiments::MetricsSink>> sinks;
-    if (!csvPrefix.empty()) {
-      sinks.push_back(std::make_unique<experiments::CsvSink>(csvPrefix));
-    }
-    if (!jsonPath.empty()) {
-      sinks.push_back(std::make_unique<experiments::JsonSink>(jsonPath));
-    }
-    sinks.push_back(
-        std::make_unique<experiments::SummaryTableSink>(std::cout));
-    for (const auto& set : metricSets) {
-      for (const auto& sink : sinks) sink->add(set);
-    }
-    for (const auto& sink : sinks) sink->close();
+    // Files are written before stdout: a reader that stops consuming
+    // stdout (| head) must not prevent the artifacts from being written.
+    if (!csvPrefix.empty()) experiments::writeCsvFiles(csvPrefix, metricSets);
+    if (!jsonPath.empty()) experiments::writeJson(jsonPath, metricSets);
+    experiments::printSummaryTables(metricSets, std::cout);
     if (!csvPrefix.empty()) {
       std::cout << "wrote CSV files under prefix " << csvPrefix << "\n";
     }
