@@ -20,7 +20,39 @@ std::uint64_t mixPair(std::uint64_t lo, std::uint64_t hi) noexcept {
   return h ^ (h >> 31);
 }
 
+// The largest d with toUnit(d) <= threshold, by binary search: toUnit is
+// monotone but rounds, so the answer is not simply threshold * 2^64.
+std::uint64_t largestDigestAtOrBelow(double threshold) noexcept {
+  using hash::HashFunction;
+  constexpr std::uint64_t kTop = ~std::uint64_t{0};
+  if (HashFunction::toUnit(kTop) <= threshold) return kTop;
+  std::uint64_t lo = 0;     // toUnit(lo) <= threshold (threshold > 0)
+  std::uint64_t hi = kTop;  // toUnit(hi) > threshold
+  while (hi - lo > 1) {
+    const std::uint64_t mid = lo + (hi - lo) / 2;
+    if (HashFunction::toUnit(mid) <= threshold) {
+      lo = mid;
+    } else {
+      hi = mid;
+    }
+  }
+  return lo;
+}
+
 }  // namespace
+
+void MonitorSelector::crossVerdicts(const std::vector<NodeId>& rows,
+                                    const std::vector<NodeId>& cols,
+                                    const std::vector<CrossPair>& pairs,
+                                    std::vector<std::uint8_t>& out) const {
+  out.resize(2 * pairs.size());
+  for (std::size_t k = 0; k < pairs.size(); ++k) {
+    const NodeId& r = rows[pairs[k].row];
+    const NodeId& c = cols[pairs[k].col];
+    out[2 * k] = isMonitor(r, c);
+    out[2 * k + 1] = isMonitor(c, r);
+  }
+}
 
 HashMonitorSelector::HashMonitorSelector(const hash::HashFunction& hash,
                                          unsigned k, std::size_t systemSize)
@@ -30,6 +62,7 @@ HashMonitorSelector::HashMonitorSelector(const hash::HashFunction& hash,
     throw std::invalid_argument("HashMonitorSelector: N must be >= 2");
   threshold_ =
       static_cast<double>(k_) / static_cast<double>(systemSize_);
+  maxDigest_ = largestDigestAtOrBelow(threshold_);
 }
 
 double HashMonitorSelector::hashPoint(const NodeId& observer,
@@ -47,8 +80,28 @@ double HashMonitorSelector::hashPoint(const NodeId& observer,
 bool HashMonitorSelector::isMonitor(const NodeId& observer,
                                     const NodeId& target) const {
   if (observer == target) return false;
-  return hash::HashFunction::toUnit(
-             hash_.digestPair(packId(observer), packId(target))) <= threshold_;
+  return hash_.digestPair(packId(observer), packId(target)) <= maxDigest_;
+}
+
+void HashMonitorSelector::crossVerdicts(const std::vector<NodeId>& rows,
+                                        const std::vector<NodeId>& cols,
+                                        const std::vector<CrossPair>& pairs,
+                                        std::vector<std::uint8_t>& out) const {
+  thread_local std::vector<std::uint64_t> rows48;
+  thread_local std::vector<std::uint64_t> cols48;
+  thread_local std::vector<std::uint64_t> digests;
+  rows48.resize(rows.size());
+  cols48.resize(cols.size());
+  for (std::size_t i = 0; i < rows.size(); ++i) rows48[i] = packId(rows[i]);
+  for (std::size_t j = 0; j < cols.size(); ++j) cols48[j] = packId(cols[j]);
+  hash_.digestCross(rows48, cols48, pairs, digests);
+  out.resize(2 * pairs.size());
+  for (std::size_t k = 0; k < pairs.size(); ++k) {
+    // Packing is one-to-one, so equal packed ids are the self-pair.
+    const bool distinct = rows48[pairs[k].row] != cols48[pairs[k].col];
+    out[2 * k] = distinct && digests[2 * k] <= maxDigest_;
+    out[2 * k + 1] = distinct && digests[2 * k + 1] <= maxDigest_;
+  }
 }
 
 bool MemoizedMonitorSelector::isMonitor(const NodeId& observer,
@@ -87,6 +140,21 @@ bool MemoizedMonitorSelector::isMonitor(const NodeId& observer,
   slots_[i] = Slot{lo, hi | known | (verdict ? yes : 0)};
   ++count_;
   return verdict;
+}
+
+void MemoizedMonitorSelector::crossVerdicts(
+    const std::vector<NodeId>& rows, const std::vector<NodeId>& cols,
+    const std::vector<CrossPair>& pairs, std::vector<std::uint8_t>& out) const {
+  // A probe that misses the CPU cache costs several times a hit; touching
+  // every pair's home slot first overlaps those misses.
+  const std::size_t mask = slots_.size() - 1;
+  for (const CrossPair& p : pairs) {
+    const std::uint64_t a = packId(rows[p.row]);
+    const std::uint64_t b = packId(cols[p.col]);
+    const std::uint64_t h = a < b ? mixPair(a, b) : mixPair(b, a);
+    __builtin_prefetch(&slots_[static_cast<std::size_t>(h) & mask]);
+  }
+  MonitorSelector::crossVerdicts(rows, cols, pairs, out);
 }
 
 void MemoizedMonitorSelector::grow() const {

@@ -21,6 +21,8 @@
 
 namespace avmon {
 
+using hash::CrossPair;
+
 /// Decides the monitoring relation. Implementations must be deterministic
 /// (same answer forever — the Consistency property) and computable by any
 /// third party from the two ids alone (the Verifiability property).
@@ -32,6 +34,16 @@ class MonitorSelector {
   /// Never true when observer == target (self-monitoring is the
   /// self-reporting anti-pattern AVMON exists to avoid).
   virtual bool isMonitor(const NodeId& observer, const NodeId& target) const = 0;
+
+  /// The consistency checks of one coarse-view fetch as one batch: for the
+  /// k-th pair (r, c), out[2k] = isMonitor(rows[r], cols[c]) and
+  /// out[2k+1] = isMonitor(cols[c], rows[r]). Resizes `out`. The default
+  /// asks isMonitor in that order; an override must give the same
+  /// verdicts.
+  virtual void crossVerdicts(const std::vector<NodeId>& rows,
+                             const std::vector<NodeId>& cols,
+                             const std::vector<CrossPair>& pairs,
+                             std::vector<std::uint8_t>& out) const;
 };
 
 /// The paper's hash-based selection scheme.
@@ -47,6 +59,14 @@ class HashMonitorSelector final : public MonitorSelector {
   /// digest of the 12-byte wire message that hashPoint() builds.
   bool isMonitor(const NodeId& observer, const NodeId& target) const override;
 
+  /// Packs each id once and hashes the batch through
+  /// HashFunction::digestCross. Keeps no state of its own, so one
+  /// instance serves every shard.
+  void crossVerdicts(const std::vector<NodeId>& rows,
+                     const std::vector<NodeId>& cols,
+                     const std::vector<CrossPair>& pairs,
+                     std::vector<std::uint8_t>& out) const override;
+
   unsigned k() const noexcept { return k_; }
   std::size_t systemSize() const noexcept { return systemSize_; }
 
@@ -58,11 +78,17 @@ class HashMonitorSelector final : public MonitorSelector {
   /// The decision threshold K/N.
   double threshold() const noexcept { return threshold_; }
 
+  /// The largest digest d with HashFunction::toUnit(d) <= K/N. Since
+  /// toUnit is monotone, `digest <= maxDigest()` is the threshold
+  /// comparison in exact integer form.
+  std::uint64_t maxDigest() const noexcept { return maxDigest_; }
+
  private:
   const hash::HashFunction& hash_;
   unsigned k_;
   std::size_t systemSize_;
   double threshold_;
+  std::uint64_t maxDigest_;
 };
 
 /// Memoizing decorator: caches pair verdicts so repeated consistency checks
@@ -70,10 +96,11 @@ class HashMonitorSelector final : public MonitorSelector {
 /// so memoization cannot change any verdict; protocol-level computation
 /// metrics are counted by the *nodes* per check performed, so it is
 /// invisible to the measured results too. It pays only when a digest costs
-/// more than a probe: an MD5 check takes ~250 ns, a probe ~15 ns when its
-/// slot is in cache and ~100-200 ns when it is not, and splitmix64 hashes
-/// a pair in ~30 ns (4-vCPU x86 host). So ScenarioRunner memoizes md5 and
-/// sha1 only (HashFunction::cheaperThanMemo).
+/// more than a probe: an MD5 check takes ~200-250 ns, a probe ~10-15 ns
+/// when its slot is in cache and ~80-290 ns when it is not, and splitmix64
+/// hashes a pair in ~8-15 ns through isMonitor and ~7-14 ns in a fetch's
+/// crossVerdicts batch (4-vCPU x86 host). So ScenarioRunner memoizes md5
+/// and sha1 only (HashFunction::cheaperThanMemo).
 /// The cache is a flat open-addressing table — one probe, no allocation
 /// per pair — with one slot per unordered pair, so a check and its reverse
 /// share a cache line. It is bounded by kMaxSlots; once full, further
@@ -88,6 +115,14 @@ class MemoizedMonitorSelector final : public MonitorSelector {
       : inner_(inner), slots_(kInitialSlots) {}
 
   bool isMonitor(const NodeId& observer, const NodeId& target) const override;
+
+  /// Prefetches every pair's home slot, then probes pair by pair exactly
+  /// as isMonitor does, so misses and the pass-through past the cap are
+  /// unchanged.
+  void crossVerdicts(const std::vector<NodeId>& rows,
+                     const std::vector<NodeId>& cols,
+                     const std::vector<CrossPair>& pairs,
+                     std::vector<std::uint8_t>& out) const override;
 
   /// Distinct unordered pairs cached (each with one or both verdicts).
   std::size_t cacheSize() const noexcept { return count_; }

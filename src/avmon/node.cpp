@@ -6,57 +6,83 @@
 namespace avmon {
 namespace {
 
-// Open-addressing membership set for the per-fetch pair-dedup pass: the
-// keys are already well-mixed 64-bit values, so a masked linear probe
-// replaces the node-allocating unordered_set in the hottest protocol loop.
-// One instance per thread, recycled across every node's ticks.
-class FlatSeenSet {
- public:
-  /// Clears the set and sizes it for up to `expected` insertions at a load
-  /// factor <= 0.5. Steady state reuses the same storage.
-  void beginRound(std::size_t expected) {
-    std::size_t want = 64;
-    while (want < expected * 2) want <<= 1;
-    if (want > slots_.size()) {
-      slots_.assign(want, 0);
-    } else {
-      std::fill(slots_.begin(), slots_.end(), 0);
-    }
-    hasZero_ = false;
+std::uint64_t packId(const NodeId& id) noexcept {
+  return (static_cast<std::uint64_t>(id.ip()) << 16) | id.port();
+}
+
+// Per-thread scratch for collectCrossPairs, reused by every fetch.
+thread_local std::vector<std::uint64_t> rowKeys;
+thread_local std::vector<std::uint64_t> colKeys;
+thread_local std::vector<std::int32_t> colBound;
+
+// Collects the cross pairs of one fetch by list position: (i, j) is kept
+// iff rows[i] != cols[j] and no earlier pair in row-major order names the
+// same unordered pair, in either orientation. That is the set a seen-set
+// over row-major order keeps, decided exactly from where each id first
+// occurs instead of from a hashed key. Rows and columns may each repeat
+// an id (CV(w) can hold x, which the column list appends again).
+//
+// With u = rows[i] and v = cols[j], (i, j) repeats an earlier pair iff
+// u or v occurred earlier in its own list, or v occurred among the
+// earlier rows while u occurs among the columns (the reverse pair came
+// first). A row absent from the columns also never equals a column, so
+// one bound per column decides every row: colBound[j] is -1 for a
+// repeated column, else the first row holding v (nRows if none), and
+// (i, j) is kept iff colBound[j] > (u among the columns ? i : -1).
+void collectCrossPairs(const std::vector<NodeId>& rows,
+                       const std::vector<NodeId>& cols,
+                       std::vector<CrossPair>& out) {
+  const auto nRows = static_cast<std::int32_t>(rows.size());
+  const auto nCols = static_cast<std::int32_t>(cols.size());
+  rowKeys.resize(rows.size());
+  colKeys.resize(cols.size());
+  colBound.resize(cols.size());
+  for (std::int32_t i = 0; i < nRows; ++i) rowKeys[i] = packId(rows[i]);
+  for (std::int32_t j = 0; j < nCols; ++j) colKeys[j] = packId(cols[j]);
+  const auto occursIn = [](const std::vector<std::uint64_t>& keys,
+                           std::int32_t end, std::uint64_t key) {
+    return std::find(keys.begin(), keys.begin() + end, key) - keys.begin();
+  };
+  for (std::int32_t j = 0; j < nCols; ++j) {
+    colBound[j] = occursIn(colKeys, j, colKeys[j]) < j
+                      ? -1
+                      : static_cast<std::int32_t>(
+                            occursIn(rowKeys, nRows, colKeys[j]));
   }
 
-  /// Returns true if `key` was newly inserted, false if already present —
-  /// the unordered_set::insert(...).second contract.
-  bool insert(std::uint64_t key) {
-    if (key == 0) {  // 0 marks empty slots; track it out of band
-      const bool fresh = !hasZero_;
-      hasZero_ = true;
-      return fresh;
+  out.resize(rows.size() * cols.size());
+  CrossPair* next = out.data();
+  for (std::int32_t i = 0; i < nRows; ++i) {
+    if (occursIn(rowKeys, i, rowKeys[i]) < i) continue;  // repeated row
+    const std::int32_t self =
+        occursIn(colKeys, nCols, rowKeys[i]) < nCols ? i : -1;
+    for (std::int32_t j = 0; j < nCols; ++j) {
+      *next = CrossPair{static_cast<std::uint32_t>(i),
+                        static_cast<std::uint32_t>(j)};
+      next += colBound[j] > self;
     }
-    const std::size_t mask = slots_.size() - 1;
-    std::size_t i = static_cast<std::size_t>(key) & mask;
-    while (slots_[i] != 0) {
-      if (slots_[i] == key) return false;
-      i = (i + 1) & mask;
-    }
-    slots_[i] = key;
-    return true;
   }
+  out.resize(static_cast<std::size_t>(next - out.data()));
+}
 
- private:
-  std::vector<std::uint64_t> slots_;
-  bool hasZero_ = false;
-};
+// One key per unordered pair, from its packed ids; the NOTIFY dedup key
+// is built from it.
+std::uint64_t pairKey(const NodeId& a, const NodeId& b) {
+  const std::uint64_t x = packId(a);
+  const std::uint64_t y = packId(b);
+  return splitmix64Mix(std::min(x, y)) ^ std::max(x, y);
+}
 
-thread_local FlatSeenSet seenPairsScratch;
-
-// Per-thread scratch for the tick-level view juggling. Each buffer is
-// fully assign()ed before every use, so sharing one instance across all
-// nodes on a thread is safe — and drops three vectors (~72 B plus their
-// heap blocks) from every node, which mattered once nodes number millions.
+// Per-thread scratch for the tick-level view juggling and the fetch's
+// pair batch. Each buffer is fully rewritten before every use, so sharing
+// one instance across all nodes on a thread is safe — and keeps these
+// vectors (24 B each plus their heap blocks) off every node, which
+// mattered once nodes number millions.
 thread_local std::vector<NodeId> mineScratch;
 thread_local std::vector<NodeId> theirsScratch;
 thread_local std::vector<NodeId> poolScratch;
+thread_local std::vector<CrossPair> pairsScratch;
+thread_local std::vector<std::uint8_t> verdictsScratch;
 
 }  // namespace
 
@@ -287,40 +313,37 @@ bool AvmonNode::checkCondition(const NodeId& u, const NodeId& v) {
 
 void AvmonNode::discoverPairs(const std::vector<NodeId>& mine,
                               const std::vector<NodeId>& theirs) {
-  // Check every ordered cross pair (u,v), u≠v, in both directions, sending
-  // NOTIFY(u,v) to u and v whenever "u monitors v" holds. Duplicate pairs
-  // (nodes present in both views) are filtered via a scratch set so each
-  // unordered pair is evaluated once per fetch, in both orientations.
-  FlatSeenSet& seen = seenPairsScratch;
-  seen.beginRound(mine.size() * theirs.size());
-  const auto pairKey = [](const NodeId& a, const NodeId& b) {
-    const std::uint64_t x = (static_cast<std::uint64_t>(a.ip()) << 16) | a.port();
-    const std::uint64_t y = (static_cast<std::uint64_t>(b.ip()) << 16) | b.port();
-    return splitmix64Mix(std::min(x, y)) ^ std::max(x, y);
-  };
+  // Check every distinct unordered cross pair {u,v}, u≠v, once per fetch
+  // in both orientations, sending NOTIFY(u,v) to u and v whenever "u
+  // monitors v" holds. The verdicts come from one selector batch; the
+  // sends follow in (row, column, orientation) order.
+  std::vector<CrossPair>& pairs = pairsScratch;
+  std::vector<std::uint8_t>& verdicts = verdictsScratch;
+  collectCrossPairs(mine, theirs, pairs);
+  selector_.crossVerdicts(mine, theirs, pairs, verdicts);
+  metrics_.hashChecks += 2 * pairs.size();
 
-  for (const NodeId& u : mine) {
-    for (const NodeId& v : theirs) {
-      if (u == v) continue;
-      if (!seen.insert(pairKey(u, v))) continue;
-      for (const auto& [mon, tgt] : {std::pair{u, v}, std::pair{v, u}}) {
-        if (checkCondition(mon, tgt)) {
-          if (config_->notifyDedup) {
-            // Bounded generational cache (NotifyDedupCache): a false
-            // return means this node already told both parties within the
-            // last two epochs; the occasional re-NOTIFY after an epoch
-            // ages out is idempotent at the receiver.
-            const std::uint64_t dedupKey =
-                splitmix64Mix(pairKey(mon, tgt)) ^ std::hash<NodeId>{}(mon);
-            if (!notifiedPairs_.insert(dedupKey)) {
-              continue;
-            }
-          }
-          net_.send(id_, mon, NotifyMessage{mon, tgt});
-          net_.send(id_, tgt, NotifyMessage{mon, tgt});
-          metrics_.notifiesSent += 2;
+  for (std::size_t k = 0; k < pairs.size(); ++k) {
+    const NodeId& u = mine[pairs[k].row];
+    const NodeId& v = theirs[pairs[k].col];
+    for (int reverse = 0; reverse < 2; ++reverse) {
+      if (!verdicts[2 * k + reverse]) continue;
+      const NodeId& mon = reverse ? v : u;
+      const NodeId& tgt = reverse ? u : v;
+      if (config_->notifyDedup) {
+        // Bounded generational cache (NotifyDedupCache): a false return
+        // means this node already told both parties within the last two
+        // epochs; the occasional re-NOTIFY after an epoch ages out is
+        // idempotent at the receiver.
+        const std::uint64_t dedupKey =
+            splitmix64Mix(pairKey(mon, tgt)) ^ std::hash<NodeId>{}(mon);
+        if (!notifiedPairs_.insert(dedupKey)) {
+          continue;
         }
       }
+      net_.send(id_, mon, NotifyMessage{mon, tgt});
+      net_.send(id_, tgt, NotifyMessage{mon, tgt});
+      metrics_.notifiesSent += 2;
     }
   }
 }

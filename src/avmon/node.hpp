@@ -186,7 +186,8 @@ class AvmonNode final : public sim::Endpoint {
   bool checkCondition(const NodeId& u, const NodeId& v);
 
   // Cross-checks all (u,v) pairs of Figure 2 between our view and the
-  // fetched view `other` (views already extended with {self, w}).
+  // fetched view `theirs` (views already extended with {self, w}): each
+  // distinct unordered pair once, both orientations, in one selector batch.
   void discoverPairs(const std::vector<NodeId>& mine,
                      const std::vector<NodeId>& theirs);
 

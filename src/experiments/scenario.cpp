@@ -82,7 +82,7 @@ void Scenario::validate() const {
         "Scenario: unknown history '" + *history +
         "' — known histories: raw, recent, aged, compact");
   }
-  if (historyParam.has_value() && *historyParam < 0) {
+  if (historyParam.has_value() && !(*historyParam >= 0)) {
     throw std::invalid_argument("Scenario: history_param must be >= 0");
   }
 

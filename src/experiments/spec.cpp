@@ -41,30 +41,52 @@ bool parseBool(const std::string& v, std::size_t line) {
   fail(line, "expected a boolean (true/false), got '" + v + "'");
 }
 
-// An unsigned integer of type T no larger than `max`: digits only (no sign
-// for std::stoull to wrap), range-checked before the narrowing cast.
+// Reads `v` as an unsigned integer no larger than `max`: digits only (no
+// sign for std::stoull to wrap) and the whole string, range-checked before
+// any narrowing cast. Returns the error text, empty on success.
+std::string readUInt(const std::string& v, std::uint64_t max,
+                     std::uint64_t& out) {
+  const auto notUInt = [&] {
+    return "expected an unsigned integer, got '" + v + "'";
+  };
+  const auto outOfRange = [&] {
+    return "'" + v + "' is out of range (at most " + std::to_string(max) + ")";
+  };
+  if (v.empty() || !std::isdigit(static_cast<unsigned char>(v[0]))) {
+    return notUInt();
+  }
+  std::size_t used = 0;
+  try {
+    out = std::stoull(v, &used);
+  } catch (const std::out_of_range&) {
+    return outOfRange();
+  }
+  if (used != v.size()) return notUInt();
+  return out > max ? outOfRange() : std::string();
+}
+
+// Reads `v` as a finite real number spanning the whole string.
+bool readFiniteDouble(const std::string& v, double& out) {
+  if (v.empty() || std::isspace(static_cast<unsigned char>(v[0]))) {
+    return false;
+  }
+  try {
+    std::size_t used = 0;
+    out = std::stod(v, &used);
+    return used == v.size() && std::isfinite(out);
+  } catch (const std::exception&) {
+    return false;
+  }
+}
+
+// An unsigned integer of type T no larger than `max` (readUInt's rule).
 template <typename T>
 T parseUInt(const std::string& v, std::size_t line,
             std::uint64_t max = static_cast<std::uint64_t>(
                 std::numeric_limits<T>::max())) {
-  if (v.empty() || !std::isdigit(static_cast<unsigned char>(v[0]))) {
-    fail(line, "expected an unsigned integer, got '" + v + "'");
-  }
-  const auto outOfRange = [&] {
-    fail(line, "'" + v + "' is out of range (at most " + std::to_string(max) +
-                   ")");
-  };
   std::uint64_t x = 0;
-  try {
-    std::size_t used = 0;
-    x = std::stoull(v, &used);
-    if (used != v.size()) {
-      fail(line, "expected an unsigned integer, got '" + v + "'");
-    }
-  } catch (const std::out_of_range&) {
-    outOfRange();
-  }
-  if (x > max) outOfRange();
+  const std::string error = readUInt(v, max, x);
+  if (!error.empty()) fail(line, error);
   return static_cast<T>(x);
 }
 
@@ -77,14 +99,11 @@ SimDuration parseMinutes(const std::string& v, std::size_t line) {
 }
 
 double parseDouble(const std::string& v, std::size_t line) {
-  try {
-    std::size_t used = 0;
-    const double x = std::stod(v, &used);
-    if (used != v.size()) throw std::invalid_argument(v);
-    return x;
-  } catch (const std::exception&) {
-    fail(line, "expected a number, got '" + v + "'");
+  double x = 0;
+  if (!readFiniteDouble(v, x)) {
+    fail(line, "expected a finite number, got '" + v + "'");
   }
+  return x;
 }
 
 // Splits a multi-entry value on `sep`, trimming each piece. Unlike
@@ -116,6 +135,12 @@ std::vector<std::string> splitFields(const std::string& entry,
 SimTime parseSeconds(const std::string& v, std::size_t line) {
   const double seconds = parseDouble(v, line);
   if (seconds < 0) fail(line, "expected a non-negative time in seconds");
+  // 2^63 ms is the first value SimTime cannot hold; check before rounding.
+  constexpr double kLimitMs = 0x1p63;
+  if (!(seconds * kSecond < kLimitMs)) {
+    fail(line, "'" + v + "' seconds is out of range (below " +
+                   formatDouble(kLimitMs / kSecond) + ")");
+  }
   return static_cast<SimTime>(std::llround(seconds * kSecond));
 }
 
@@ -308,10 +333,7 @@ const KeyRule kKeys[] = {
      }},
     {"metrics.window",
      [](Scenario& s, const std::string& v, std::size_t line) {
-       const double seconds = parseDouble(v, line);
-       if (seconds < 0) fail(line, "metrics.window must be >= 0 seconds");
-       s.metrics.window =
-           static_cast<SimDuration>(std::llround(seconds * kSecond));
+       s.metrics.window = parseSeconds(v, line);
      }},
     {"metrics.reducers",
      [](Scenario& s, const std::string& v, std::size_t line) {
@@ -846,39 +868,52 @@ std::string ArgParser::value() {
   return argv_[next_++];
 }
 
-std::uint64_t ArgParser::valueU64() {
+std::uint64_t ArgParser::valueU64(std::uint64_t max) {
   const std::string v = value();
-  try {
-    return std::stoull(v);
-  } catch (const std::exception&) {
-    throw UsageError("bad value for " + flag_ + ": " + v);
-  }
+  std::uint64_t x = 0;
+  const std::string error = readUInt(v, max, x);
+  if (!error.empty()) throw UsageError("bad value for " + flag_ + ": " + error);
+  return x;
 }
 
 std::size_t ArgParser::valueSize() {
-  return static_cast<std::size_t>(valueU64());
+  return static_cast<std::size_t>(
+      valueU64(std::numeric_limits<std::size_t>::max()));
 }
 
 unsigned ArgParser::valueUnsigned() {
-  return static_cast<unsigned>(valueU64());
+  return static_cast<unsigned>(valueU64(std::numeric_limits<unsigned>::max()));
 }
 
 long ArgParser::valueLong() {
   const std::string v = value();
-  try {
-    return std::stol(v);
-  } catch (const std::exception&) {
-    throw UsageError("bad value for " + flag_ + ": " + v);
+  const std::size_t firstDigit = !v.empty() && v[0] == '-' ? 1 : 0;
+  long x = 0;
+  std::size_t used = 0;
+  if (v.size() > firstDigit &&
+      std::isdigit(static_cast<unsigned char>(v[firstDigit]))) {
+    try {
+      x = std::stol(v, &used);
+    } catch (const std::out_of_range&) {
+      throw UsageError("bad value for " + flag_ + ": '" + v +
+                       "' is out of range");
+    }
   }
+  if (used == 0 || used != v.size()) {
+    throw UsageError("bad value for " + flag_ + ": expected an integer, got '" +
+                     v + "'");
+  }
+  return x;
 }
 
 double ArgParser::valueDouble() {
   const std::string v = value();
-  try {
-    return std::stod(v);
-  } catch (const std::exception&) {
-    throw UsageError("bad value for " + flag_ + ": " + v);
+  double x = 0;
+  if (!readFiniteDouble(v, x)) {
+    throw UsageError("bad value for " + flag_ +
+                     ": expected a finite number, got '" + v + "'");
   }
+  return x;
 }
 
 void ArgParser::failUnknown() const {

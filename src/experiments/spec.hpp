@@ -64,6 +64,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -176,7 +177,12 @@ class ArgParser {
   /// Consumes and returns the current flag's value; throws if absent.
   std::string value();
 
-  std::uint64_t valueU64();
+  /// Typed values, each spanning the whole argument: an unsigned value is
+  /// digits only (no sign) and at most `max` (or its type's maximum), a
+  /// long is an optional '-' then digits, in range, and a double is
+  /// finite. Anything else throws UsageError naming the flag.
+  std::uint64_t valueU64(
+      std::uint64_t max = std::numeric_limits<std::uint64_t>::max());
   std::size_t valueSize();
   unsigned valueUnsigned();
   long valueLong();

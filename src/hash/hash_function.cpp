@@ -24,6 +24,13 @@ std::uint64_t foldByte(std::uint64_t acc, std::uint8_t b) noexcept {
   return (acc ^ b) * 0x100000001B3ULL;
 }
 
+// Folds one packed id's six bytes, big-endian.
+std::uint64_t foldId(std::uint64_t acc, std::uint64_t id48) noexcept {
+  for (int shift = 8 * (kIdBytes - 1); shift >= 0; shift -= 8)
+    acc = foldByte(acc, static_cast<std::uint8_t>(id48 >> shift));
+  return acc;
+}
+
 }  // namespace
 
 std::uint64_t HashFunction::digestPair(std::uint64_t a48,
@@ -35,6 +42,19 @@ std::uint64_t HashFunction::digestPair(std::uint64_t a48,
     msg[kIdBytes + i] = static_cast<std::uint8_t>(b48 >> shift);
   }
   return digest64(msg);
+}
+
+void HashFunction::digestCross(const std::vector<std::uint64_t>& rows48,
+                               const std::vector<std::uint64_t>& cols48,
+                               const std::vector<CrossPair>& pairs,
+                               std::vector<std::uint64_t>& out) const {
+  out.resize(2 * pairs.size());
+  for (std::size_t k = 0; k < pairs.size(); ++k) {
+    const std::uint64_t r = rows48[pairs[k].row];
+    const std::uint64_t c = cols48[pairs[k].col];
+    out[2 * k] = digestPair(r, c);
+    out[2 * k + 1] = digestPair(c, r);
+  }
 }
 
 std::uint64_t Md5HashFunction::digest64(
@@ -62,12 +82,32 @@ std::uint64_t SplitMix64HashFunction::digestPair(std::uint64_t a48,
                                                  std::uint64_t b48) const {
   // The same fold over the same 12 bytes, read straight from the packed
   // ids: big-endian, a before b.
-  std::uint64_t acc = kFoldSeed;
-  for (int shift = 8 * (kIdBytes - 1); shift >= 0; shift -= 8)
-    acc = foldByte(acc, static_cast<std::uint8_t>(a48 >> shift));
-  for (int shift = 8 * (kIdBytes - 1); shift >= 0; shift -= 8)
-    acc = foldByte(acc, static_cast<std::uint8_t>(b48 >> shift));
-  return splitmix64Mix(acc);
+  return splitmix64Mix(foldId(foldId(kFoldSeed, a48), b48));
+}
+
+void SplitMix64HashFunction::digestCross(
+    const std::vector<std::uint64_t>& rows48,
+    const std::vector<std::uint64_t>& cols48,
+    const std::vector<CrossPair>& pairs,
+    std::vector<std::uint64_t>& out) const {
+  // A pair message starts with one whole id, so the fold state after it is
+  // a per-id value: compute it once per id, then finish each digest with
+  // the other id's six bytes. Per-thread scratch keeps this const path
+  // free of shared mutable state (one instance serves every shard).
+  thread_local std::vector<std::uint64_t> rowHeads;
+  thread_local std::vector<std::uint64_t> colHeads;
+  rowHeads.resize(rows48.size());
+  colHeads.resize(cols48.size());
+  for (std::size_t i = 0; i < rows48.size(); ++i)
+    rowHeads[i] = foldId(kFoldSeed, rows48[i]);
+  for (std::size_t j = 0; j < cols48.size(); ++j)
+    colHeads[j] = foldId(kFoldSeed, cols48[j]);
+  out.resize(2 * pairs.size());
+  for (std::size_t k = 0; k < pairs.size(); ++k) {
+    const CrossPair p = pairs[k];
+    out[2 * k] = splitmix64Mix(foldId(rowHeads[p.row], cols48[p.col]));
+    out[2 * k + 1] = splitmix64Mix(foldId(colHeads[p.col], rows48[p.row]));
+  }
 }
 
 std::unique_ptr<HashFunction> makeHashFunction(const std::string& name) {

@@ -12,8 +12,16 @@
 #include <memory>
 #include "common/byte_span.hpp"
 #include <string>
+#include <vector>
 
 namespace avmon::hash {
+
+/// One cross pair of a coarse-view fetch, named by its positions in the
+/// fetch's two id lists.
+struct CrossPair {
+  std::uint32_t row = 0;
+  std::uint32_t col = 0;
+};
 
 /// Uniform 64-bit hash of a byte string; the basis of the consistency
 /// condition. Implementations must be deterministic and stateless.
@@ -30,6 +38,16 @@ class HashFunction {
   /// message; an override must return exactly the same value.
   virtual std::uint64_t digestPair(std::uint64_t a48, std::uint64_t b48) const;
 
+  /// digestPair in both orders over a batch of cross pairs: for the k-th
+  /// pair (r, c), out[2k] = digestPair(rows48[r], cols48[c]) and
+  /// out[2k+1] = digestPair(cols48[c], rows48[r]). Resizes `out`. The
+  /// default loops over digestPair; an override must return exactly the
+  /// same values.
+  virtual void digestCross(const std::vector<std::uint64_t>& rows48,
+                           const std::vector<std::uint64_t>& cols48,
+                           const std::vector<CrossPair>& pairs,
+                           std::vector<std::uint64_t>& out) const;
+
   /// True when one digest costs less than a verdict-memo probe, so a
   /// caller should hash every query directly instead of caching verdicts.
   virtual bool cheaperThanMemo() const noexcept { return false; }
@@ -37,9 +55,9 @@ class HashFunction {
   /// Human-readable name for reports ("md5", "sha1", "splitmix64").
   virtual std::string name() const = 0;
 
-  /// A digest scaled to the real interval [0, 1).
+  /// A digest scaled to the real interval [0, 1]: monotone in the digest,
+  /// but rounded (digests within 2^10 of 2^64 scale to exactly 1).
   static double toUnit(std::uint64_t digest) noexcept {
-    // 2^-64 scaling; the result is < 1 since digest < 2^64.
     return static_cast<double>(digest) * 0x1.0p-64;
   }
 
@@ -62,14 +80,21 @@ class Sha1HashFunction final : public HashFunction {
 };
 
 /// splitmix64 over a 64-bit fold of the input: good avalanche, but not
-/// preimage-resistant. A consistency check costs ~30 ns against ~250 ns
-/// with MD5, about 8x less (the benchmark's selector probes on a 4-vCPU
-/// x86 host), and less than a verdict-memo probe that misses the CPU
+/// preimage-resistant. A consistency check costs ~8-15 ns alone and ~7-14
+/// ns in a digestCross batch, against ~200-250 ns with MD5 (the
+/// benchmark's selector probes, and a timed stat_dense run, on a 4-vCPU
+/// x86 host). That is less than a verdict-memo probe that misses the CPU
 /// cache, so pairs are hashed directly and never memoized.
 class SplitMix64HashFunction final : public HashFunction {
  public:
   std::uint64_t digest64(ByteSpan data) const override;
   std::uint64_t digestPair(std::uint64_t a48, std::uint64_t b48) const override;
+  /// Folds each row and column id into the seed once per batch, so each
+  /// digest folds only its second id before the finalizer.
+  void digestCross(const std::vector<std::uint64_t>& rows48,
+                   const std::vector<std::uint64_t>& cols48,
+                   const std::vector<CrossPair>& pairs,
+                   std::vector<std::uint64_t>& out) const override;
   bool cheaperThanMemo() const noexcept override { return true; }
   std::string name() const override { return "splitmix64"; }
 };

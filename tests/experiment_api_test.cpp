@@ -9,7 +9,9 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <sstream>
+#include <string>
 
 #include "experiments/metrics.hpp"
 #include "experiments/protocol_registry.hpp"
@@ -336,6 +338,21 @@ TEST(ScenarioSpecTest, ErrorsNameTheOffendingLine) {
   expectError("udp.backoff_ms = -5\n", "unsigned integer");
   expectError("udp.backoff_cap_ms = 99999999999\n", "out of range");
   expectError("udp.port_base = 65536\n", "out of range");
+
+  // Reals: finite only, and times in seconds must fit SimTime's
+  // milliseconds before they are rounded.
+  expectError("faults.partition = nan:600:2\n",
+              "spec line 1: expected a finite number, got 'nan'");
+  expectError("faults.partition = 1e300:600:2\n",
+              "spec line 1: '1e300' seconds is out of range");
+  expectError("faults.latency = nan:200:30:300\n",
+              "spec line 1: expected a finite number, got 'nan'");
+  expectError("faults.partition = 100:inf:2\n",
+              "spec line 1: expected a finite number, got 'inf'");
+  expectError("history = aged\nhistory_param = nan\n",
+              "spec line 2: expected a finite number, got 'nan'");
+  expectError("metrics.window = 1e300\n", "spec line 1: '1e300' seconds");
+  expectError("control_fraction = 0.5x\n", "expected a finite number");
 
   // Malformed expect lines name their line too.
   expectError("model = STAT\nexpect.bogus.mean < 1\n",
@@ -707,6 +724,102 @@ TEST(ScenarioValidateTest, ActionableErrors) {
               "attack.forgetful");
   expectError([](Scenario& s) { s.attack.victims = 3; }, "attack.collusion");
   expectError([](Scenario& s) { s.notifyDedupMax = 0; }, "notify_dedup_max");
+  expectError(
+      [](Scenario& s) {
+        s.history = "aged";
+        s.historyParam = std::numeric_limits<double>::quiet_NaN();
+      },
+      "history_param must be >= 0");
+}
+
+// Runs `read` on the one-flag command line `--flag value` and returns the
+// UsageError it threw ("" when it threw none).
+template <typename Read>
+std::string argError(const std::string& value, Read read) {
+  std::string program = "tool", flag = "--flag", text = value;
+  char* argv[] = {program.data(), flag.data(), text.data()};
+  ArgParser args(3, argv);
+  EXPECT_TRUE(args.next());
+  try {
+    read(args);
+  } catch (const UsageError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(ArgParserTest, UnsignedValuesAreWholeDigitsInRange) {
+  const auto u64 = [](ArgParser& a) { a.valueU64(); };
+  EXPECT_EQ(argError("18446744073709551615", u64), "");
+  EXPECT_EQ(argError("12abc", u64),
+            "bad value for --flag: expected an unsigned integer, got '12abc'");
+  EXPECT_NE(argError("-1", u64).find("expected an unsigned integer"),
+            std::string::npos);
+  EXPECT_NE(argError("+1", u64), "");
+  EXPECT_NE(argError(" 1", u64), "");
+  EXPECT_NE(argError("", u64), "");
+  EXPECT_NE(argError("1.5", u64), "");
+  EXPECT_NE(argError("18446744073709551616", u64).find("out of range"),
+            std::string::npos);
+
+  std::string program = "tool", flag = "--n", text = "42";
+  char* argv[] = {program.data(), flag.data(), text.data()};
+  ArgParser args(3, argv);
+  ASSERT_TRUE(args.next());
+  EXPECT_EQ(args.valueSize(), 42u);
+  EXPECT_FALSE(args.next());
+}
+
+TEST(ArgParserTest, NarrowingIsRangeChecked) {
+  const auto port = [](ArgParser& a) { a.valueU64(0xFFFF); };
+  EXPECT_EQ(argError("65535", port), "");
+  EXPECT_EQ(argError("70000", port),
+            "bad value for --flag: '70000' is out of range (at most 65535)");
+  const auto u32 = [](ArgParser& a) { a.valueUnsigned(); };
+  EXPECT_EQ(argError("4294967295", u32), "");
+  EXPECT_NE(argError("4294967296", u32).find("out of range"),
+            std::string::npos);
+}
+
+TEST(ArgParserTest, LongValuesAreWholeAndInRange) {
+  long got = 0;
+  const auto read = [&got](ArgParser& a) { got = a.valueLong(); };
+  EXPECT_EQ(argError("-5", read), "");
+  EXPECT_EQ(got, -5);
+  EXPECT_EQ(argError("-9223372036854775808", read), "");
+  EXPECT_EQ(got, std::numeric_limits<long>::min());
+  EXPECT_EQ(argError("5x", read),
+            "bad value for --flag: expected an integer, got '5x'");
+  EXPECT_NE(argError("", read), "");
+  EXPECT_NE(argError("-", read), "");
+  EXPECT_NE(argError(" 5", read), "");
+  EXPECT_NE(argError("9223372036854775808", read).find("out of range"),
+            std::string::npos);
+}
+
+TEST(ArgParserTest, DoubleValuesAreWholeAndFinite) {
+  double got = 0;
+  const auto read = [&got](ArgParser& a) { got = a.valueDouble(); };
+  EXPECT_EQ(argError("0.25", read), "");
+  EXPECT_EQ(got, 0.25);
+  for (const char* bad : {"1.5x", "nan", "inf", "-inf", "1e400", "", " 1"}) {
+    EXPECT_NE(argError(bad, read).find("expected a finite number"),
+              std::string::npos)
+        << "'" << bad << "'";
+  }
+}
+
+TEST(ArgParserTest, MissingValueNamesTheFlag) {
+  std::string program = "tool", flag = "--seed";
+  char* argv[] = {program.data(), flag.data()};
+  ArgParser args(2, argv);
+  ASSERT_TRUE(args.next());
+  try {
+    args.valueU64();
+    FAIL() << "expected UsageError";
+  } catch (const UsageError& e) {
+    EXPECT_EQ(std::string(e.what()), "missing value for --seed");
+  }
 }
 
 TEST(ScenarioValidateTest, TraceModelsIgnoreStableSize) {

@@ -6,6 +6,9 @@
 #include <algorithm>
 
 #include <memory>
+#include <set>
+#include <utility>
+#include <variant>
 #include <vector>
 
 #include "avmon/node.hpp"
@@ -398,6 +401,100 @@ TEST(NodeTest, HashCheckRateMatchesAnalyticalOrder) {
         static_cast<double>(c.node(i).metrics().hashChecks) / ticks;
     EXPECT_LT(perTick, bound * 1.6) << "node " << i;
   }
+}
+
+// Answers "no" to every check and records each question in order.
+class RecordingSelector final : public MonitorSelector {
+ public:
+  bool isMonitor(const NodeId& observer, const NodeId& target) const override {
+    asked.emplace_back(observer, target);
+    return false;
+  }
+  mutable std::vector<std::pair<NodeId, NodeId>> asked;
+};
+
+// A peer that answers pings and serves one fixed coarse view.
+class FixedViewPeer final : public sim::Endpoint {
+ public:
+  explicit FixedViewPeer(std::vector<NodeId> view) : view_(std::move(view)) {}
+  void onMessage(const NodeId&, const sim::Message&) override {}
+  sim::RpcResponse onRpc(const NodeId&,
+                         const sim::RpcRequest& request) override {
+    if (std::holds_alternative<sim::CvFetchRequest>(request)) {
+      ++fetchesServed;
+      return sim::CvFetchResponse{view_};
+    }
+    return sim::PingResponse{};
+  }
+  int fetchesServed = 0;
+
+ private:
+  std::vector<NodeId> view_;
+};
+
+TEST(NodeTest, FetchChecksEachDistinctPairOnce) {
+  // x's view is four peers; every peer serves a view that shares two of
+  // them with x's, holds x (so x repeats among the columns) and one peer
+  // that may be the fetched w itself. The selector must be asked about
+  // each unordered cross pair once per orientation, in row-major order
+  // of first occurrence, never about a self-pair.
+  const AvmonConfig cfg = smallConfig(100);
+  sim::Simulator sim;
+  sim::Network net(sim, sim::NetworkConfig{}, Rng(3));
+  RecordingSelector selector;
+  const NodeId x = NodeId::fromIndex(0);
+  std::vector<NodeId> peerIds;
+  for (std::uint32_t i = 1; i <= 4; ++i) peerIds.push_back(NodeId::fromIndex(i));
+  const std::vector<NodeId> served = {peerIds[1], x, NodeId::fromIndex(50),
+                                      peerIds[2], NodeId::fromIndex(51),
+                                      peerIds[0]};
+  std::vector<std::unique_ptr<FixedViewPeer>> peers;
+  for (const NodeId& id : peerIds) {
+    peers.push_back(std::make_unique<FixedViewPeer>(served));
+    net.attach(id, *peers.back());
+    net.setUp(id, true);
+  }
+  AvmonNode node(x, cfg, selector, sim, net,
+                 [](const NodeId&) { return NodeId{}; }, Rng(5));
+  node.join(true);
+  for (const NodeId& id : peerIds) net.send(id, x, JoinMessage{id, 1});
+
+  // Step to the first fetch's completion; the view it checked against is
+  // the one held just before (the reshuffle follows the checks).
+  std::vector<NodeId> cvAtFetch;
+  while (node.metrics().cvFetches == 0) {
+    cvAtFetch = node.coarseView();
+    ASSERT_LT(sim.now(), 10 * cfg.protocolPeriod);
+    ASSERT_TRUE(sim.step());
+  }
+  ASSERT_EQ(cvAtFetch.size(), peerIds.size());
+  NodeId w;
+  for (std::size_t i = 0; i < peers.size(); ++i) {
+    if (peers[i]->fetchesServed == 1) w = peerIds[i];
+  }
+  ASSERT_FALSE(w.isNil());
+
+  // (CV(x) ∪ {x,w}) × (CV(w) ∪ {x,w}) as the node lists them; w is
+  // already in CV(x).
+  std::vector<NodeId> rows = cvAtFetch;
+  rows.push_back(x);
+  std::vector<NodeId> cols = served;
+  cols.push_back(x);
+  cols.push_back(w);
+  std::vector<std::pair<NodeId, NodeId>> expected;
+  std::set<std::pair<NodeId, NodeId>> seen;
+  for (const NodeId& u : rows) {
+    for (const NodeId& v : cols) {
+      if (u == v || !seen.insert(std::minmax(u, v)).second) continue;
+      expected.emplace_back(u, v);
+      expected.emplace_back(v, u);
+    }
+  }
+  EXPECT_EQ(selector.asked, expected);
+  for (const auto& [u, v] : selector.asked) EXPECT_NE(u, v);
+  EXPECT_EQ(node.metrics().hashChecks, expected.size());
+  // The views overlap, so deduplication had work to do.
+  EXPECT_LT(expected.size(), 2 * rows.size() * cols.size() - 2 * 4);
 }
 
 TEST(NodeTest, Pr2ReadvertisesUnpingedNodes) {

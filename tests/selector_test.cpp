@@ -4,6 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -103,6 +106,33 @@ TEST_F(SelectorTest, ThresholdIsExactlyKOverN) {
         << "K=" << k << " N=" << n;
     EXPECT_EQ(sel.k(), k);
     EXPECT_EQ(sel.systemSize(), n);
+  }
+}
+
+TEST_F(SelectorTest, IntegerThresholdIsExact) {
+  // maxDigest() is the largest digest whose toUnit is <= K/N, so the
+  // integer comparison gives the same verdict as the real one for every
+  // digest. K/N = 1/2 and 1/4 are exact doubles; 11/2000 and 17/100000
+  // are not.
+  using hash::HashFunction;
+  const std::pair<unsigned, std::size_t> cases[] = {
+      {1, 2}, {1, 4}, {11, 2000}, {17, 100000}};
+  for (const auto& [k, n] : cases) {
+    HashMonitorSelector sel(md5_, k, n);
+    const std::uint64_t d = sel.maxDigest();
+    ASSERT_LT(d, std::numeric_limits<std::uint64_t>::max());
+    EXPECT_LE(HashFunction::toUnit(d), sel.threshold()) << k << "/" << n;
+    EXPECT_GT(HashFunction::toUnit(d + 1), sel.threshold()) << k << "/" << n;
+  }
+  // toUnit rounds: digests up to 2^10 past 2^63 still scale to exactly
+  // 1/2, so the bound is not simply K/N * 2^64.
+  EXPECT_EQ(HashMonitorSelector(md5_, 1, 2).maxDigest(),
+            (std::uint64_t{1} << 63) + 1024);
+  // K >= N saturates: every digest passes, the largest one included.
+  for (const unsigned k : {1000u, 2000u}) {
+    HashMonitorSelector sel(md5_, k, 1000);
+    EXPECT_EQ(sel.maxDigest(), std::numeric_limits<std::uint64_t>::max());
+    EXPECT_LE(HashFunction::toUnit(sel.maxDigest()), sel.threshold());
   }
 }
 
@@ -225,6 +255,67 @@ TEST_P(SelectorHashParamTest, HashPointMatchesThresholdDecision) {
   }
 }
 
+// One fetch's id lists, shaped like the ones a node builds: the rows and
+// columns share ids (x, w and CV entries both views hold), a column
+// repeats (CV(w) holds x, and the column list appends x again), and
+// random full-width ids sit beside synthetic ones.
+struct CrossLists {
+  std::vector<NodeId> rows;
+  std::vector<NodeId> cols;
+  std::vector<CrossPair> pairs;  // every (row, col) position, self-pairs too
+};
+
+CrossLists crossLists() {
+  CrossLists l;
+  for (std::uint32_t i = 0; i < 12; ++i) l.rows.push_back(NodeId::fromIndex(i));
+  for (std::uint32_t i = 8; i < 20; ++i) l.cols.push_back(NodeId::fromIndex(i));
+  Rng rng(11);
+  for (int i = 0; i < 4; ++i) {
+    const NodeId id(static_cast<std::uint32_t>(rng()),
+                    static_cast<std::uint16_t>(rng()));
+    l.rows.push_back(id);
+    l.cols.push_back(id);
+  }
+  const NodeId x = l.rows[0], w = l.cols[0];
+  l.rows.push_back(w);
+  l.cols.push_back(x);
+  l.cols.push_back(x);
+  l.cols.push_back(w);
+  for (std::uint32_t i = 0; i < l.rows.size(); ++i) {
+    for (std::uint32_t j = 0; j < l.cols.size(); ++j) l.pairs.push_back({i, j});
+  }
+  return l;
+}
+
+// Checks `out` against reference.isMonitor, both orders of every pair.
+void expectSameAsIsMonitor(const MonitorSelector& reference,
+                           const CrossLists& l,
+                           const std::vector<std::uint8_t>& out,
+                           const std::string& what) {
+  ASSERT_EQ(out.size(), 2 * l.pairs.size()) << what;
+  for (std::size_t k = 0; k < l.pairs.size(); ++k) {
+    const NodeId& r = l.rows[l.pairs[k].row];
+    const NodeId& c = l.cols[l.pairs[k].col];
+    EXPECT_EQ(out[2 * k] != 0, reference.isMonitor(r, c))
+        << what << " " << r.toString() << " -> " << c.toString();
+    EXPECT_EQ(out[2 * k + 1] != 0, reference.isMonitor(c, r))
+        << what << " " << c.toString() << " -> " << r.toString();
+  }
+}
+
+TEST_P(SelectorHashParamTest, CrossVerdictsMatchIsMonitor) {
+  const auto fn = hash::makeHashFunction(GetParam());
+  HashMonitorSelector sel(*fn, 300, 1000);  // both verdicts common
+  const CrossLists l = crossLists();
+  std::vector<std::uint8_t> out;
+  sel.crossVerdicts(l.rows, l.cols, l.pairs, out);
+  expectSameAsIsMonitor(sel, l, out, GetParam());
+  // A second, smaller batch through the same scratch buffers.
+  const CrossLists few{l.rows, l.cols, {{0, 0}, {3, 1}, {12, 5}}};
+  sel.crossVerdicts(few.rows, few.cols, few.pairs, out);
+  expectSameAsIsMonitor(sel, few, out, GetParam());
+}
+
 INSTANTIATE_TEST_SUITE_P(AllHashes, SelectorHashParamTest,
                          ::testing::Values("md5", "sha1", "splitmix64"));
 
@@ -273,8 +364,60 @@ TEST_P(MemoHashParamTest, MemoizedMatchesInner) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(SlowHashes, MemoHashParamTest,
-                         ::testing::Values("md5", "sha1"));
+TEST_P(MemoHashParamTest, CrossVerdictsMatchIsMonitor) {
+  const auto fn = hash::makeHashFunction(GetParam());
+  HashMonitorSelector inner(*fn, 300, 1000);
+  const CrossLists l = crossLists();
+  std::vector<std::uint8_t> out;
+
+  // Cold, then warm: the second batch answers from the cache.
+  MemoizedMonitorSelector memo(inner);
+  memo.crossVerdicts(l.rows, l.cols, l.pairs, out);
+  expectSameAsIsMonitor(inner, l, out, std::string(GetParam()) + " cold");
+  const std::size_t cached = memo.cacheSize();
+  memo.crossVerdicts(l.rows, l.cols, l.pairs, out);
+  expectSameAsIsMonitor(inner, l, out, std::string(GetParam()) + " warm");
+  EXPECT_EQ(memo.cacheSize(), cached);
+
+  // Past the cap: the first half of the lists' pairs goes in, then a
+  // 1100 x 1100 batch of distinct pairs fills the table (2^20 pairs at
+  // half load of 2^21 slots) part way through and passes the rest
+  // through. The whole lists then mix cached pairs with pairs the full
+  // table cannot take.
+  MemoizedMonitorSelector full(inner);
+  const CrossLists firstHalf{
+      l.rows, l.cols,
+      {l.pairs.begin(), l.pairs.begin() + l.pairs.size() / 2}};
+  full.crossVerdicts(firstHalf.rows, firstHalf.cols, firstHalf.pairs, out);
+  expectSameAsIsMonitor(inner, firstHalf, out,
+                        std::string(GetParam()) + " first half");
+  CrossLists filler;
+  for (std::uint32_t i = 0; i < 1100; ++i) {
+    filler.rows.push_back(NodeId::fromIndex(i));
+    filler.cols.push_back(NodeId::fromIndex(1100 + i));
+  }
+  for (std::uint32_t i = 0; i < 1100; ++i) {
+    for (std::uint32_t j = 0; j < 1100; ++j) filler.pairs.push_back({i, j});
+  }
+  full.crossVerdicts(filler.rows, filler.cols, filler.pairs, out);
+  EXPECT_EQ(full.cacheSize(), std::size_t{1} << 20);
+  std::size_t mismatches = 0;
+  for (std::size_t k = 0; k < filler.pairs.size(); k += 97) {
+    const NodeId& r = filler.rows[filler.pairs[k].row];
+    const NodeId& c = filler.cols[filler.pairs[k].col];
+    mismatches += (out[2 * k] != 0) != inner.isMonitor(r, c);
+    mismatches += (out[2 * k + 1] != 0) != inner.isMonitor(c, r);
+  }
+  EXPECT_EQ(mismatches, 0u) << GetParam();
+  full.crossVerdicts(l.rows, l.cols, l.pairs, out);
+  expectSameAsIsMonitor(inner, l, out, std::string(GetParam()) + " full");
+  EXPECT_EQ(full.cacheSize(), std::size_t{1} << 20);
+}
+
+// The memo's correctness does not depend on the hash behind it, so its
+// tests also run on splitmix64, which ScenarioRunner never memoizes.
+INSTANTIATE_TEST_SUITE_P(AllHashes, MemoHashParamTest,
+                         ::testing::Values("md5", "sha1", "splitmix64"));
 
 TEST(MemoizedSelectorTest, VerdictsStayExactPastTheCap) {
   // 1500 ids give 1,125,750 unordered pairs, more than the 2^21-slot

@@ -14,8 +14,10 @@
 //              [--horizon-ms 0] [--retry-max 4] [--backoff-ms 50]
 //              [--backoff-cap-ms 800] [--metrics-out FILE]
 #include <csignal>
+#include <cstdint>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <string>
 
 #include "avmon/config.hpp"
@@ -53,6 +55,7 @@ void onSignal(int) { gStop = 1; }
 int main(int argc, char** argv) {
   using namespace avmon;
 
+  constexpr std::uint64_t kMaxMs = std::numeric_limits<std::int64_t>::max();
   std::uint32_t index = 0;
   std::size_t n = 0;
   std::uint16_t portBase = 42000;
@@ -65,23 +68,28 @@ int main(int argc, char** argv) {
     experiments::ArgParser args(argc, argv);
     while (args.next()) {
       const std::string& arg = args.flag();
-      if (arg == "--index") index = static_cast<std::uint32_t>(args.valueU64());
+      if (arg == "--index") index = static_cast<std::uint32_t>(args.valueU64(0xFFFF));
       else if (arg == "--n") n = args.valueSize();
-      else if (arg == "--port-base") portBase = static_cast<std::uint16_t>(args.valueU64());
+      else if (arg == "--port-base") portBase = static_cast<std::uint16_t>(args.valueU64(0xFFFF));
       else if (arg == "--seed") options.seed = args.valueU64();
       else if (arg == "--cvs") cvs = args.valueSize();
       else if (arg == "--k") k = args.valueUnsigned();
       else if (arg == "--hash") options.hashName = args.value();
       else if (arg == "--time-scale") options.timeScale = args.valueDouble();
-      else if (arg == "--horizon-ms") options.horizon = static_cast<SimDuration>(args.valueU64());
-      else if (arg == "--retry-max") options.live.retryMax = static_cast<std::uint32_t>(args.valueU64());
-      else if (arg == "--backoff-ms") options.live.retryBaseMs = static_cast<std::int64_t>(args.valueU64());
-      else if (arg == "--backoff-cap-ms") options.live.retryCapMs = static_cast<std::int64_t>(args.valueU64());
+      else if (arg == "--horizon-ms") options.horizon = static_cast<SimDuration>(args.valueU64(kMaxMs));
+      else if (arg == "--retry-max") options.live.retryMax = static_cast<std::uint32_t>(args.valueU64(0xFFFFFFFF));
+      else if (arg == "--backoff-ms") options.live.retryBaseMs = static_cast<std::int64_t>(args.valueU64(kMaxMs));
+      else if (arg == "--backoff-cap-ms") options.live.retryCapMs = static_cast<std::int64_t>(args.valueU64(kMaxMs));
       else if (arg == "--metrics-out") metricsOut = args.value();
       else args.failUnknown();
     }
     if (n == 0) {
       throw experiments::UsageError("--n is required (config derivation)");
+    }
+    if (portBase + index > 0xFFFF) {
+      throw experiments::UsageError(
+          "--port-base + --index must be at most 65535, got " +
+          std::to_string(portBase + index));
     }
 
     options.index = index;

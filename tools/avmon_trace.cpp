@@ -8,6 +8,7 @@
 //   stats --in FILE
 //         Prints population, stable size, availability, and churn stats.
 #include <iostream>
+#include <limits>
 #include <string>
 
 #include "churn/churn_model.hpp"
@@ -46,6 +47,12 @@ int runGen(int argc, char** argv) {
     else args.failUnknown();
   }
   if (out.empty()) usageAndExit(argv[0]);
+  if (hours <= 0 || hours > std::numeric_limits<SimDuration>::max() / kHour) {
+    throw experiments::UsageError(
+        "bad value for --hours: expected a whole number of hours in [1, " +
+        std::to_string(std::numeric_limits<SimDuration>::max() / kHour) +
+        "], got " + std::to_string(hours));
+  }
   params.horizon = hours * kHour;
 
   const auto trace = churn::generate(model, params);
