@@ -1,24 +1,12 @@
 #include "avmon/monitor_selector.hpp"
 
+#include <algorithm>
 #include <array>
 #include <stdexcept>
+#include <utility>
 
 namespace avmon {
 namespace {
-
-std::uint64_t packId(const NodeId& id) noexcept {
-  return (static_cast<std::uint64_t>(id.ip()) << 16) | id.port();
-}
-
-// splitmix-style combine of an unordered pair's two 48-bit identities
-// (smaller first); the memo table size is a power of two, so only
-// well-mixed bits may index it. Lookup and rehash must agree on this
-// function bit-for-bit.
-std::uint64_t mixPair(std::uint64_t lo, std::uint64_t hi) noexcept {
-  std::uint64_t h = lo * 0x9E3779B97F4A7C15ULL ^ hi;
-  h = (h ^ (h >> 30)) * 0xBF58476D1CE4E5B9ULL;
-  return h ^ (h >> 31);
-}
 
 // The largest d with toUnit(d) <= threshold, by binary search: toUnit is
 // monotone but rounds, so the answer is not simply threshold * 2^64.
@@ -80,7 +68,7 @@ double HashMonitorSelector::hashPoint(const NodeId& observer,
 bool HashMonitorSelector::isMonitor(const NodeId& observer,
                                     const NodeId& target) const {
   if (observer == target) return false;
-  return hash_.digestPair(packId(observer), packId(target)) <= maxDigest_;
+  return hash_.digestPair(observer.packed(), target.packed()) <= maxDigest_;
 }
 
 void HashMonitorSelector::crossVerdicts(const std::vector<NodeId>& rows,
@@ -92,8 +80,8 @@ void HashMonitorSelector::crossVerdicts(const std::vector<NodeId>& rows,
   thread_local std::vector<std::uint64_t> digests;
   rows48.resize(rows.size());
   cols48.resize(cols.size());
-  for (std::size_t i = 0; i < rows.size(); ++i) rows48[i] = packId(rows[i]);
-  for (std::size_t j = 0; j < cols.size(); ++j) cols48[j] = packId(cols[j]);
+  for (std::size_t i = 0; i < rows.size(); ++i) rows48[i] = rows[i].packed();
+  for (std::size_t j = 0; j < cols.size(); ++j) cols48[j] = cols[j].packed();
   hash_.digestCross(rows48, cols48, pairs, digests);
   out.resize(2 * pairs.size());
   for (std::size_t k = 0; k < pairs.size(); ++k) {
@@ -106,68 +94,66 @@ void HashMonitorSelector::crossVerdicts(const std::vector<NodeId>& rows,
 
 bool MemoizedMonitorSelector::isMonitor(const NodeId& observer,
                                         const NodeId& target) const {
-  const std::uint64_t obs = packId(observer);
-  const std::uint64_t tgt = packId(target);
-  const bool down = obs > tgt;
-  const std::uint64_t lo = down ? tgt : obs;
-  const std::uint64_t hi = down ? obs : tgt;
-  const int shift = down ? kDownShift : 0;
-  const std::uint64_t known = kKnownUp << shift;
-  const std::uint64_t yes = kVerdictUp << shift;
-  const std::uint64_t h = mixPair(lo, hi);
-
-  const std::size_t mask = slots_.size() - 1;
-  std::size_t i = static_cast<std::size_t>(h) & mask;
-  while (slots_[i].hiBits != 0) {
-    Slot& slot = slots_[i];
-    if (slot.lo == lo && (slot.hiBits & kIdMask) == hi) {
-      if ((slot.hiBits & known) == 0) {
-        const bool verdict = inner_.isMonitor(observer, target);
-        slot.hiBits |= known | (verdict ? yes : 0);
-      }
-      return (slot.hiBits & yes) != 0;
-    }
-    i = (i + 1) & mask;
-  }
-
-  const bool verdict = inner_.isMonitor(observer, target);
-  if (count_ * 2 >= slots_.size()) {
-    if (slots_.size() >= kMaxSlots) return verdict;  // cache full: passthrough
-    grow();
-    i = static_cast<std::size_t>(h) & (slots_.size() - 1);
-    while (slots_[i].hiBits != 0) i = (i + 1) & (slots_.size() - 1);
-  }
-  slots_[i] = Slot{lo, hi | known | (verdict ? yes : 0)};
-  ++count_;
-  return verdict;
+  const std::uint32_t o = indexOf(observer);
+  return verdict(o, indexOf(target), observer, target);
 }
 
 void MemoizedMonitorSelector::crossVerdicts(
     const std::vector<NodeId>& rows, const std::vector<NodeId>& cols,
     const std::vector<CrossPair>& pairs, std::vector<std::uint8_t>& out) const {
-  // A probe that misses the CPU cache costs several times a hit; touching
-  // every pair's home slot first overlaps those misses.
-  const std::size_t mask = slots_.size() - 1;
-  for (const CrossPair& p : pairs) {
-    const std::uint64_t a = packId(rows[p.row]);
-    const std::uint64_t b = packId(cols[p.col]);
-    const std::uint64_t h = a < b ? mixPair(a, b) : mixPair(b, a);
-    __builtin_prefetch(&slots_[static_cast<std::size_t>(h) & mask]);
+  thread_local std::vector<std::uint32_t> rowAt;
+  thread_local std::vector<std::uint32_t> colAt;
+  rowAt.resize(rows.size());
+  colAt.resize(cols.size());
+  for (std::size_t i = 0; i < rows.size(); ++i) rowAt[i] = indexOf(rows[i]);
+  for (std::size_t j = 0; j < cols.size(); ++j) colAt[j] = indexOf(cols[j]);
+  out.resize(2 * pairs.size());
+  for (std::size_t k = 0; k < pairs.size(); ++k) {
+    const NodeId& row = rows[pairs[k].row];
+    const NodeId& col = cols[pairs[k].col];
+    const std::uint32_t r = rowAt[pairs[k].row];
+    const std::uint32_t c = colAt[pairs[k].col];
+    out[2 * k] = verdict(r, c, row, col);
+    out[2 * k + 1] = verdict(c, r, col, row);
   }
-  MonitorSelector::crossVerdicts(rows, cols, pairs, out);
+}
+
+std::uint32_t MemoizedMonitorSelector::indexOf(const NodeId& id) const {
+  if (index_.size() >= kMaxIds) return index_.find(id);
+  const std::uint32_t index = index_.insert(id).index;
+  if (index >= capacity_) grow();
+  return index;
+}
+
+bool MemoizedMonitorSelector::verdict(std::uint32_t o, std::uint32_t t,
+                                      const NodeId& observer,
+                                      const NodeId& target) const {
+  if (o == IdIndex::kAbsent || t == IdIndex::kAbsent) {
+    return inner_.isMonitor(observer, target);  // past the bound
+  }
+  if (o == t) return false;  // a self-pair has no cell
+  const std::size_t cell = std::size_t{o} * capacity_ + t;
+  std::uint64_t& word = cells_[cell / kCellsPerWord];
+  const unsigned shift = 2 * (cell % kCellsPerWord);
+  if ((word >> shift) & kKnown) return ((word >> shift) & kYes) != 0;
+  const bool yes = inner_.isMonitor(observer, target);
+  word |= (kKnown | (yes ? kYes : 0)) << shift;
+  ++count_;
+  return yes;
 }
 
 void MemoizedMonitorSelector::grow() const {
-  std::vector<Slot> old = std::move(slots_);
-  slots_.assign(old.size() * 2, Slot{});
-  const std::size_t mask = slots_.size() - 1;
-  for (const Slot& slot : old) {
-    if (slot.hiBits == 0) continue;
-    const std::uint64_t h = mixPair(slot.lo, slot.hiBits & kIdMask);
-    std::size_t i = static_cast<std::size_t>(h) & mask;
-    while (slots_[i].hiBits != 0) i = (i + 1) & mask;
-    slots_[i] = slot;
+  const std::uint32_t capacity =
+      capacity_ == 0 ? kInitialIds : std::min(2 * capacity_, kMaxIds);
+  const std::size_t oldRow = capacity_ / kCellsPerWord;
+  const std::size_t newRow = capacity / kCellsPerWord;
+  std::vector<std::uint64_t> cells(newRow * capacity);
+  for (std::size_t r = 0; r < capacity_; ++r) {
+    std::copy_n(cells_.begin() + r * oldRow, oldRow,
+                cells.begin() + r * newRow);
   }
+  cells_ = std::move(cells);
+  capacity_ = capacity;
 }
 
 }  // namespace avmon

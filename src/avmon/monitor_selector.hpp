@@ -16,6 +16,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/id_index.hpp"
 #include "common/node_id.hpp"
 #include "hash/hash_function.hpp"
 
@@ -96,60 +97,72 @@ class HashMonitorSelector final : public MonitorSelector {
 /// so memoization cannot change any verdict; protocol-level computation
 /// metrics are counted by the *nodes* per check performed, so it is
 /// invisible to the measured results too. It pays only when a digest costs
-/// more than a probe: an MD5 check takes ~200-250 ns, a probe ~10-15 ns
-/// when its slot is in cache and ~80-290 ns when it is not, and splitmix64
-/// hashes a pair in ~8-15 ns through isMonitor and ~7-14 ns in a fetch's
-/// crossVerdicts batch (4-vCPU x86 host). So ScenarioRunner memoizes md5
-/// and sha1 only (HashFunction::cheaperThanMemo).
-/// The cache is a flat open-addressing table — one probe, no allocation
-/// per pair — with one slot per unordered pair, so a check and its reverse
-/// share a cache line. It is bounded by kMaxSlots; once full, further
-/// distinct pairs are computed directly. A 1000-node SYNTH-BD run asks
-/// ~4x10^7 times about fewer pairs than that; a 2000-node STAT run's pairs
-/// overflow it.
+/// more than a lookup. An MD5 check takes ~270-300 ns; a memo hit takes
+/// ~4-6 ns per check in a fetch's crossVerdicts batch and ~30-40 ns
+/// through isMonitor, which resolves both ids on every call. splitmix64
+/// hashes a pair in ~7-14 ns in a batch, and a matrix memo in front of it
+/// was no faster on the benchmark's stat_dense and cost 4 MB more (4-vCPU
+/// x86 host). So ScenarioRunner memoizes md5 and sha1 only
+/// (HashFunction::cheaperThanMemo).
+/// The memo gives each id a dense index on first sight (an IdIndex) and
+/// keeps a row-major matrix of 2-bit cells, (known, verdict) for
+/// isMonitor(row id, column id). The matrix is allocated at the first check
+/// and regrown, rows copied, as ids arrive; it holds at most kMaxIds ids,
+/// and checks on ids past them go straight to the inner selector. A
+/// 1000-node SYNTH-BD run with births (the benchmark's churn_md5) indexes
+/// ~1100 ids in a 1 MiB matrix, which stays in cache across its ~4x10^7
+/// checks.
 /// Not thread-safe: share one per single-threaded simulation world (each
 /// shard of a ScenarioRunner owns its own).
 class MemoizedMonitorSelector final : public MonitorSelector {
  public:
   explicit MemoizedMonitorSelector(const MonitorSelector& inner)
-      : inner_(inner), slots_(kInitialSlots) {}
+      : inner_(inner) {}
 
   bool isMonitor(const NodeId& observer, const NodeId& target) const override;
 
-  /// Prefetches every pair's home slot, then probes pair by pair exactly
-  /// as isMonitor does, so misses and the pass-through past the cap are
-  /// unchanged.
+  /// Resolves each row and column id once, then reads two cells per pair;
+  /// a self-pair is false without a cell.
   void crossVerdicts(const std::vector<NodeId>& rows,
                      const std::vector<NodeId>& cols,
                      const std::vector<CrossPair>& pairs,
                      std::vector<std::uint8_t>& out) const override;
 
-  /// Distinct unordered pairs cached (each with one or both verdicts).
+  /// Ordered verdicts cached: one per (observer, target) asked, self-pairs
+  /// excluded.
   std::size_t cacheSize() const noexcept { return count_; }
 
  private:
-  // One 16-byte slot per unordered pair, keyed by the smaller and larger
-  // packed id (lo, hi; ids occupy 48 bits). hiBits holds hi plus, in its
-  // free high bits, a known bit and a verdict bit per direction: "up" is
-  // isMonitor(lo, hi), "down" is isMonitor(hi, lo) (self-pairs use up).
-  // A direction is computed only when asked. Occupied slots always have
-  // a known bit set, so hiBits == 0 marks an empty slot.
-  struct Slot {
-    std::uint64_t lo = 0;
-    std::uint64_t hiBits = 0;  // verdictDown<<51 | knownDown<<50 |
-                               // verdictUp<<49 | knownUp<<48 | hi
-  };
-  static constexpr std::uint64_t kKnownUp = 1ULL << 48;
-  static constexpr std::uint64_t kVerdictUp = 1ULL << 49;
-  static constexpr int kDownShift = 2;  // down bits sit just above up bits
-  static constexpr std::uint64_t kIdMask = (1ULL << 48) - 1;
-  static constexpr std::size_t kInitialSlots = 1u << 12;
-  static constexpr std::size_t kMaxSlots = 1u << 21;  // 32 MiB ceiling
+  static constexpr std::uint32_t kCellsPerWord = 32;  // 2 bits each
+  static constexpr std::uint64_t kKnown = 1;
+  static constexpr std::uint64_t kYes = 2;
+  static constexpr std::uint32_t kInitialIds = 256;  // a 16 KiB matrix
+  // The bound: the largest multiple of kCellsPerWord whose square of 2-bit
+  // cells fits in 32 MiB, the ceiling of the pair hash table this matrix
+  // replaced (2^21 slots of 16 bytes). 11584^2 / 4 = 33 547 264 bytes.
+  static constexpr std::uint32_t kMaxIds = 11584;
+  static_assert(kMaxIds % kCellsPerWord == 0 &&
+                    std::uint64_t{kMaxIds} * kMaxIds / 4 <= (32u << 20) &&
+                    std::uint64_t{kMaxIds + kCellsPerWord} *
+                            (kMaxIds + kCellsPerWord) / 4 >
+                        (32u << 20),
+                "kMaxIds is the largest whole-word row count within 32 MiB");
 
+  // The dense index of `id`, given on first sight while fewer than kMaxIds
+  // ids are known (the matrix grows to hold it); IdIndex::kAbsent past
+  // the bound.
+  std::uint32_t indexOf(const NodeId& id) const;
+  // isMonitor(observer, target) given indexOf of each: through cell (o, t)
+  // when both are indexed (false, with no cell, when o == t), from the
+  // inner selector when either is not.
+  bool verdict(std::uint32_t o, std::uint32_t t, const NodeId& observer,
+               const NodeId& target) const;
   void grow() const;
 
   const MonitorSelector& inner_;
-  mutable std::vector<Slot> slots_;
+  mutable IdIndex index_;
+  mutable std::vector<std::uint64_t> cells_;  // capacity_ x capacity_ cells
+  mutable std::uint32_t capacity_ = 0;        // ids per row and column
   mutable std::size_t count_ = 0;
 };
 

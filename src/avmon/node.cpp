@@ -6,10 +6,6 @@
 namespace avmon {
 namespace {
 
-std::uint64_t packId(const NodeId& id) noexcept {
-  return (static_cast<std::uint64_t>(id.ip()) << 16) | id.port();
-}
-
 // Per-thread scratch for collectCrossPairs, reused by every fetch.
 thread_local std::vector<std::uint64_t> rowKeys;
 thread_local std::vector<std::uint64_t> colKeys;
@@ -37,8 +33,8 @@ void collectCrossPairs(const std::vector<NodeId>& rows,
   rowKeys.resize(rows.size());
   colKeys.resize(cols.size());
   colBound.resize(cols.size());
-  for (std::int32_t i = 0; i < nRows; ++i) rowKeys[i] = packId(rows[i]);
-  for (std::int32_t j = 0; j < nCols; ++j) colKeys[j] = packId(cols[j]);
+  for (std::int32_t i = 0; i < nRows; ++i) rowKeys[i] = rows[i].packed();
+  for (std::int32_t j = 0; j < nCols; ++j) colKeys[j] = cols[j].packed();
   const auto occursIn = [](const std::vector<std::uint64_t>& keys,
                            std::int32_t end, std::uint64_t key) {
     return std::find(keys.begin(), keys.begin() + end, key) - keys.begin();
@@ -68,8 +64,8 @@ void collectCrossPairs(const std::vector<NodeId>& rows,
 // One key per unordered pair, from its packed ids; the NOTIFY dedup key
 // is built from it.
 std::uint64_t pairKey(const NodeId& a, const NodeId& b) {
-  const std::uint64_t x = packId(a);
-  const std::uint64_t y = packId(b);
+  const std::uint64_t x = a.packed();
+  const std::uint64_t y = b.packed();
   return splitmix64Mix(std::min(x, y)) ^ std::max(x, y);
 }
 

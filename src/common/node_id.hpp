@@ -41,6 +41,12 @@ class NodeId {
 
   constexpr bool isNil() const noexcept { return ip_ == 0 && port_ == 0; }
 
+  /// The 48-bit identity (ip << 16 | port). One-to-one, so equal packed
+  /// values are equal ids; the key every id hash and id index starts from.
+  constexpr std::uint64_t packed() const noexcept {
+    return (static_cast<std::uint64_t>(ip_) << 16) | port_;
+  }
+
   /// Fixed-size wire encoding (big-endian ip, big-endian port) fed to the
   /// hash-based consistency condition.
   std::array<std::uint8_t, kWireSize> toBytes() const noexcept;
@@ -87,8 +93,7 @@ struct std::hash<avmon::NodeId> {
   std::size_t operator()(const avmon::NodeId& id) const noexcept {
     // splitmix64 finalizer over the 48-bit identity; good avalanche for
     // unordered containers even with dense synthetic addresses.
-    std::uint64_t x =
-        (static_cast<std::uint64_t>(id.ip()) << 16) | id.port();
+    std::uint64_t x = id.packed();
     x += 0x9e3779b97f4a7c15ULL;
     x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
     x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;

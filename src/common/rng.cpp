@@ -11,19 +11,6 @@ constexpr std::uint64_t rotl(std::uint64_t x, int k) noexcept {
 
 }  // namespace
 
-std::uint64_t splitmix64Next(std::uint64_t& state) noexcept {
-  state += 0x9e3779b97f4a7c15ULL;
-  std::uint64_t z = state;
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
-}
-
-std::uint64_t splitmix64Mix(std::uint64_t x) noexcept {
-  std::uint64_t s = x;
-  return splitmix64Next(s);
-}
-
 Rng::Rng(std::uint64_t seed) noexcept {
   std::uint64_t sm = seed;
   for (auto& word : s_) word = splitmix64Next(sm);

@@ -17,11 +17,20 @@
 namespace avmon {
 
 /// splitmix64 step: advances the state and returns the next 64-bit output.
-/// Used for seeding and as a fast stateless mixer.
-std::uint64_t splitmix64Next(std::uint64_t& state) noexcept;
+/// Used for seeding and as a fast stateless mixer. Inline: the splitmix64
+/// pair hash and every id-index probe call it per check or per lookup.
+inline std::uint64_t splitmix64Next(std::uint64_t& state) noexcept {
+  state += 0x9e3779b97f4a7c15ULL;
+  std::uint64_t z = state;
+  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+  return z ^ (z >> 31);
+}
 
 /// One-shot splitmix64 finalizer: a high-quality 64-bit mix of the input.
-std::uint64_t splitmix64Mix(std::uint64_t x) noexcept;
+inline std::uint64_t splitmix64Mix(std::uint64_t x) noexcept {
+  return splitmix64Next(x);
+}
 
 /// xoshiro256** pseudo-random generator with convenience distributions.
 ///

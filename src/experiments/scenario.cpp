@@ -267,10 +267,15 @@ ScenarioRunner::ScenarioRunner(Scenario scenario)
 
   // Register the whole population first: global indices follow trace order
   // (partition-independent), and every id must be known to the router
-  // before its endpoint attaches.
+  // before its endpoint attaches. traceOf, isMeasured and buildMeasuredSet
+  // read a node's trace at its global index, so a repeated id, which gets
+  // its first index again, must stop the run here.
   traceBySlot_.reserve(trace_.nodes().size());
   for (const trace::NodeTrace& nt : trace_.nodes()) {
-    world_->registerNode(nt.id);
+    if (world_->registerNode(nt.id) != traceBySlot_.size()) {
+      throw std::invalid_argument("scenario trace repeats node id " +
+                                  nt.id.toString());
+    }
     traceBySlot_.push_back(&nt);
   }
 

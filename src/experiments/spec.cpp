@@ -9,6 +9,8 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "common/parse_int.hpp"
+
 namespace avmon::experiments {
 
 namespace {
@@ -39,30 +41,6 @@ bool parseBool(const std::string& v, std::size_t line) {
   if (v == "true" || v == "1" || v == "on" || v == "yes") return true;
   if (v == "false" || v == "0" || v == "off" || v == "no") return false;
   fail(line, "expected a boolean (true/false), got '" + v + "'");
-}
-
-// Reads `v` as an unsigned integer no larger than `max`: digits only (no
-// sign for std::stoull to wrap) and the whole string, range-checked before
-// any narrowing cast. Returns the error text, empty on success.
-std::string readUInt(const std::string& v, std::uint64_t max,
-                     std::uint64_t& out) {
-  const auto notUInt = [&] {
-    return "expected an unsigned integer, got '" + v + "'";
-  };
-  const auto outOfRange = [&] {
-    return "'" + v + "' is out of range (at most " + std::to_string(max) + ")";
-  };
-  if (v.empty() || !std::isdigit(static_cast<unsigned char>(v[0]))) {
-    return notUInt();
-  }
-  std::size_t used = 0;
-  try {
-    out = std::stoull(v, &used);
-  } catch (const std::out_of_range&) {
-    return outOfRange();
-  }
-  if (used != v.size()) return notUInt();
-  return out > max ? outOfRange() : std::string();
 }
 
 // Reads `v` as a finite real number spanning the whole string.
@@ -887,22 +865,9 @@ unsigned ArgParser::valueUnsigned() {
 
 long ArgParser::valueLong() {
   const std::string v = value();
-  const std::size_t firstDigit = !v.empty() && v[0] == '-' ? 1 : 0;
-  long x = 0;
-  std::size_t used = 0;
-  if (v.size() > firstDigit &&
-      std::isdigit(static_cast<unsigned char>(v[firstDigit]))) {
-    try {
-      x = std::stol(v, &used);
-    } catch (const std::out_of_range&) {
-      throw UsageError("bad value for " + flag_ + ": '" + v +
-                       "' is out of range");
-    }
-  }
-  if (used == 0 || used != v.size()) {
-    throw UsageError("bad value for " + flag_ + ": expected an integer, got '" +
-                     v + "'");
-  }
+  std::int64_t x = 0;
+  const std::string error = readInt(v, x);
+  if (!error.empty()) throw UsageError("bad value for " + flag_ + ": " + error);
   return x;
 }
 

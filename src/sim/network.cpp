@@ -21,28 +21,21 @@ RpcResponse Endpoint::onRpc(const NodeId& /*from*/, const RpcRequest& request) {
 }
 
 std::uint32_t Network::slotFor(const NodeId& id) {
-  const auto [it, inserted] =
-      slotOf_.emplace(id, static_cast<std::uint32_t>(slots_.size()));
+  const auto [slot, inserted] = slotOf_.insert(id);
   if (inserted) {
     slots_.emplace_back();
     NodeState& state = slots_.back();
     // The per-sender stream is keyed by (network seed, node id) — not by
     // slot number or attach order — so the same node gets the same stream
     // in every partitioning of the population.
-    const std::uint64_t idKey =
-        (static_cast<std::uint64_t>(id.ip()) << 16) | id.port();
-    state.stream = Rng(splitmix64Mix(streamBase_ ^ splitmix64Mix(idKey)));
+    state.stream =
+        Rng(splitmix64Mix(streamBase_ ^ splitmix64Mix(id.packed())));
     // The stream is shard-owned state like the network itself.
     AVMON_DET_BIND_LIKE(state.stream.detTag, detTag);
     state.globalIndex =
-        router_ != nullptr ? router_->globalIndexOf(id) : it->second;
+        router_ != nullptr ? router_->globalIndexOf(id) : slot;
   }
-  return it->second;
-}
-
-std::uint32_t Network::findSlot(const NodeId& id) const {
-  const auto it = slotOf_.find(id);
-  return it == slotOf_.end() ? kNoSlot : it->second;
+  return slot;
 }
 
 void Network::attach(const NodeId& id, Endpoint& endpoint) {
@@ -52,7 +45,8 @@ void Network::attach(const NodeId& id, Endpoint& endpoint) {
 
 void Network::detach(const NodeId& id) {
   AVMON_DET_CHECK(detTag, "Network::detach");
-  if (const std::uint32_t slot = findSlot(id); slot != kNoSlot) {
+  if (const std::uint32_t slot = slotOf_.find(id);
+      slot != IdIndex::kAbsent) {
     slots_[slot].endpoint = nullptr;
     slots_[slot].up = false;
   }
@@ -64,8 +58,8 @@ void Network::setUp(const NodeId& id, bool up) {
 }
 
 bool Network::isUp(const NodeId& id) const {
-  const std::uint32_t slot = findSlot(id);
-  return slot != kNoSlot && slots_[slot].up &&
+  const std::uint32_t slot = slotOf_.find(id);
+  return slot != IdIndex::kAbsent && slots_[slot].up &&
          slots_[slot].endpoint != nullptr;
 }
 
@@ -280,8 +274,8 @@ void Network::callAsyncErased(const NodeId& from, const NodeId& to,
 }
 
 TrafficCounters Network::traffic(const NodeId& id) const {
-  const std::uint32_t slot = findSlot(id);
-  return slot == kNoSlot ? TrafficCounters{} : slots_[slot].traffic;
+  const std::uint32_t slot = slotOf_.find(id);
+  return slot == IdIndex::kAbsent ? TrafficCounters{} : slots_[slot].traffic;
 }
 
 void Network::resetTraffic() {

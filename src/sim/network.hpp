@@ -19,10 +19,11 @@
 //    event (the central baseline's ping sweep).
 //
 // Node bookkeeping is slot-based: a NodeId is resolved to a dense slot
-// index once per operation (one hash probe), and everything that happens
-// later — latency-delayed delivery in particular — addresses the slot
-// directly instead of re-probing the map. Slots are never recycled, so a
-// captured slot index stays valid across detach/attach cycles.
+// index once per operation (one IdIndex probe, which allocates nothing),
+// and everything that happens later — latency-delayed delivery in
+// particular — addresses the slot directly instead of probing again. Slots
+// are never recycled, so a captured slot index stays valid across
+// detach/attach cycles.
 //
 // The network also owns per-node bandwidth accounting (outgoing bytes and
 // messages), which feeds the paper's bandwidth figures (Section 5.1, 5.4).
@@ -33,11 +34,11 @@
 #include <functional>
 #include <memory>
 #include <optional>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "common/det_checks.hpp"
+#include "common/id_index.hpp"
 #include "common/node_id.hpp"
 #include "common/rng.hpp"
 #include "common/time.hpp"
@@ -277,12 +278,8 @@ class Network final : public Transport {
   };
 
   // Resolves `id` to its dense slot, creating one on first sight. The one
-  // hash probe per (id, operation); everything downstream uses the index.
+  // index probe per (id, operation); everything downstream uses the slot.
   std::uint32_t slotFor(const NodeId& id);
-
-  // Lookup without creating (const paths); npos when unknown.
-  static constexpr std::uint32_t kNoSlot = 0xFFFFFFFFu;
-  std::uint32_t findSlot(const NodeId& id) const;
 
   void charge(NodeState& state, std::size_t bytes) noexcept {
     state.traffic.bytesSent += bytes;
@@ -326,7 +323,9 @@ class Network final : public Transport {
   std::uint64_t streamBase_;
   CrossShardRouter* router_ = nullptr;
   const FaultPlan* plan_ = nullptr;
-  std::unordered_map<NodeId, std::uint32_t> slotOf_;
+  // Slot of each id seen, in first-sight order: slotOf_.find(id) indexes
+  // slots_.
+  IdIndex slotOf_;
   std::vector<NodeState> slots_;
   std::uint64_t delivered_ = 0;
   std::uint64_t lost_ = 0;

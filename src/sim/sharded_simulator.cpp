@@ -244,10 +244,7 @@ void ShardedSimulator::setFaultPlan(const FaultPlan* plan) {
 }
 
 std::uint32_t ShardedSimulator::registerNode(const NodeId& id) {
-  const auto [it, inserted] =
-      indexOf_.emplace(id, static_cast<std::uint32_t>(indexOf_.size()));
-  (void)inserted;
-  return it->second;
+  return indexOf_.insert(id).index;
 }
 
 std::size_t ShardedSimulator::shardOf(const NodeId& id) const {
@@ -255,12 +252,12 @@ std::size_t ShardedSimulator::shardOf(const NodeId& id) const {
 }
 
 std::uint32_t ShardedSimulator::globalIndexOf(const NodeId& id) const {
-  const auto it = indexOf_.find(id);
-  assert(it != indexOf_.end() &&
+  const std::uint32_t index = indexOf_.find(id);
+  assert(index != IdIndex::kAbsent &&
          "node must be registered with ShardedSimulator::registerNode before "
          "attaching or receiving traffic");
-  if (it == indexOf_.end()) return 0;  // degraded (assertions compiled out)
-  return it->second;
+  if (index == IdIndex::kAbsent) return 0;  // degraded (assertions off)
+  return index;
 }
 
 void ShardedSimulator::enqueue(std::size_t srcShard, Handoff handoff) {

@@ -49,11 +49,11 @@
 #include <memory>
 #include <mutex>
 #include <thread>
-#include <unordered_map>
 #include <variant>
 #include <vector>
 
 #include "common/det_checks.hpp"
+#include "common/id_index.hpp"
 #include "common/node_id.hpp"
 #include "common/time.hpp"
 #include "sim/network.hpp"
@@ -130,8 +130,9 @@ class ShardedSimulator {
   unsigned workerThreads() const noexcept { return workerCount_; }
 
   /// Registers a node and assigns it a global index (round-robin over
-  /// shards by index). Must be called for every node id that will attach
-  /// to a shard network, before running. Returns the global index.
+  /// shards by index): 0, 1, 2, ... in first-registration order. Must be
+  /// called for every node id that will attach to a shard network, before
+  /// running. Returns the global index; a repeated id gets its first one.
   std::uint32_t registerNode(const NodeId& id);
 
   std::size_t shardOfIndex(std::uint32_t index) const noexcept {
@@ -288,7 +289,9 @@ class ShardedSimulator {
 
   SimDuration window_;
   std::vector<std::unique_ptr<Shard>> shards_;
-  std::unordered_map<NodeId, std::uint32_t> indexOf_;
+  // Written by registerNode before the run only; shard threads then call
+  // globalIndexOf (a find) concurrently.
+  IdIndex indexOf_;
 
   SimTime windowStart_ = 0;  ///< start of the next (or partially run) window
   SimTime now_ = 0;

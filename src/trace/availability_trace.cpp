@@ -100,25 +100,29 @@ void AvailabilityTrace::quantize(SimDuration grain) {
   }
 }
 
-bool AvailabilityTrace::validate(std::string* why) const {
+bool NodeTrace::validate(std::string* why) const {
   const auto fail = [&](const std::string& msg) {
     if (why != nullptr) *why = msg;
     return false;
   };
+  SimTime prevEnd = birth;
+  for (const Interval& s : sessions) {
+    if (s.end <= s.start)
+      return fail("empty or inverted session at node " + id.toString());
+    if (s.start < prevEnd)
+      return fail("overlapping/unsorted sessions at node " + id.toString());
+    if (s.start < birth)
+      return fail("session before birth at node " + id.toString());
+    if (death && s.end > *death)
+      return fail("session after death at node " + id.toString());
+    prevEnd = s.end;
+  }
+  return true;
+}
+
+bool AvailabilityTrace::validate(std::string* why) const {
   for (const NodeTrace& node : nodes_) {
-    SimTime prevEnd = node.birth;
-    for (const Interval& s : node.sessions) {
-      if (s.end <= s.start)
-        return fail("empty or inverted session at node " + node.id.toString());
-      if (s.start < prevEnd)
-        return fail("overlapping/unsorted sessions at node " +
-                    node.id.toString());
-      if (s.start < node.birth)
-        return fail("session before birth at node " + node.id.toString());
-      if (node.death && s.end > *node.death)
-        return fail("session after death at node " + node.id.toString());
-      prevEnd = s.end;
-    }
+    if (!node.validate(why)) return false;
   }
   return true;
 }

@@ -9,6 +9,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "common/node_id.hpp"
@@ -55,6 +56,10 @@ struct NodeTrace {
 
   /// Total up-time over the whole trace.
   SimDuration totalUpTime() const noexcept;
+
+  /// Checks the invariants above; returns false and leaves a description
+  /// in `why` (if non-null) on the first violation.
+  bool validate(std::string* why = nullptr) const;
 };
 
 /// A complete scenario schedule for a set of nodes.
@@ -91,8 +96,7 @@ class AvailabilityTrace {
   /// traces' 20-minute sampling.
   void quantize(SimDuration grain);
 
-  /// Checks all NodeTrace invariants; returns false and leaves a
-  /// description in `why` (if non-null) on the first violation.
+  /// NodeTrace::validate over every node, stopping at the first violation.
   bool validate(std::string* why = nullptr) const;
 
  private:

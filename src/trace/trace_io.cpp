@@ -1,8 +1,13 @@
 #include "trace/trace_io.hpp"
 
+#include <cstdint>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
+#include <vector>
+
+#include "common/id_index.hpp"
+#include "common/parse_int.hpp"
 
 namespace avmon::trace {
 namespace {
@@ -12,6 +17,32 @@ constexpr const char* kMagic = "avmon-trace-v1";
 [[noreturn]] void malformed(const std::string& what) {
   throw std::runtime_error("malformed trace: " + what);
 }
+
+// Reads the fields of input line `number`; every failure names the line
+// and the field.
+struct LineReader {
+  std::size_t number;
+
+  [[noreturn]] void fail(const std::string& field,
+                         const std::string& what) const {
+    malformed("line " + std::to_string(number) + ": " + field + ": " + what);
+  }
+
+  std::uint64_t unsignedField(const char* field, const std::string& v,
+                              std::uint64_t max) const {
+    std::uint64_t x = 0;
+    const std::string error = readUInt(v, max, x);
+    if (!error.empty()) fail(field, error);
+    return x;
+  }
+
+  SimTime timeField(const char* field, const std::string& v) const {
+    std::int64_t x = 0;
+    const std::string error = readInt(v, x);
+    if (!error.empty()) fail(field, error);
+    return x;
+  }
+};
 
 }  // namespace
 
@@ -37,56 +68,76 @@ void saveCsvFile(const AvailabilityTrace& trace, const std::string& path) {
 }
 
 AvailabilityTrace loadCsv(std::istream& in) {
-  std::string line;
-  if (!std::getline(in, line)) malformed("empty input");
+  std::string text;
+  std::size_t number = 0;
+  const auto nextLine = [&] {
+    if (!std::getline(in, text)) return false;
+    ++number;
+    if (!text.empty() && text.back() == '\r') text.pop_back();  // CRLF files
+    return true;
+  };
+  if (!nextLine()) malformed("empty input");
 
-  std::istringstream header(line);
+  const LineReader header{number};
+  std::istringstream head(text);
   std::string magic;
-  if (!std::getline(header, magic, ',') || magic != kMagic)
-    malformed("bad magic (expected avmon-trace-v1)");
-  SimDuration horizon = 0;
-  if (!(header >> horizon)) malformed("bad horizon");
-
+  std::string horizon;
+  if (!std::getline(head, magic, ',') || magic != kMagic)
+    header.fail("magic", "expected avmon-trace-v1");
+  std::getline(head, horizon);
   AvailabilityTrace trace;
-  trace.setHorizon(horizon);
+  trace.setHorizon(header.timeField("horizon", horizon));
 
-  while (std::getline(in, line)) {
-    if (line.empty()) continue;
-    std::istringstream row(line);
-    std::string field;
-
-    const auto nextField = [&](const char* name) {
-      if (!std::getline(row, field, ',')) malformed(std::string("missing ") + name);
-      return field;
+  // Ids must be distinct: a node's trace position is its global index in
+  // every run (ScenarioRunner relies on it), and a repeated id cannot
+  // have two.
+  IdIndex seen;
+  std::vector<std::size_t> lineOfNode;
+  while (nextLine()) {
+    if (text.empty()) continue;
+    const LineReader line{number};
+    std::istringstream row(text);
+    const auto next = [&](const char* field) {
+      std::string value;
+      if (!std::getline(row, value, ',')) line.fail(field, "missing");
+      return value;
     };
 
     NodeTrace node;
-    const auto ip = static_cast<std::uint32_t>(std::stoul(nextField("ip")));
-    const auto port =
-        static_cast<std::uint16_t>(std::stoul(nextField("port")));
+    const auto ip = static_cast<std::uint32_t>(
+        line.unsignedField("ip", next("ip"), 0xFFFFFFFFu));
+    const auto port = static_cast<std::uint16_t>(
+        line.unsignedField("port", next("port"), 0xFFFFu));
     node.id = NodeId(ip, port);
-    node.birth = std::stoll(nextField("birth"));
-    const SimTime death = std::stoll(nextField("death"));
+    node.birth = line.timeField("birth", next("birth"));
+    const SimTime death = line.timeField("death", next("death"));
     if (death >= 0) node.death = death;
-    node.isControl = nextField("control") == "1";
+    node.isControl = line.unsignedField("control", next("control"), 1) == 1;
 
     std::string sessions;
     std::getline(row, sessions);  // remainder of line
-    std::istringstream sess(sessions);
+    std::istringstream spans(sessions);
     std::string span;
-    while (std::getline(sess, span, '|')) {
+    while (std::getline(spans, span, '|')) {
       const auto colon = span.find(':');
-      if (colon == std::string::npos) malformed("bad session span: " + span);
+      if (colon == std::string::npos)
+        line.fail("session", "expected start:end, got '" + span + "'");
       Interval iv;
-      iv.start = std::stoll(span.substr(0, colon));
-      iv.end = std::stoll(span.substr(colon + 1));
+      iv.start = line.timeField("session start", span.substr(0, colon));
+      iv.end = line.timeField("session end", span.substr(colon + 1));
       node.sessions.push_back(iv);
     }
+    std::string why;
+    if (!node.validate(&why)) line.fail("sessions", why);
+
+    const IdIndex::Insertion id = seen.insert(node.id);
+    if (!id.inserted) {
+      line.fail("node id", node.id.toString() + " repeats line " +
+                               std::to_string(lineOfNode[id.index]));
+    }
+    lineOfNode.push_back(number);
     trace.add(std::move(node));
   }
-
-  std::string why;
-  if (!trace.validate(&why)) malformed(why);
   return trace;
 }
 

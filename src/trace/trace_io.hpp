@@ -5,8 +5,11 @@
 //   avmon-trace-v1,<horizon_ms>
 //   <ip_u32>,<port>,<birth_ms>,<death_ms|-1>,<is_control 0|1>,s1:e1|s2:e2|...
 //
-// The format is plain text so real availability traces (e.g. converted
-// PlanetLab all-pairs-ping data) can be dropped in without code changes.
+// Every field is a whole decimal integer (ip and port unsigned, at most
+// 2^32-1 and 65535; times signed 64-bit), and no two lines share an
+// (ip, port) id. The format is plain text so real availability traces
+// (e.g. converted PlanetLab all-pairs-ping data) can be dropped in without
+// code changes.
 #pragma once
 
 #include <iosfwd>
@@ -20,7 +23,8 @@ namespace avmon::trace {
 void saveCsv(const AvailabilityTrace& trace, std::ostream& out);
 void saveCsvFile(const AvailabilityTrace& trace, const std::string& path);
 
-/// Reads a trace; throws std::runtime_error on malformed input.
+/// Reads a trace; throws std::runtime_error on malformed input, with a
+/// message "malformed trace: line N: <field>: ...".
 AvailabilityTrace loadCsv(std::istream& in);
 AvailabilityTrace loadCsvFile(const std::string& path);
 

@@ -1,10 +1,12 @@
-// NodeId and Rng unit/property tests.
+// NodeId, IdIndex and Rng unit/property tests.
 #include <gtest/gtest.h>
 
 #include <set>
+#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
+#include "common/id_index.hpp"
 #include "common/node_id.hpp"
 #include "common/rng.hpp"
 #include "common/time.hpp"
@@ -208,6 +210,100 @@ TEST(RngTest, SampleMoreThanSizeReturnsAll) {
   std::vector<int> v{1, 2, 3};
   const auto s = rng.sample(v, 10);
   EXPECT_EQ(s.size(), 3u);
+}
+
+TEST(IdIndexTest, AssignsIndicesInFirstInsertionOrder) {
+  IdIndex index;
+  EXPECT_EQ(index.size(), 0u);
+  for (std::uint32_t i = 0; i < 5; ++i) {
+    const IdIndex::Insertion ins = index.insert(NodeId::fromIndex(100 + i));
+    EXPECT_EQ(ins.index, i);
+    EXPECT_TRUE(ins.inserted);
+  }
+  EXPECT_EQ(index.size(), 5u);
+}
+
+TEST(IdIndexTest, ReinsertReturnsTheExistingIndex) {
+  IdIndex index;
+  index.insert(NodeId::fromIndex(1));
+  index.insert(NodeId::fromIndex(2));
+  const IdIndex::Insertion again = index.insert(NodeId::fromIndex(1));
+  EXPECT_EQ(again.index, 0u);
+  EXPECT_FALSE(again.inserted);
+  EXPECT_EQ(index.size(), 2u);
+  EXPECT_EQ(index.insert(NodeId::fromIndex(3)).index, 2u);
+}
+
+TEST(IdIndexTest, FindReportsUnknownIdsAsAbsent) {
+  IdIndex index;
+  EXPECT_EQ(index.find(NodeId::fromIndex(0)), IdIndex::kAbsent);  // empty
+  EXPECT_EQ(index.find(NodeId()), IdIndex::kAbsent);
+  index.insert(NodeId::fromIndex(0));
+  EXPECT_EQ(index.find(NodeId::fromIndex(0)), 0u);
+  EXPECT_EQ(index.find(NodeId::fromIndex(1)), IdIndex::kAbsent);
+  EXPECT_EQ(index.find(NodeId()), IdIndex::kAbsent);
+}
+
+TEST(IdIndexTest, NearbyIdsAndTheNilIdAreDistinctKeys) {
+  // The nil id, ids that differ only in the port, and ids that differ only
+  // in the top byte of the IP (the bits next to the index's own flag).
+  std::vector<NodeId> ids{NodeId()};
+  for (const std::uint16_t port : {0, 1, 9000, 65535}) {
+    ids.emplace_back(0xC0A80001u, port);
+  }
+  for (const std::uint32_t top : {0x00u, 0x01u, 0x7Fu, 0x80u, 0xFFu}) {
+    ids.emplace_back((top << 24) | 0x00A80001u, 4242);
+  }
+  ids.emplace_back(0xFFFFFFFFu, 65535);
+  IdIndex index;
+  for (std::uint32_t i = 0; i < ids.size(); ++i) {
+    EXPECT_EQ(index.insert(ids[i]).index, i) << ids[i].toString();
+  }
+  for (std::uint32_t i = 0; i < ids.size(); ++i) {
+    EXPECT_EQ(index.find(ids[i]), i) << ids[i].toString();
+    EXPECT_FALSE(index.insert(ids[i]).inserted) << ids[i].toString();
+  }
+  EXPECT_EQ(index.size(), ids.size());
+}
+
+TEST(IdIndexTest, FindStaysRightThroughEveryDoubling) {
+  constexpr std::uint32_t kIds = 200000;
+  IdIndex index;
+  for (std::uint32_t i = 0; i < kIds; ++i) {
+    ASSERT_EQ(index.insert(NodeId::fromIndex(i)).index, i);
+  }
+  std::size_t wrong = 0;
+  for (std::uint32_t i = 0; i < kIds; ++i) {
+    wrong += index.find(NodeId::fromIndex(i)) != i;
+  }
+  EXPECT_EQ(wrong, 0u);
+  EXPECT_EQ(index.find(NodeId::fromIndex(kIds)), IdIndex::kAbsent);
+}
+
+TEST(IdIndexTest, MatchesAnUnorderedMapEmplaceLoop) {
+  // The maps IdIndex replaced gave each id emplace(id, size()) on first
+  // sight; over a shuffled list with repeats it must give the same values.
+  std::vector<NodeId> ids;
+  Rng rng(21);
+  for (std::uint32_t i = 0; i < 3000; ++i) {
+    ids.push_back(NodeId::fromIndex(i));
+    ids.emplace_back(static_cast<std::uint32_t>(rng()),
+                     static_cast<std::uint16_t>(rng()));
+  }
+  const std::vector<NodeId> firsts = ids;
+  ids.insert(ids.end(), firsts.begin(), firsts.begin() + 1000);  // repeats
+  rng.shuffle(ids);
+  std::unordered_map<NodeId, std::uint32_t> reference;
+  IdIndex index;
+  for (const NodeId& id : ids) {
+    const auto [it, inserted] =
+        reference.emplace(id, static_cast<std::uint32_t>(reference.size()));
+    const IdIndex::Insertion ins = index.insert(id);
+    ASSERT_EQ(ins.index, it->second) << id.toString();
+    ASSERT_EQ(ins.inserted, inserted) << id.toString();
+  }
+  ASSERT_EQ(index.size(), reference.size());
+  for (const NodeId& id : firsts) EXPECT_EQ(index.find(id), reference.at(id));
 }
 
 TEST(TimeTest, UnitConversions) {

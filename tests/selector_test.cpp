@@ -319,10 +319,10 @@ TEST_P(SelectorHashParamTest, CrossVerdictsMatchIsMonitor) {
 INSTANTIATE_TEST_SUITE_P(AllHashes, SelectorHashParamTest,
                          ::testing::Values("md5", "sha1", "splitmix64"));
 
-// The memo keeps one slot per unordered pair, keyed by (min, max) of the
-// packed ids, with a known bit and a verdict bit per direction. These ids
-// stress that key: dense synthetic ids, ids that differ only in the port,
-// and ids that differ only in the top byte of the IP.
+// The memo gives each id a dense index and keeps a (known, verdict) cell
+// per ordered pair of indices. These ids stress the id index: dense
+// synthetic ids, ids that differ only in the port, and ids that differ
+// only in the top byte of the IP.
 std::vector<NodeId> memoProbeIds() {
   std::vector<NodeId> ids;
   for (std::uint32_t i = 0; i < 24; ++i) ids.push_back(NodeId::fromIndex(i));
@@ -359,8 +359,8 @@ TEST_P(MemoHashParamTest, MemoizedMatchesInner) {
         }
       }
     }
-    // One slot per unordered pair, self-pairs included.
-    EXPECT_EQ(memo.cacheSize(), ids.size() * (ids.size() + 1) / 2);
+    // One cached verdict per ordered pair; self-pairs are never cached.
+    EXPECT_EQ(memo.cacheSize(), ids.size() * (ids.size() - 1));
   }
 }
 
@@ -378,40 +378,6 @@ TEST_P(MemoHashParamTest, CrossVerdictsMatchIsMonitor) {
   memo.crossVerdicts(l.rows, l.cols, l.pairs, out);
   expectSameAsIsMonitor(inner, l, out, std::string(GetParam()) + " warm");
   EXPECT_EQ(memo.cacheSize(), cached);
-
-  // Past the cap: the first half of the lists' pairs goes in, then a
-  // 1100 x 1100 batch of distinct pairs fills the table (2^20 pairs at
-  // half load of 2^21 slots) part way through and passes the rest
-  // through. The whole lists then mix cached pairs with pairs the full
-  // table cannot take.
-  MemoizedMonitorSelector full(inner);
-  const CrossLists firstHalf{
-      l.rows, l.cols,
-      {l.pairs.begin(), l.pairs.begin() + l.pairs.size() / 2}};
-  full.crossVerdicts(firstHalf.rows, firstHalf.cols, firstHalf.pairs, out);
-  expectSameAsIsMonitor(inner, firstHalf, out,
-                        std::string(GetParam()) + " first half");
-  CrossLists filler;
-  for (std::uint32_t i = 0; i < 1100; ++i) {
-    filler.rows.push_back(NodeId::fromIndex(i));
-    filler.cols.push_back(NodeId::fromIndex(1100 + i));
-  }
-  for (std::uint32_t i = 0; i < 1100; ++i) {
-    for (std::uint32_t j = 0; j < 1100; ++j) filler.pairs.push_back({i, j});
-  }
-  full.crossVerdicts(filler.rows, filler.cols, filler.pairs, out);
-  EXPECT_EQ(full.cacheSize(), std::size_t{1} << 20);
-  std::size_t mismatches = 0;
-  for (std::size_t k = 0; k < filler.pairs.size(); k += 97) {
-    const NodeId& r = filler.rows[filler.pairs[k].row];
-    const NodeId& c = filler.cols[filler.pairs[k].col];
-    mismatches += (out[2 * k] != 0) != inner.isMonitor(r, c);
-    mismatches += (out[2 * k + 1] != 0) != inner.isMonitor(c, r);
-  }
-  EXPECT_EQ(mismatches, 0u) << GetParam();
-  full.crossVerdicts(l.rows, l.cols, l.pairs, out);
-  expectSameAsIsMonitor(inner, l, out, std::string(GetParam()) + " full");
-  EXPECT_EQ(full.cacheSize(), std::size_t{1} << 20);
 }
 
 // The memo's correctness does not depend on the hash behind it, so its
@@ -419,34 +385,115 @@ TEST_P(MemoHashParamTest, CrossVerdictsMatchIsMonitor) {
 INSTANTIATE_TEST_SUITE_P(AllHashes, MemoHashParamTest,
                          ::testing::Values("md5", "sha1", "splitmix64"));
 
-TEST(MemoizedSelectorTest, VerdictsStayExactPastTheCap) {
-  // 1500 ids give 1,125,750 unordered pairs, more than the 2^21-slot
-  // table holds at half load (2^20). splitmix64 keeps the run short.
-  hash::SplitMix64HashFunction fn;
-  HashMonitorSelector inner(fn, 300, 1000);
-  MemoizedMonitorSelector memo(inner);
-  constexpr std::uint32_t kIds = 1500;
-  std::size_t mismatches = 0;
-  for (std::uint32_t i = 0; i < kIds; ++i) {
-    for (std::uint32_t j = i; j < kIds; ++j) {
-      const NodeId a = NodeId::fromIndex(i), b = NodeId::fromIndex(j);
-      mismatches += memo.isMonitor(a, b) != inner.isMonitor(a, b);
-    }
+// Forwards to a selector and counts the questions it is asked, so a test
+// can tell a memoized verdict (no question) from a computed one.
+class CountingSelector final : public MonitorSelector {
+ public:
+  explicit CountingSelector(const MonitorSelector& inner) : inner_(inner) {}
+  bool isMonitor(const NodeId& observer, const NodeId& target) const override {
+    ++asked;
+    return inner_.isMonitor(observer, target);
   }
-  const std::size_t full = memo.cacheSize();
-  EXPECT_EQ(full, std::size_t{1} << 20);
-  // Second pass, reverse direction first: cached pairs fill in their
-  // other verdict, the rest are computed past the cap, and the table no
-  // longer grows.
-  for (std::uint32_t i = 0; i < kIds; ++i) {
-    for (std::uint32_t j = i; j < kIds; ++j) {
-      const NodeId a = NodeId::fromIndex(i), b = NodeId::fromIndex(j);
-      mismatches += memo.isMonitor(b, a) != inner.isMonitor(b, a);
-      mismatches += memo.isMonitor(a, b) != inner.isMonitor(a, b);
-    }
+  mutable std::size_t asked = 0;
+
+ private:
+  const MonitorSelector& inner_;
+};
+
+TEST(MemoizedSelectorTest, IdsPastTheBoundPassThrough) {
+  // The matrix holds at most 11 584 ids (32 MiB of 2-bit cells); 16 000
+  // ids, indexed in order, overflow it. splitmix64 keeps the run short.
+  hash::SplitMix64HashFunction fn;
+  const HashMonitorSelector inner(fn, 300, 1000);
+  const CountingSelector counting(inner);
+  const MemoizedMonitorSelector memo(counting);
+  constexpr std::uint32_t kIds = 16000;
+  const auto id = [](std::uint32_t i) { return NodeId::fromIndex(i); };
+  std::size_t mismatches = 0;
+  for (std::uint32_t i = 1; i < kIds; ++i) {
+    mismatches += memo.isMonitor(id(i - 1), id(i)) !=
+                  inner.isMonitor(id(i - 1), id(i));
   }
   EXPECT_EQ(mismatches, 0u);
-  EXPECT_EQ(memo.cacheSize(), full);
+  // Pairs of two indexed ids are cached; the rest were not.
+  EXPECT_GE(memo.cacheSize(), 10000u);
+  EXPECT_LT(memo.cacheSize(), kIds - 1);
+
+  // Early ids stay memoized: asking again asks the inner selector nothing.
+  const std::size_t cached = memo.cacheSize();
+  std::size_t before = counting.asked;
+  for (std::uint32_t i = 1; i < 1000; ++i) {
+    mismatches += memo.isMonitor(id(i - 1), id(i)) !=
+                  inner.isMonitor(id(i - 1), id(i));
+  }
+  EXPECT_EQ(counting.asked, before);
+  // Later ids pass through: every question reaches the inner selector,
+  // with an early id on either side or with none, and nothing is cached.
+  before = counting.asked;
+  for (std::uint32_t i = kIds - 500; i < kIds; ++i) {
+    mismatches += memo.isMonitor(id(i), id(i - 1)) !=
+                  inner.isMonitor(id(i), id(i - 1));
+    mismatches += memo.isMonitor(id(0), id(i)) != inner.isMonitor(id(0), id(i));
+    mismatches += memo.isMonitor(id(i), id(0)) != inner.isMonitor(id(i), id(0));
+  }
+  EXPECT_EQ(counting.asked, before + 3 * 500);
+  EXPECT_EQ(memo.cacheSize(), cached);
+  EXPECT_EQ(mismatches, 0u);
+
+  // The batch path gives the same split. Rows and columns alternate early
+  // and late ids and share some of each (self-pairs of both kinds); once
+  // the early x early cells are filled, only pairs with a late id reach
+  // the inner selector, both orders each.
+  CrossLists l;
+  for (std::uint32_t i = 0; i < 6; ++i) {
+    l.rows.push_back(id(i));
+    l.rows.push_back(id(kIds - 1 - i));
+    l.cols.push_back(id(i + 3));
+    l.cols.push_back(id(kIds - 4 - i));
+  }
+  std::size_t withLateId = 0;
+  for (std::uint32_t i = 0; i < l.rows.size(); ++i) {
+    for (std::uint32_t j = 0; j < l.cols.size(); ++j) {
+      l.pairs.push_back({i, j});
+      withLateId += i % 2 == 1 || j % 2 == 1;
+    }
+  }
+  std::vector<std::uint8_t> out;
+  memo.crossVerdicts(l.rows, l.cols, l.pairs, out);
+  expectSameAsIsMonitor(inner, l, out, "past the bound, cold");
+  const std::size_t warm = memo.cacheSize();
+  EXPECT_GT(warm, cached);
+  before = counting.asked;
+  memo.crossVerdicts(l.rows, l.cols, l.pairs, out);
+  expectSameAsIsMonitor(inner, l, out, "past the bound, warm");
+  EXPECT_EQ(counting.asked - before, 2 * withLateId);
+  EXPECT_EQ(memo.cacheSize(), warm);
+}
+
+TEST(MemoizedSelectorTest, CachedVerdictsSurviveARegrow) {
+  hash::Md5HashFunction fn;
+  const HashMonitorSelector inner(fn, 300, 1000);  // both verdicts common
+  const CountingSelector counting(inner);
+  const MemoizedMonitorSelector memo(counting);
+  const std::vector<NodeId> ids = memoProbeIds();
+  for (const NodeId& a : ids) {
+    for (const NodeId& b : ids) memo.isMonitor(a, b);
+  }
+  const std::size_t cached = memo.cacheSize();
+  ASSERT_EQ(cached, ids.size() * (ids.size() - 1));
+  // 3000 more ids regrow the matrix several times (rows copied each time).
+  for (std::uint32_t i = 0; i < 3000; ++i) {
+    memo.isMonitor(ids[0], NodeId::fromIndex(100000 + i));
+  }
+  const std::size_t before = counting.asked;
+  for (const NodeId& a : ids) {
+    for (const NodeId& b : ids) {
+      EXPECT_EQ(memo.isMonitor(a, b), inner.isMonitor(a, b))
+          << a.toString() << " -> " << b.toString();
+    }
+  }
+  EXPECT_EQ(counting.asked, before);  // every verdict came from the matrix
+  EXPECT_EQ(memo.cacheSize(), cached + 3000);
 }
 
 }  // namespace

@@ -110,6 +110,11 @@ TEST(ShardedSimulatorTest, RegistersRoundRobinAndResolvesHomes) {
   EXPECT_EQ(&world.simFor(a), &world.simOf(0));
   EXPECT_EQ(&world.netFor(c), &world.netOf(2));
   EXPECT_EQ(world.windowLength(), 10);
+  // A repeated id keeps its first index and takes none; ScenarioRunner
+  // compares the answer with the trace position to reject such a trace.
+  EXPECT_EQ(world.registerNode(b), 1u);
+  EXPECT_EQ(world.registerNode(NodeId::fromIndex(5)), 4u);
+  EXPECT_EQ(world.globalIndexOf(b), 1u);
 }
 
 TEST(ShardedSimulatorTest, CrossShardMessageLandsAfterItsSendWindow) {

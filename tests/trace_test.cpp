@@ -2,6 +2,8 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <stdexcept>
+#include <string>
 
 #include "trace/availability_trace.hpp"
 #include "trace/generators.hpp"
@@ -293,6 +295,65 @@ TEST(TraceIoTest, RejectsEmptyInput) {
 TEST(TraceIoTest, RejectsMalformedSession) {
   std::stringstream buf("avmon-trace-v1,100\n1,2,0,-1,0,1020\n");
   EXPECT_THROW(loadCsv(buf), std::runtime_error);
+}
+
+// The message loadCsv throws for `body` after a valid header, or "" if it
+// loads.
+std::string loadError(const std::string& body) {
+  std::stringstream buf("avmon-trace-v1,5000\n" + body);
+  try {
+    loadCsv(buf);
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(TraceIoTest, FieldsAreWholeIntegersInRange) {
+  EXPECT_EQ(loadError("4294967295,65535,0,-1,1,0:1000\n"), "");
+  // Values a narrowing cast or std::stoll used to accept silently.
+  EXPECT_EQ(loadError("1,70000,0,-1,0,0:1000\n"),
+            "malformed trace: line 2: port: '70000' is out of range (at most "
+            "65535)");
+  EXPECT_EQ(loadError("4294967297,2,0,-1,0,0:1000\n"),
+            "malformed trace: line 2: ip: '4294967297' is out of range (at "
+            "most 4294967295)");
+  EXPECT_EQ(loadError("-1,2,0,-1,0,0:1000\n"),
+            "malformed trace: line 2: ip: expected an unsigned integer, got "
+            "'-1'");
+  EXPECT_EQ(loadError("1,2,0,-1,0,0:1000x\n"),
+            "malformed trace: line 2: session end: expected an integer, got "
+            "'1000x'");
+  EXPECT_EQ(loadError("1,2,abc,-1,0,0:1000\n"),
+            "malformed trace: line 2: birth: expected an integer, got 'abc'");
+  // The line number counts the header and blank lines.
+  EXPECT_EQ(loadError("1,2,0,-1,0,0:1000\n\n1,3,0,-1,2,0:1000\n"),
+            "malformed trace: line 4: control: '2' is out of range (at most "
+            "1)");
+  EXPECT_EQ(loadError("1,2,0\n"), "malformed trace: line 2: death: missing");
+  EXPECT_EQ(loadError("1,2,0,-1,0,0:99999999999999999999\n"),
+            "malformed trace: line 2: session end: "
+            "'99999999999999999999' is out of range");
+  EXPECT_EQ(loadError("1,2,0,-1,0,0:1000,7\n"),
+            "malformed trace: line 2: session end: expected an integer, got "
+            "'1000,7'");
+  std::stringstream header("avmon-trace-v1,100x\n");
+  EXPECT_THROW(loadCsv(header), std::runtime_error);
+}
+
+TEST(TraceIoTest, RejectsARepeatedNodeId) {
+  EXPECT_EQ(loadError("1,2,0,-1,0,0:1000\n1,3,0,-1,0,0:1000\n"
+                      "1,2,0,-1,0,10:20\n"),
+            "malformed trace: line 4: node id: 0.0.0.1:2 repeats line 2");
+}
+
+TEST(TraceIoTest, SessionErrorsNameTheLine) {
+  EXPECT_EQ(loadError("1,2,0,-1,0,0:1000\n1,3,0,-1,0,50:10\n"),
+            "malformed trace: line 3: sessions: empty or inverted session at "
+            "node 0.0.0.1:3");
+  EXPECT_EQ(loadError("1,2,0,-1,0,1020\n"),
+            "malformed trace: line 2: session: expected start:end, got "
+            "'1020'");
 }
 
 }  // namespace
