@@ -480,9 +480,12 @@ std::vector<NodeId> AvmonNode::acceptExchange(
 
 void AvmonNode::pingTarget(const NodeId& target, TargetRecord& rec) {
   ++metrics_.monitoringPingsSent;
-  // `rec` lives in ts_, whose entries are never erased and whose mapped
-  // values are address-stable across rehashes, so the deferred handler may
-  // safely outlive this tick.
+  // The handler holds `rec` by reference past this tick. ts_'s mapped
+  // values are address-stable across rehashes, but an amnesiac node's
+  // leave() clears ts_ and frees every record. What keeps a late handler
+  // off a freed record is the epoch check, which runs before `rec` is
+  // touched: leave() bumps the epoch, so a handler from an earlier session
+  // returns without reading it.
   const std::uint64_t epochAtSend = epoch_;
   net_.exchangeAsync(
       id_, target, sim::MonitorPingRequest{config_->pingBytes},

@@ -5,7 +5,7 @@
 // holds only if, while a window phase is running, every schedule/send/draw
 // on shard-owned state (Simulator, Network, Rng) comes from the worker
 // that owns that shard — or from a sanctioned barrier activity such as
-// draining hand-off queues into a destination shard. This header makes
+// draining hand-off buffers into a destination shard. This header makes
 // that ownership discipline assertable:
 //
 //   * ShardedSimulator tags each shard's Simulator and Network with

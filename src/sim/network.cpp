@@ -169,9 +169,9 @@ void Network::serveRpc(const NodeId& from, std::uint32_t toSlot,
 }
 
 void Network::completeRpc(RpcResponse response, const RpcTicket& ticket) {
-  if (*ticket.settled) return;  // beaten by the deadline
-  *ticket.settled = true;
-  (*ticket.handler)(std::optional<RpcResponse>(std::move(response)));
+  if (ticket->settled) return;  // beaten by the deadline
+  ticket->settled = true;
+  ticket->handler(std::optional<RpcResponse>(std::move(response)));
 }
 
 void Network::scheduleHandoffDelivery(SimTime due, const NodeId& from,
@@ -243,19 +243,18 @@ void Network::callAsyncErased(const NodeId& from, const NodeId& to,
   const std::uint32_t toIndex = plan_ != nullptr ? globalIndexOf(to) : 0;
   NodeState& sender = slots_[slotFor(from)];
   charge(sender, requestWireBytes(request));
-  auto settled = std::make_shared<bool>(false);
-  auto sharedHandler = std::make_shared<RpcHandler>(std::move(handler));
-  sim_.after(config_.rpcTimeout, [settled, sharedHandler] {
-    if (*settled) return;
-    *settled = true;
-    (*sharedHandler)(std::nullopt);
+  RpcTicket ticket = std::make_shared<RpcCall>();
+  ticket->handler = std::move(handler);
+  sim_.after(config_.rpcTimeout, [call = ticket] {
+    if (call->settled) return;
+    call->settled = true;
+    call->handler(std::nullopt);
   });
   if (config_.rpcFailProbability > 0 &&
       sender.stream.chance(config_.rpcFailProbability)) {
     return;  // the request is lost; the backstop reports the timeout
   }
   const SimDuration requestLatency = sampleLatency(sender, toIndex);
-  RpcTicket ticket{settled, sharedHandler};
   if (router_ != nullptr) {
     // Sharded mode: the request leg crosses the hand-off layer to the
     // target's home shard; the response leg crosses back. The backstop

@@ -86,14 +86,20 @@ struct HandoffKey {
   std::uint64_t seq = 0;
 };
 
-/// Caller-side completion state of an in-flight deferred RPC. The ticket
-/// travels with the request to the target shard and back; both fields are
-/// only ever dereferenced in the caller's shard (serve side just carries
-/// them), so no locking is needed beyond the barrier hand-off.
-struct RpcTicket {
-  std::shared_ptr<bool> settled;
-  std::shared_ptr<RpcHandler> handler;
+/// Caller-side completion state of one in-flight deferred RPC, in one heap
+/// record shared by the caller's rpcTimeout backstop and the exchange's
+/// legs: whichever runs first settles it and fires the handler, and the
+/// last to finish frees it (and the handler's captures with it).
+struct RpcCall {
+  bool settled = false;
+  RpcHandler handler;
 };
+
+/// The reference an RPC leg carries. It travels with the request to the
+/// target shard and back; the record is only ever dereferenced in the
+/// caller's shard (the serve side just carries the pointer), so no
+/// locking is needed beyond the barrier hand-off.
+using RpcTicket = std::shared_ptr<RpcCall>;
 
 /// Hook a sharded driver installs on each shard's Network. When present,
 /// every inter-node hand-off (one-way delivery, deferred-RPC request leg,

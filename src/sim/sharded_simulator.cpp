@@ -9,18 +9,28 @@ namespace avmon::sim {
 
 namespace {
 
-// Total order on hand-offs: due time, then the shard-count-invariant
-// sender key. (src, seq) pairs are unique, so the order is strict.
-bool handoffBefore(const Handoff& a, const Handoff& b) noexcept {
-  if (a.due != b.due) return a.due < b.due;
-  if (a.key.src != b.key.src) return a.key.src < b.key.src;
-  return a.key.seq < b.key.seq;
-}
+// Where a drain finds one hand-off, with the order it is inserted in:
+// (due, src, seq) is the shard-count-invariant key, and (src, seq) pairs
+// are unique, so the order is strict. `shard` and `pos` locate the record
+// in shards_[shard]->out[destination]; they never enter the order.
+struct HandoffRef {
+  SimTime due;
+  std::uint64_t seq;
+  std::uint32_t src;
+  std::uint32_t shard;
+  std::uint32_t pos;
+
+  bool operator<(const HandoffRef& other) const noexcept {
+    if (due != other.due) return due < other.due;
+    if (src != other.src) return src < other.src;
+    return seq < other.seq;
+  }
+};
 
 }  // namespace
 
 // Per-shard adapter handed to that shard's Network: stamps the source
-// shard onto every hand-off and forwards it to the owner's queues.
+// shard onto every hand-off and forwards it to the owner's buffers.
 class ShardedSimulator::ShardPort final : public CrossShardRouter {
  public:
   ShardPort(ShardedSimulator& owner, std::size_t shard)
@@ -61,11 +71,15 @@ struct ShardedSimulator::Shard {
   std::unique_ptr<Simulator> sim;
   std::unique_ptr<ShardPort> port;
   std::unique_ptr<Network> net;
-  /// out[d]: hand-offs produced by this shard for destination shard d.
-  std::vector<std::unique_ptr<SpscHandoffQueue<Handoff>>> out;
-  /// Drain scratch owned by this shard in its role as a DESTINATION;
-  /// capacity is retained across windows.
-  std::vector<Handoff> inbox;
+  /// out[d]: hand-offs this shard produced in the current window for
+  /// destination shard d, in production order. This shard's run phase
+  /// appends; d's drain moves the records out and clears the buffer, which
+  /// keeps its capacity for the next window. The window barrier between
+  /// the two phases is their only synchronization.
+  std::vector<std::vector<Handoff>> out;
+  /// Drain scratch owned by this shard in its role as a DESTINATION: one
+  /// key per inbound hand-off, sorted in place of the records.
+  std::vector<HandoffRef> keys;
   /// Items this shard inserted at barriers (its destination-side tally).
   std::uint64_t drained = 0;
 };
@@ -188,10 +202,7 @@ ShardedSimulator::ShardedSimulator(Config config)
     // streams inherit these bindings (AvmonNode ctor, Network::slotFor).
     AVMON_DET_BIND(shard->sim->detTag, &detDomain_, s);
     AVMON_DET_BIND(shard->net->detTag, &detDomain_, s);
-    shard->out.reserve(shardCount);
-    for (std::size_t d = 0; d < shardCount; ++d) {
-      shard->out.push_back(std::make_unique<SpscHandoffQueue<Handoff>>());
-    }
+    shard->out.resize(shardCount);
     shards_.push_back(std::move(shard));
   }
 
@@ -262,7 +273,7 @@ std::uint32_t ShardedSimulator::globalIndexOf(const NodeId& id) const {
 
 void ShardedSimulator::enqueue(std::size_t srcShard, Handoff handoff) {
   const std::size_t dst = shardOf(handoff.to);
-  shards_[srcShard]->out[dst]->push(std::move(handoff));
+  shards_[srcShard]->out[dst].push_back(std::move(handoff));
 }
 
 void ShardedSimulator::runShardsStealing(SimTime target) {
@@ -272,8 +283,8 @@ void ShardedSimulator::runShardsStealing(SimTime target) {
     // went idle picks up the stragglers instead of spinning at barrier B.
     // WHICH thread runs a shard cannot affect results: a shard's event
     // execution is self-contained within a window, the sentinel scope
-    // follows the claim, and the barrier orders the producer hand-over on
-    // every SPSC queue between windows.
+    // follows the claim, and the barrier orders every hand-off buffer's
+    // appends against its drain.
     for (std::size_t s = stealCursor_.fetch_add(1, std::memory_order_relaxed);
          s < shards_.size();
          s = stealCursor_.fetch_add(1, std::memory_order_relaxed)) {
@@ -293,13 +304,20 @@ void ShardedSimulator::drainShards(std::size_t first, std::size_t stride) {
       // Sanctioned barrier-phase insertion: while draining, this worker
       // acts as destination shard d.
       AVMON_DET_SHARD_SCOPE(&detDomain_, d);
-      dest.inbox.clear();
-      for (const auto& src : shards_) {
-        src->out[d]->drainInto(dest.inbox);
+      // Sort small keys, not the records: each record moves once, from
+      // its source buffer into the destination simulator.
+      dest.keys.clear();
+      for (std::uint32_t s = 0; s < shards_.size(); ++s) {
+        const std::vector<Handoff>& batch = shards_[s]->out[d];
+        for (std::uint32_t pos = 0; pos < batch.size(); ++pos) {
+          const Handoff& h = batch[pos];
+          dest.keys.push_back(HandoffRef{h.due, h.key.seq, h.key.src, s, pos});
+        }
       }
-      if (dest.inbox.empty()) continue;
-      std::sort(dest.inbox.begin(), dest.inbox.end(), handoffBefore);
-      for (Handoff& h : dest.inbox) {
+      if (dest.keys.empty()) continue;
+      std::sort(dest.keys.begin(), dest.keys.end());
+      for (const HandoffRef& ref : dest.keys) {
+        Handoff& h = shards_[ref.shard]->out[d][ref.pos];
         std::visit(Overloaded{
                        [&](Message& message) {
                          dest.net->scheduleHandoffDelivery(
@@ -318,7 +336,8 @@ void ShardedSimulator::drainShards(std::size_t first, std::size_t stride) {
                    },
                    h.payload);
       }
-      dest.drained += dest.inbox.size();
+      dest.drained += dest.keys.size();
+      for (const auto& src : shards_) src->out[d].clear();
     }
   } catch (...) {
     std::lock_guard<std::mutex> lock(errorMutex_);
@@ -372,7 +391,7 @@ std::uint64_t ShardedSimulator::executeWindow(SimTime wEnd, bool onPool) {
     // The coordinator alone: it claims every shard, then drains every
     // destination. The workers wait at barrier A (parked once their spin
     // runs out); the crossings on either side of a serial stretch order
-    // their queue pushes and drains against this thread's.
+    // their buffer appends and drains against this thread's.
     runShardsStealing(wEnd);
     drainShards(0, 1);
   }
@@ -427,7 +446,7 @@ void ShardedSimulator::runUntil(SimTime until) {
     if (wEnd != fullEnd) break;  // stopped mid-window; resume here later
     if (drained == 0 && executed == 0) {
       // Idle window: hop straight to the window holding the next pending
-      // event instead of grinding through empty ones. (Safe: the queues
+      // event instead of grinding through empty ones. (Safe: the buffers
       // were just drained, so every pending event is inside a simulator.)
       SimTime next = Simulator::kNoPendingEvent;
       for (const auto& s : shards_) {

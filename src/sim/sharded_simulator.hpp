@@ -23,11 +23,15 @@
 //    windows fully in parallel.
 //  * Every inter-node hand-off (one-way delivery, deferred-RPC request
 //    leg, deferred-RPC response leg) — including traffic whose endpoints
-//    share a shard — is pushed onto an SPSC queue (one per source/dest
-//    shard pair) instead of being scheduled directly. At the window
-//    barrier each destination shard drains its column of queues, sorts
-//    the batch by the shard-count-invariant key (due, sender index,
-//    per-sender seq), and inserts it into its simulator.
+//    share a shard — is appended to a plain buffer (one per source/dest
+//    shard pair, reused across windows) instead of being scheduled
+//    directly. At the window barrier each destination shard sorts small
+//    keys for its column of buffers by the shard-count-invariant order
+//    (due, sender index, per-sender seq), then moves each record once, in
+//    that order, into its simulator. A buffer is appended to in a window's
+//    run phase and drained after the barrier that ends it, so the barrier
+//    alone orders the two; no buffer is ever touched by two threads at
+//    once.
 //
 // Determinism: because (a) the barrier at which an item is inserted is a
 // function of its send time alone, (b) batches are sorted by a key that
@@ -57,7 +61,6 @@
 #include "common/node_id.hpp"
 #include "common/time.hpp"
 #include "sim/network.hpp"
-#include "sim/shard_queue.hpp"
 #include "sim/simulator.hpp"
 
 namespace avmon::sim {
@@ -76,8 +79,9 @@ struct RpcResponseHandoff {
 
 /// One cross-shard event in flight: a one-way message, a deferred-RPC
 /// request leg, or a deferred-RPC response leg. The payload is a variant
-/// — these records are queued, sorted, and moved on the per-window hot
-/// path, so each carries only its own alternative.
+/// — these records are buffered and moved on the per-window hot path, so
+/// each carries only its own alternative. The drain sorts keys, never
+/// these records.
 struct Handoff {
   SimTime due = 0;
   HandoffKey key;
@@ -266,7 +270,7 @@ class ShardedSimulator {
   // went idle picks up the stragglers instead of spinning at the barrier).
   void runShardsStealing(SimTime target);
   // Drain/visit phases on the pool keep the static home map (shard s ->
-  // worker s % workerCount_): drains reuse each destination's inbox
+  // worker s % workerCount_): drains reuse each destination's key
   // scratch, and visitShards promises metric banks a single touching
   // thread. drainShards(first, stride) drains destinations first,
   // first + stride, ...: (worker, workerCount_) on the pool, (0, 1) for a

@@ -17,7 +17,19 @@ void Simulator::at(SimTime when, Action action) {
     bucketFor(when).push(std::move(action));
     ++ringCount_;
   } else {
-    overflow_.push_back(OverflowEvent{when, nextSeq_++, std::move(action)});
+    if (freeSlots_.empty()) {
+      // A fresh page's slots, stacked so the lowest is taken first.
+      const auto base =
+          static_cast<std::uint32_t>(pages_.size() * kOverflowPageSlots);
+      pages_.push_back(std::make_unique<OverflowPage>());
+      for (std::uint32_t i = kOverflowPageSlots; i > 0; --i) {
+        freeSlots_.push_back(base + i - 1);
+      }
+    }
+    const std::uint32_t slot = freeSlots_.back();
+    freeSlots_.pop_back();
+    slotAction(slot) = std::move(action);
+    overflow_.push_back(OverflowKey{when, nextSeq_++, slot});
     std::push_heap(overflow_.begin(), overflow_.end(), Later{});
   }
 }
@@ -34,9 +46,10 @@ void Simulator::promote() {
   const SimTime limit = cursor_ + static_cast<SimTime>(kBucketCount);
   while (!overflow_.empty() && overflow_.front().when < limit) {
     std::pop_heap(overflow_.begin(), overflow_.end(), Later{});
-    OverflowEvent ev = std::move(overflow_.back());
+    const OverflowKey key = overflow_.back();
     overflow_.pop_back();
-    bucketFor(ev.when).push(std::move(ev.action));
+    bucketFor(key.when).push(std::move(slotAction(key.slot)));
+    freeSlots_.push_back(key.slot);
     ++ringCount_;
   }
 }

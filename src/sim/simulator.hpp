@@ -14,20 +14,25 @@
 //    window and firing from it are O(1) and allocation-free once bucket
 //    capacity has warmed up. Same-instant events share one bucket and run
 //    back-to-back as a batch — no per-event heap pop between them.
-//  * Overflow tier: a binary min-heap ordered by (when, seq) for events
-//    beyond the window. As the cursor advances, due overflow events are
-//    promoted into their buckets in (when, seq) order *before* any new
-//    event can be scheduled at those times, so bucket FIFO order remains
-//    global (when, seq) order and seeded runs are bit-identical to the
-//    classic single-heap scheduler this replaced.
+//  * Overflow tier: a binary min-heap of (when, seq, slot) keys for events
+//    beyond the window. The action itself waits in a slot of a fixed-size
+//    page and never moves while parked: heap sifts move 24-byte keys, not
+//    ~100-byte closures, and the action moves once, into its bucket, when
+//    it is promoted. Freed slots are reused. As the cursor advances, due
+//    overflow events are promoted into their buckets in (when, seq) order
+//    *before* any new event can be scheduled at those times, so bucket
+//    FIFO order remains global (when, seq) order and seeded runs are
+//    bit-identical to the classic single-heap scheduler this replaced.
 //
 // Closures are stored as sim::InlineAction (small-buffer optimized), so the
 // common schedule/fire cycle performs zero heap allocations.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <limits>
+#include <memory>
 #include <vector>
 
 #include "common/det_checks.hpp"
@@ -45,6 +50,17 @@ class Simulator {
   /// delay the network model produces; minute-scale timers overflow to the
   /// heap tier and are promoted as the window reaches them.
   static constexpr std::size_t kBucketCount = 8192;
+
+  /// Slots per overflow page. A parked action takes one 96-byte slot, so
+  /// a page is 96 KiB: below the ring's own 256 KiB of bucket headers, so
+  /// a simulator with a few far-future timers grows by at most that, and
+  /// under glibc's 128 KiB mmap threshold, so pages come from the malloc
+  /// arena. Each of wide_sparse's four shards (25 000 nodes) peaks at 74
+  /// pages and holds ~47 500 parked events at its horizon; stat_dense's
+  /// one shard peaks at 6. That is one allocation per 1 024 parkings, and
+  /// none once the timer population is steady, because promotion frees
+  /// the slots that the next reschedule takes.
+  static constexpr std::size_t kOverflowPageSlots = 1024;
 
   Simulator();
 
@@ -101,6 +117,8 @@ class Simulator {
  private:
   static constexpr std::size_t kMask = kBucketCount - 1;
   static_assert((kBucketCount & kMask) == 0, "ring size must be a power of 2");
+  static_assert((kOverflowPageSlots & (kOverflowPageSlots - 1)) == 0,
+                "page size must be a power of 2");
 
   // One calendar slot: a FIFO that reuses its storage across drains.
   struct Bucket {
@@ -108,7 +126,7 @@ class Simulator {
     std::size_t head = 0;
 
     bool empty() const noexcept { return head == items.size(); }
-    void push(InlineAction a) { items.push_back(std::move(a)); }
+    void push(InlineAction&& a) { items.push_back(std::move(a)); }
     InlineAction pop() {
       InlineAction a = std::move(items[head]);
       if (++head == items.size()) {
@@ -119,20 +137,26 @@ class Simulator {
     }
   };
 
-  struct OverflowEvent {
+  // An overflow event's heap entry; its action waits in slot `slot`.
+  struct OverflowKey {
     SimTime when;
     std::uint64_t seq;
-    InlineAction action;
+    std::uint32_t slot;
   };
   struct Later {
-    bool operator()(const OverflowEvent& a, const OverflowEvent& b) const noexcept {
+    bool operator()(const OverflowKey& a, const OverflowKey& b) const noexcept {
       if (a.when != b.when) return a.when > b.when;
       return a.seq > b.seq;
     }
   };
+  using OverflowPage = std::array<InlineAction, kOverflowPageSlots>;
 
   Bucket& bucketFor(SimTime when) noexcept {
     return buckets_[static_cast<std::size_t>(when) & kMask];
+  }
+
+  InlineAction& slotAction(std::uint32_t slot) noexcept {
+    return (*pages_[slot / kOverflowPageSlots])[slot % kOverflowPageSlots];
   }
 
   // Positions the cursor on the next pending event. Returns true iff that
@@ -145,7 +169,11 @@ class Simulator {
   void promote();
 
   std::vector<Bucket> buckets_;
-  std::vector<OverflowEvent> overflow_;  // binary min-heap via std::*_heap
+  std::vector<OverflowKey> overflow_;  // binary min-heap via std::*_heap
+  // Parked overflow actions; a free slot holds an empty action. Pages are
+  // never moved or freed before the simulator, so a slot stays put.
+  std::vector<std::unique_ptr<OverflowPage>> pages_;
+  std::vector<std::uint32_t> freeSlots_;  ///< LIFO: the warmest slot first
   SimTime cursor_ = 0;      ///< lowest time mapped by the ring window
   std::size_t ringCount_ = 0;  ///< events currently in ring buckets
   std::size_t size_ = 0;       ///< total pending events (ring + overflow)

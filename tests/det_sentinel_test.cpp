@@ -131,7 +131,7 @@ TEST_F(DetSentinelDeathTest, OffShardScheduleInsideEventAborts) {
   world.registerNode(a);
   world.registerNode(b);
   // An event on shard 0 schedules directly into shard 1's calendar —
-  // exactly the race the hand-off queues exist to prevent.
+  // exactly the race the hand-off buffers exist to prevent.
   world.simOf(0).at(3, [&] { world.simOf(1).at(50, [] {}); });
   EXPECT_DEATH(world.runUntil(100), kDiagnostic);
 }

@@ -382,6 +382,109 @@ TEST(NetworkFaultTest, CrossShardRpcFailProbabilityIsHonored) {
   EXPECT_NEAR(static_cast<double>(ok) / kCalls, 0.7, 0.06);
 }
 
+// One exchange at t = 0 from a (index 0, shard 0) to b (index 1: shard 1
+// of 3, or shard 0 of 1), over a fixed 10 ms band, optionally under a
+// fault plan. The handler holds the only reference to `token`, so `watch`
+// expires exactly when the exchange's shared record is freed.
+struct TimedExchange {
+  TimedExchange(std::size_t shards, NetworkConfig net,
+                const FaultPlan* plan) {
+    ShardedSimulator::Config cfg;
+    cfg.shards = shards;
+    cfg.net = net;
+    cfg.netSeed = 5;
+    world = std::make_unique<ShardedSimulator>(cfg);
+    world->setFaultPlan(plan);
+    world->registerNode(idA);
+    world->registerNode(idB);
+    world->netFor(idA).attach(idA, a);
+    world->netFor(idB).attach(idB, b);
+    world->netFor(idA).setUp(idA, true);
+    world->netFor(idB).setUp(idB, true);
+    world->simFor(idA).at(0, [this] {
+      auto token = std::make_shared<int>(0);
+      watch = token;
+      world->netFor(idA).exchangeAsync(
+          idA, idB, PingRequest{8},
+          [this, token](std::optional<PingResponse> response) {
+            ++calls;
+            gotResponse = response.has_value();
+            firedAt = world->simFor(idA).now();
+          });
+    });
+  }
+  // The scheduled exchange and the attached endpoints hold this address.
+  TimedExchange(const TimedExchange&) = delete;
+  TimedExchange& operator=(const TimedExchange&) = delete;
+
+  const NodeId idA = NodeId::fromIndex(1), idB = NodeId::fromIndex(2);
+  CountingEndpoint a, b;
+  std::unique_ptr<ShardedSimulator> world;
+  std::weak_ptr<int> watch;
+  int calls = 0;
+  bool gotResponse = false;
+  SimTime firedAt = -1;
+};
+
+NetworkConfig tenMsBand() {
+  NetworkConfig cfg;
+  cfg.minLatency = 10;
+  cfg.maxLatency = 10;
+  return cfg;
+}
+
+TEST(NetworkFaultTest, RpcSlowerThanDeadlineTimesOutOnceAndFreesItsRecord) {
+  // A latency window stretches both legs to 150 ms: the request lands at
+  // 150, the backstop fires at 200, and the response arriving at 300 is
+  // dropped.
+  FaultPlan plan;
+  plan.latencyWindows.push_back({0, kSecond, 150, 150});
+  plan.bindPopulation(2);
+  plan.validate();
+  for (const std::size_t shards : {1u, 3u}) {
+    TimedExchange x(shards, tenMsBand(), &plan);
+    x.world->runUntil(250);
+    EXPECT_EQ(x.calls, 1) << "S=" << shards;
+    EXPECT_FALSE(x.gotResponse) << "S=" << shards;
+    EXPECT_EQ(x.firedAt, tenMsBand().rpcTimeout) << "S=" << shards;
+    x.world->runUntil(kSecond);
+    EXPECT_EQ(x.calls, 1) << "S=" << shards;  // the late response is dropped
+    // The target did serve it: the response leg was sent and charged.
+    EXPECT_EQ(x.world->netFor(x.idB).traffic(x.idB).bytesSent, 8u);
+    EXPECT_TRUE(x.watch.expired()) << "S=" << shards;
+  }
+}
+
+TEST(NetworkFaultTest, RpcInsideDeadlineAnswersOnceAndFreesItsRecord) {
+  for (const std::size_t shards : {1u, 3u}) {
+    TimedExchange x(shards, tenMsBand(), nullptr);
+    x.world->runUntil(100);
+    EXPECT_EQ(x.calls, 1) << "S=" << shards;
+    EXPECT_TRUE(x.gotResponse) << "S=" << shards;
+    EXPECT_EQ(x.firedAt, 20) << "S=" << shards;
+    x.world->runUntil(kSecond);  // the backstop finds the record settled
+    EXPECT_EQ(x.calls, 1) << "S=" << shards;
+    EXPECT_TRUE(x.watch.expired()) << "S=" << shards;
+  }
+}
+
+TEST(NetworkFaultTest, FailedRpcFreesItsRecordAtTheDeadline) {
+  NetworkConfig cfg = tenMsBand();
+  cfg.rpcFailProbability = 1.0;  // every request is lost at the sender
+  for (const std::size_t shards : {1u, 3u}) {
+    TimedExchange x(shards, cfg, nullptr);
+    x.world->runUntil(cfg.rpcTimeout - 1);
+    EXPECT_EQ(x.calls, 0) << "S=" << shards;
+    EXPECT_FALSE(x.watch.expired()) << "S=" << shards;  // the backstop's
+    x.world->runUntil(kSecond);
+    EXPECT_EQ(x.calls, 1) << "S=" << shards;
+    EXPECT_FALSE(x.gotResponse) << "S=" << shards;
+    EXPECT_EQ(x.firedAt, cfg.rpcTimeout) << "S=" << shards;
+    EXPECT_EQ(x.world->netFor(x.idB).traffic(x.idB).bytesSent, 0u);
+    EXPECT_TRUE(x.watch.expired()) << "S=" << shards;
+  }
+}
+
 }  // namespace
 }  // namespace avmon::sim
 

@@ -362,6 +362,61 @@ TEST(NodeTest, ForgetfulPingingSuppressesPingsToDeadTargets) {
   EXPECT_GT(suppressed, 0u);
 }
 
+TEST(NodeTest, AmnesiacRejoinIgnoresPingsFromTheEndedSession) {
+  // An amnesiac monitor leaves and rejoins in the instant its monitoring
+  // pings went out, and gets its old targets back at once. leave() freed
+  // the records the in-flight handlers refer to; the epoch check must turn
+  // each handler away before it touches one (ASan flags any touch), so
+  // the re-added records count only pings sent after the rejoin.
+  const AvmonConfig cfg = smallConfig(50);
+  Cluster c(50, cfg);
+  c.joinAll();
+  c.sim().runUntil(20 * kMinute);
+  AvmonNode* m = &c.node(0);
+  for (std::size_t i = 1; i < c.size(); ++i) {
+    if (c.node(i).targetSet().size() > m->targetSet().size()) m = &c.node(i);
+  }
+  ASSERT_GE(m->targetSet().size(), 2u);
+  m->setAmnesia(true);
+
+  // Step to the event in which m's monitoring tick sends its pings.
+  const std::uint64_t before = m->metrics().monitoringPingsSent;
+  while (m->metrics().monitoringPingsSent == before) {
+    ASSERT_TRUE(c.sim().step());
+  }
+  std::vector<NodeId> targets;
+  for (const auto& [target, rec] : m->targetSet()) targets.push_back(target);
+  c.leave(*m);
+  EXPECT_TRUE(m->targetSet().empty());
+  c.join(*m, false);
+  for (const NodeId& target : targets) {
+    m->onMessage(target, NotifyMessage{m->id(), target});
+  }
+  ASSERT_EQ(m->targetSet().size(), targets.size());
+  const std::uint64_t sentAtRejoin = m->metrics().monitoringPingsSent;
+
+  // Run a few monitoring periods, then on to a moment with none of m's
+  // pings in flight: each settles at most rpcTimeout after it was sent.
+  c.sim().runUntil(c.sim().now() + 3 * cfg.monitoringPeriod);
+  const SimDuration settle = sim::NetworkConfig{}.rpcTimeout;
+  SimTime lastSend = c.sim().now();
+  std::uint64_t sent = m->metrics().monitoringPingsSent;
+  while (c.sim().now() <= lastSend + settle) {
+    ASSERT_TRUE(c.sim().step());
+    if (m->metrics().monitoringPingsSent != sent) {
+      sent = m->metrics().monitoringPingsSent;
+      lastSend = c.sim().now();
+    }
+  }
+
+  std::uint64_t samples = 0;
+  for (const auto& [target, rec] : m->targetSet()) {
+    samples += rec.history->sampleCount();
+  }
+  EXPECT_GT(samples, 0u);
+  EXPECT_EQ(samples, m->metrics().monitoringPingsSent - sentAtRejoin);
+}
+
 TEST(NodeTest, NonForgetfulKeepsPinging) {
   AvmonConfig cfg = smallConfig(40);
   cfg.forgetful.enabled = false;

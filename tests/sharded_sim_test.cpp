@@ -1,66 +1,23 @@
-// Sharded-execution proof layer: SPSC hand-off queue units, window-barrier
-// ordering, cross-shard deferred RPC, and the headline property — for a
+// Sharded-execution proof layer: window-barrier ordering (hand-off bursts
+// included), cross-shard deferred RPC, and the headline property — for a
 // fixed seed and scenario, EVERY shard count reproduces the single-shard
 // metrics bit-for-bit (summaries, accuracy table, and per-node CSV rows).
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <chrono>
 #include <optional>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "experiments/scenario.hpp"
 #include "golden_hash.hpp"
-#include "sim/shard_queue.hpp"
 #include "sim/sharded_simulator.hpp"
 
 namespace avmon::sim {
 namespace {
-
-// ---------------------------------------------------------------- queue
-
-TEST(ShardQueueTest, FifoAcrossChunkBoundaries) {
-  SpscHandoffQueue<int, 4> q;  // tiny chunks force several hand-overs
-  for (int i = 0; i < 37; ++i) q.push(i);
-  std::vector<int> out;
-  EXPECT_EQ(q.drainInto(out), 37u);
-  ASSERT_EQ(out.size(), 37u);
-  for (int i = 0; i < 37; ++i) EXPECT_EQ(out[i], i);
-  EXPECT_TRUE(q.empty());
-}
-
-TEST(ShardQueueTest, DrainPicksUpLaterPushes) {
-  SpscHandoffQueue<int, 8> q;
-  std::vector<int> out;
-  q.push(1);
-  q.drainInto(out);
-  q.push(2);
-  q.push(3);
-  q.drainInto(out);
-  EXPECT_EQ(out, (std::vector<int>{1, 2, 3}));
-  EXPECT_TRUE(q.empty());
-}
-
-TEST(ShardQueueTest, ConcurrentProducerConsumerKeepsOrderAndCount) {
-  constexpr int kItems = 200000;
-  SpscHandoffQueue<int, 64> q;
-  std::thread producer([&q] {
-    for (int i = 0; i < kItems; ++i) q.push(i);
-  });
-  std::vector<int> out;
-  out.reserve(kItems);
-  while (out.size() < kItems) {
-    q.drainInto(out);
-  }
-  producer.join();
-  ASSERT_EQ(out.size(), static_cast<std::size_t>(kItems));
-  for (int i = 0; i < kItems; ++i) {
-    ASSERT_EQ(out[static_cast<std::size_t>(i)], i) << "FIFO order broken";
-  }
-}
 
 // ------------------------------------------------------------ sub-worlds
 
@@ -256,12 +213,17 @@ TEST(ShardedSimulatorTest, DeferredRpcToDownNodeTimesOutAtExactDeadline) {
   EXPECT_EQ(world.netOf(1).traffic(b).bytesSent, 0u);  // never served
 }
 
-// Eight nodes on four shards with a 10–40 ms latency band, each recording
-// what it receives. Config::threads forces the worker pool even on a
+// Eight nodes on `shards` shards (four by default), each recording what
+// it receives, over a [10, maxLatency] ms band: the default 10–40 spreads
+// traffic across windows, and maxLatency = 10 makes every message of a
+// burst due at one instant. Each message carries its sender's running
+// send count. Config::threads forces the worker pool even on a
 // single-core host (threads = 0 would collapse to one worker there).
 class BombardedWorld {
  public:
-  explicit BombardedWorld(unsigned threads) : world_(config(threads)) {
+  explicit BombardedWorld(unsigned threads, std::size_t shards = 4,
+                          SimDuration maxLatency = 40)
+      : world_(config(threads, shards, maxLatency)), sent_(kNodes, 0) {
     for (std::uint32_t i = 0; i < kNodes; ++i) {
       const NodeId id = NodeId::fromIndex(100 + i);
       world_.registerNode(id);
@@ -276,16 +238,18 @@ class BombardedWorld {
 
   ShardedSimulator& world() { return world_; }
 
-  // At `at`, every node sends 20 messages to every other node.
-  void bombard(SimTime at) {
-    for (std::uint32_t i = 0; i < kNodes; ++i) {
+  // At `at`, every node sends `rounds` messages to every other node,
+  // cycling over the receivers. The highest index schedules first, so
+  // only the drain's key order puts same-instant senders in index order.
+  void bombard(SimTime at, int rounds = 20) {
+    for (std::uint32_t i = kNodes; i-- > 0;) {
       const std::size_t shard = world_.shardOf(ids_[i]);
-      world_.simOf(shard).at(at, [this, i, shard] {
-        for (int round = 0; round < 20; ++round) {
+      world_.simOf(shard).at(at, [this, i, shard, rounds] {
+        for (int round = 0; round < rounds; ++round) {
           for (std::uint32_t j = 0; j < kNodes; ++j) {
             if (j == i) continue;
-            world_.netOf(shard).send(ids_[i], ids_[j],
-                                     TextMessage{std::to_string(i), 1});
+            world_.netOf(shard).send(
+                ids_[i], ids_[j], TextMessage{std::to_string(sent_[i]++), 1});
           }
         }
       });
@@ -297,8 +261,31 @@ class BombardedWorld {
     const std::size_t shard = world_.shardOf(ids_[0]);
     for (SimTime t = from; t < to; t += world_.windowLength()) {
       world_.simOf(shard).at(t, [this, shard] {
-        world_.netOf(shard).send(ids_[0], ids_[1], TextMessage{"q", 1});
+        world_.netOf(shard).send(ids_[0], ids_[1],
+                                 TextMessage{std::to_string(sent_[0]++), 1});
       });
+    }
+  }
+
+  std::uint64_t sends() const {
+    std::uint64_t total = 0;
+    for (const std::uint64_t n : sent_) total += n;
+    return total;
+  }
+
+  // Every receiver's stream is strictly increasing in (due, sender index,
+  // sender's send order).
+  void expectKeyOrder() const {
+    const auto key = [this](const RecordingEndpoint::Record& rec) {
+      return std::make_tuple(rec.at, world_.globalIndexOf(rec.from),
+                             std::stoull(rec.text));
+    };
+    for (std::size_t r = 0; r < endpoints_.size(); ++r) {
+      const auto& received = endpoints_[r]->received;
+      for (std::size_t n = 1; n < received.size(); ++n) {
+        ASSERT_LT(key(received[n - 1]), key(received[n]))
+            << "receiver " << r << ", arrival " << n;
+      }
     }
   }
 
@@ -315,7 +302,8 @@ class BombardedWorld {
       mix(ep->received.size());
       for (const auto& r : ep->received) {
         mix(static_cast<std::uint64_t>(r.at));
-        mix((static_cast<std::uint64_t>(r.from.ip()) << 16) | r.from.port());
+        mix(r.from.packed());
+        mix(std::stoull(r.text));
       }
     }
     return fp;
@@ -324,15 +312,17 @@ class BombardedWorld {
  private:
   static constexpr std::uint32_t kNodes = 8;
 
-  static ShardedSimulator::Config config(unsigned threads) {
-    ShardedSimulator::Config cfg = fixedLatencyConfig(4, 10);
-    cfg.net.maxLatency = 40;  // varied latencies → real cross-window traffic
+  static ShardedSimulator::Config config(unsigned threads, std::size_t shards,
+                                         SimDuration maxLatency) {
+    ShardedSimulator::Config cfg = fixedLatencyConfig(shards, 10);
+    cfg.net.maxLatency = maxLatency;
     cfg.threads = threads;
     return cfg;
   }
 
   ShardedSimulator world_;
   std::vector<NodeId> ids_;
+  std::vector<std::uint64_t> sent_;  ///< per sender; its own shard writes it
   std::vector<std::unique_ptr<RecordingEndpoint>> endpoints_;
 };
 
@@ -420,6 +410,42 @@ TEST(ShardedSimulatorTest, PoolParksThroughQuietStretchesAndWakes) {
     for (std::size_t t = 0; t < s; ++t) EXPECT_NE(home[s], home[t]);
   }
   EXPECT_EQ(fingerprint, serial.fingerprint());
+}
+
+TEST(ShardedSimulatorTest, HandoffBurstsKeepKeyOrderAtEveryShardCount) {
+  // 20 160 hand-offs leave in window 0, all due at t = 10 (a fixed 10 ms
+  // band); five quiet windows later a 2 800-message burst reuses the
+  // drained buffers. The last layout gives the world a worker pool, which
+  // runs the first window's drain (a world's first window always uses the
+  // pool).
+  struct Layout {
+    std::size_t shards;
+    unsigned threads;
+  };
+  std::optional<std::uint64_t> reference;
+  for (const Layout layout :
+       {Layout{1, 1}, Layout{2, 1}, Layout{3, 1}, Layout{4, 4}}) {
+    SCOPED_TRACE("shards=" + std::to_string(layout.shards) +
+                 " threads=" + std::to_string(layout.threads));
+    BombardedWorld w(layout.threads, layout.shards, /*maxLatency=*/10);
+    w.bombard(0, 360);
+    w.bombard(60, 50);
+    w.world().runUntil(kSecond);
+
+    EXPECT_EQ(w.sends(), 22'960u);
+    EXPECT_EQ(w.world().handoffsCarried(), w.sends());
+    EXPECT_EQ(w.world().delivered(), w.sends());
+    w.expectKeyOrder();
+    if (layout.threads > 1) {
+      EXPECT_EQ(w.world().workerThreads(), layout.threads);
+      EXPECT_GT(w.world().poolWindows(), 0u);
+    }
+    if (!reference) {
+      reference = w.fingerprint();
+    } else {
+      EXPECT_EQ(w.fingerprint(), *reference);
+    }
+  }
 }
 
 TEST(ShardedSimulatorTest, IdleStretchesAreSkippedInOneHop) {

@@ -3,6 +3,7 @@
 
 #include <algorithm>
 #include <array>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -171,6 +172,130 @@ TEST(SimulatorTest, GlobalOrderMatchesStableSortAcrossTiers) {
                    [&](int a, int b) { return when[a] < when[b]; });
   EXPECT_EQ(fired, expected);
   EXPECT_EQ(sim.executedEvents(), static_cast<std::uint64_t>(kEvents));
+}
+
+// A capture that counts its own destruction once: a move hands the count
+// on to the copy it moved into, so each scheduled closure adds exactly one
+// destruction, whether it fired or was still parked when its simulator
+// went.
+class DestructionCounter {
+ public:
+  explicit DestructionCounter(int* destroyed) : destroyed_(destroyed) {}
+  DestructionCounter(DestructionCounter&& other) noexcept
+      : destroyed_(std::exchange(other.destroyed_, nullptr)) {}
+  DestructionCounter(const DestructionCounter&) = delete;
+  DestructionCounter& operator=(const DestructionCounter&) = delete;
+  DestructionCounter& operator=(DestructionCounter&&) = delete;
+  ~DestructionCounter() {
+    if (destroyed_ != nullptr) ++*destroyed_;
+  }
+
+ private:
+  int* destroyed_;
+};
+
+TEST(SimulatorTest, OverflowActionsAreDestroyedExactlyOnce) {
+  // Three pages of far-future actions over the next hour, half of them
+  // too large to store inline; the first half hour fires, the rest is
+  // still parked when the simulator is destroyed.
+  constexpr int kEvents = 3 * static_cast<int>(Simulator::kOverflowPageSlots);
+  int fired = 0;
+  int destroyed = 0;
+  int due = 0;
+  {
+    Simulator sim;
+    for (int i = 0; i < kEvents; ++i) {
+      const SimTime when = (1 + i % 60) * kMinute;
+      if (when <= 30 * kMinute) ++due;
+      if (i % 2 == 0) {
+        sim.at(when, [c = DestructionCounter(&destroyed), &fired] {
+          (void)c;
+          ++fired;
+        });
+      } else {
+        auto large = [c = DestructionCounter(&destroyed),
+                      pad = std::array<char, 200>{}, &fired] {
+          (void)c;
+          fired += 1 + pad[0];
+        };
+        static_assert(!InlineAction::storedInline<decltype(large)>());
+        sim.at(when, std::move(large));
+      }
+    }
+    EXPECT_EQ(sim.overflowEvents(), static_cast<std::size_t>(kEvents));
+    sim.runUntil(30 * kMinute);
+    EXPECT_EQ(fired, due);
+    EXPECT_EQ(destroyed, fired);  // every fired action is gone, no other
+    EXPECT_EQ(sim.pendingEvents(), static_cast<std::size_t>(kEvents - due));
+  }
+  EXPECT_EQ(destroyed, kEvents);
+}
+
+TEST(SimulatorTest, OverflowOrderHoldsAcrossPagesAndRecycledSlots) {
+  // 5 000 events parked on four equal far-future instants (several
+  // overflow pages), scheduled between 5 000 ring events. Fired events
+  // reschedule onto the next instant a full ring span ahead, so they land
+  // in the overflow tier behind the events already parked there, in the
+  // slots that promotions freed; two `every` chains with a period beyond
+  // the ring do the same. Execution order must equal a stable sort of all
+  // schedulings by time.
+  constexpr std::array<SimTime, 6> kInstants{20'000, 30'000, 40'000,
+                                             50'000, 60'000, 70'000};
+  constexpr auto kSpan = static_cast<SimTime>(Simulator::kBucketCount);
+  Simulator sim;
+  Rng rng(77);
+  std::vector<SimTime> when;  // by scheduling order
+  std::vector<std::size_t> fired;
+  std::size_t overflowScheduled = 0;
+  std::size_t peakOverflow = 0;
+  const auto note = [&](SimTime t) {
+    if (t - sim.now() >= kSpan) ++overflowScheduled;
+    when.push_back(t);
+    return when.size() - 1;
+  };
+  std::function<void(SimTime)> schedule = [&](SimTime t) {
+    const std::size_t id = note(t);
+    sim.at(t, [&, id] {
+      fired.push_back(id);
+      const auto next = std::lower_bound(kInstants.begin(), kInstants.end(),
+                                         sim.now() + kSpan);
+      if (next != kInstants.end() && rng.chance(0.7)) schedule(*next);
+    });
+    peakOverflow = std::max(peakOverflow, sim.overflowEvents());
+  };
+  for (int i = 0; i < 5'000; ++i) {
+    schedule(static_cast<SimTime>(rng.below(8'000)));
+    schedule(kInstants[rng.below(4)]);
+  }
+  for (int chain = 0; chain < 2; ++chain) {
+    // `every` schedules its next firing right after its callback returns
+    // true, so noting the firing inside the callback keeps `when` in
+    // scheduling order.
+    auto current = std::make_shared<std::size_t>(note(100 + chain));
+    sim.every(100 + chain, kSpan + 808, [&, current] {
+      fired.push_back(*current);
+      const SimTime next = sim.now() + kSpan + 808;
+      if (next > 75'000) return false;
+      *current = note(next);
+      return true;
+    });
+  }
+  sim.runUntil(100'000);
+
+  std::vector<std::size_t> expected(when.size());
+  for (std::size_t i = 0; i < expected.size(); ++i) expected[i] = i;
+  std::stable_sort(
+      expected.begin(), expected.end(),
+      [&](std::size_t a, std::size_t b) { return when[a] < when[b]; });
+  EXPECT_EQ(fired, expected);
+  EXPECT_EQ(sim.pendingEvents(), 0u);
+  EXPECT_GE(peakOverflow, 5'000u);
+  static_assert(5'000u > 2 * Simulator::kOverflowPageSlots);
+  // More overflow schedulings than the pages that the peak needed can
+  // hold: promoted events' slots were taken again.
+  const std::size_t pageSlots = Simulator::kOverflowPageSlots;
+  EXPECT_GT(overflowScheduled,
+            (peakOverflow + pageSlots - 1) / pageSlots * pageSlots);
 }
 
 TEST(SimulatorTest, EveryCancellationLeavesNoPendingEvent) {
