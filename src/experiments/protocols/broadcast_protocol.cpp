@@ -7,7 +7,8 @@ void BroadcastProtocol::build(const ProtocolContext& ctx) {
   sim_ = &ctx.world.simOf(0);
   net_ = &ctx.world.netOf(0);
   for (const trace::NodeTrace& nt : ctx.trace.nodes()) {
-    nodes_.push_back(std::make_unique<Node>(*this, nt.id));
+    nodes_.push_back(std::make_unique<Node>(
+        *this, nt.id, static_cast<std::uint32_t>(nodes_.size())));
     byId_.emplace(nt.id, nodes_.back().get());
     net_->attach(nt.id, *nodes_.back());
   }
@@ -23,9 +24,8 @@ void BroadcastProtocol::onJoin(const NodeId& id, bool /*firstJoin*/) {
   // O(N) join cost: announce to every alive member, and learn them all.
   for (const auto& peer : nodes_) {
     if (!peer->alive || peer.get() == &node) continue;
-    node.members.insert(peer->id);
     net_->send(id, peer->id, sim::PresenceMessage{id});
-    considerPeer(node, peer->id);
+    considerPeer(node, *peer);
   }
 }
 
@@ -36,13 +36,17 @@ void BroadcastProtocol::onLeave(const NodeId& id) {
   net_->setUp(id, false);
 }
 
-void BroadcastProtocol::considerPeer(Node& node, const NodeId& peer) {
+void BroadcastProtocol::considerPeer(Node& node, const Node& peer) {
+  node.members.insert(peer.pos, nodes_.size());
   ++node.hashChecks;
-  if (selector_->isMonitor(peer, node.id) && node.ps.insert(peer).second) {
+  if (selector_->isMonitor(peer.id, node.id) &&
+      node.ps.insert(peer.id).second) {
     node.psDiscoveryTimes.push_back(sim_->now());
   }
   ++node.hashChecks;
-  if (selector_->isMonitor(node.id, peer)) node.ts.insert(peer);
+  if (selector_->isMonitor(node.id, peer.id)) {
+    node.ts.insert(peer.pos, nodes_.size());
+  }
 }
 
 void BroadcastProtocol::Node::onMessage(const NodeId& /*from*/,
@@ -53,8 +57,8 @@ void BroadcastProtocol::Node::onMessage(const NodeId& /*from*/,
   std::visit(sim::Overloaded{
                  [this](const sim::PresenceMessage& presence) {
                    if (presence.origin == id) return;
-                   members.insert(presence.origin);
-                   owner.considerPeer(*this, presence.origin);
+                   owner.considerPeer(*this,
+                                      *owner.byId_.at(presence.origin));
                  },
                  [](const auto&) {},
              },
@@ -77,7 +81,7 @@ std::optional<SimDuration> BroadcastProtocol::discoveryDelay(
 std::size_t BroadcastProtocol::memoryEntries(const NodeId& id) const {
   // |membership| + |PS| + |TS|: comparable to AVMON's |CV| + |PS| + |TS|.
   const Node& node = *byId_.at(id);
-  return node.members.size() + node.ps.size() + node.ts.size();
+  return node.members.count + node.ps.size() + node.ts.count;
 }
 
 std::uint64_t BroadcastProtocol::hashChecks(const NodeId& id) const {

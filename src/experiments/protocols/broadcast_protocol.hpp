@@ -40,27 +40,47 @@ class BroadcastProtocol final : public Protocol {
       const std::function<void(const NodeId&)>& fn) const override;
 
  private:
+  // A set of nodes by trace position: one bit per node of the trace,
+  // allocated at the first insert, and a running count. Every node learns
+  // of nearly every other, so bits cost a fraction of hash-set nodes.
+  struct PositionSet {
+    std::vector<bool> bits;
+    std::size_t count = 0;
+
+    void insert(std::uint32_t pos, std::size_t population) {
+      if (bits.empty()) bits.resize(population);
+      if (bits[pos]) return;
+      bits[pos] = true;
+      ++count;
+    }
+  };
+
   // One participant: its network endpoint (the network holds its address)
   // and the scheme's per-node state.
   struct Node final : sim::Endpoint {
-    Node(BroadcastProtocol& owner, NodeId id) : owner(owner), id(id) {}
+    Node(BroadcastProtocol& owner, NodeId id, std::uint32_t pos)
+        : owner(owner), id(id), pos(pos) {}
     Node(const Node&) = delete;
     Node& operator=(const Node&) = delete;
     void onMessage(const NodeId& from, const sim::Message& message) override;
 
     BroadcastProtocol& owner;
     NodeId id;
+    std::uint32_t pos;  ///< position in the trace (and in nodes_)
     bool alive = false;
     SimTime firstJoin = -1;
     std::vector<SimTime> psDiscoveryTimes;  // absolute time of k-th PS entry
-    std::unordered_set<NodeId> members;
+    PositionSet members;
+    // A hash set, not bits: visitMonitorsOf walks it, and its order is
+    // part of the pinned metric stream.
     std::unordered_set<NodeId> ps;
-    std::unordered_set<NodeId> ts;
+    PositionSet ts;
     std::uint64_t hashChecks = 0;
   };
 
-  // Both orientations of the consistency condition against `peer`.
-  void considerPeer(Node& node, const NodeId& peer);
+  // Learns of `peer` and checks both orientations of the consistency
+  // condition against it.
+  void considerPeer(Node& node, const Node& peer);
 
   const MonitorSelector* selector_ = nullptr;
   sim::Simulator* sim_ = nullptr;  // shard 0 (single-shard scheme)

@@ -4,9 +4,10 @@
 // of times per run. std::function heap-allocates any capture larger than its
 // ~16-byte SBO, which made every scheduled network delivery an allocation.
 // InlineAction embeds captures up to kInlineCapacity bytes (sized so the
-// largest hot-path closure — a message delivery carrying a sim::Message
-// variant — fits) directly in the event record; larger closures fall back to
-// one heap allocation, so correctness never depends on the capture size.
+// largest hot-path closure — an RPC request leg carrying a sim::RpcRequest
+// variant and its ticket — fits) directly in the event record; larger
+// closures fall back to one heap allocation, so correctness never depends
+// on the capture size.
 //
 // Move-only, like the events it carries: an action runs exactly once.
 #pragma once
@@ -22,8 +23,11 @@ class InlineAction {
  public:
   /// Inline capture capacity in bytes. At least 48 by contract (enough for
   /// a this-pointer plus several words of state); sized in practice for the
-  /// network's delivery closure so steady-state scheduling never allocates.
-  static constexpr std::size_t kInlineCapacity = 80;
+  /// network's RPC serve closure (this, sender id, target slot, a 48-byte
+  /// request and a 16-byte ticket: 88 bytes), so steady-state scheduling
+  /// never allocates. With the 8-byte ops pointer that fills the 96 bytes
+  /// the buffer's 16-byte alignment rounds the record up to anyway.
+  static constexpr std::size_t kInlineCapacity = 88;
   static_assert(kInlineCapacity >= 48, "contract: >= 48 bytes inline");
 
   InlineAction() noexcept = default;
@@ -125,5 +129,9 @@ class InlineAction {
   alignas(std::max_align_t) unsigned char storage_[kInlineCapacity];
   const Ops* ops_ = nullptr;
 };
+
+// Each pending event takes one record in the simulator's slot pages; the
+// capacity above spends alignment padding, not a larger record.
+static_assert(sizeof(InlineAction) == 96, "an event record is 96 bytes");
 
 }  // namespace avmon::sim

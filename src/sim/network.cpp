@@ -6,6 +6,20 @@
 
 namespace avmon::sim {
 
+namespace {
+
+// Schedules one of the network's events: a delivery, an RPC serve or
+// completion, or a deadline backstop. They are the simulator's hot path,
+// so each closure must fit InlineAction's buffer.
+template <class Event>
+void schedule(Simulator& sim, SimTime when, Event&& event) {
+  static_assert(InlineAction::storedInline<Event>(),
+                "a network event closure must not allocate");
+  sim.at(when, std::forward<Event>(event));
+}
+
+}  // namespace
+
 RpcResponse Endpoint::onRpc(const NodeId& /*from*/, const RpcRequest& request) {
   // Generic liveness acknowledgement: the network only dispatches to
   // attached, up endpoints, so merely answering proves aliveness. Each
@@ -101,13 +115,12 @@ void Network::send(const NodeId& from, const NodeId& to, Message message) {
                             std::move(message));
     return;
   }
-  // The target's slot is resolved now; delivery addresses it directly. The
-  // closure fits InlineAction's inline buffer, so scheduling a delivery
-  // allocates nothing.
+  // The target's slot is resolved now; delivery addresses it directly.
   const std::uint32_t toSlot = slotFor(to);
-  sim_.after(latency, [this, from, toSlot, message = std::move(message)]() {
-    deliver(from, toSlot, message);
-  });
+  schedule(sim_, sim_.now() + latency,
+           [this, from, toSlot, message = std::move(message)]() {
+             deliver(from, toSlot, message);
+           });
 }
 
 void Network::deliver(const NodeId& from, std::uint32_t toSlot,
@@ -162,10 +175,11 @@ void Network::serveRpc(const NodeId& from, std::uint32_t toSlot,
                                 std::move(response), std::move(ticket));
     return;
   }
-  sim_.after(latency, [response = std::move(response),
-                       ticket = std::move(ticket)]() mutable {
-    completeRpc(std::move(response), ticket);
-  });
+  schedule(sim_, sim_.now() + latency,
+           [response = std::move(response),
+            ticket = std::move(ticket)]() mutable {
+             completeRpc(std::move(response), ticket);
+           });
 }
 
 void Network::completeRpc(RpcResponse response, const RpcTicket& ticket) {
@@ -178,7 +192,7 @@ void Network::scheduleHandoffDelivery(SimTime due, const NodeId& from,
                                       const NodeId& to, Message message) {
   AVMON_DET_CHECK(detTag, "Network::scheduleHandoffDelivery");
   const std::uint32_t toSlot = slotFor(to);
-  sim_.at(due, [this, from, toSlot, message = std::move(message)]() {
+  schedule(sim_, due, [this, from, toSlot, message = std::move(message)]() {
     deliver(from, toSlot, message);
   });
 }
@@ -188,8 +202,8 @@ void Network::scheduleHandoffServe(SimTime due, const NodeId& from,
                                    RpcTicket ticket) {
   AVMON_DET_CHECK(detTag, "Network::scheduleHandoffServe");
   const std::uint32_t toSlot = slotFor(to);
-  sim_.at(due, [this, from, toSlot, request = std::move(request),
-                ticket = std::move(ticket)]() mutable {
+  schedule(sim_, due, [this, from, toSlot, request = std::move(request),
+                       ticket = std::move(ticket)]() mutable {
     serveRpc(from, toSlot, request, std::move(ticket));
   });
 }
@@ -197,8 +211,8 @@ void Network::scheduleHandoffServe(SimTime due, const NodeId& from,
 void Network::scheduleHandoffComplete(SimTime due, RpcResponse response,
                                       RpcTicket ticket) {
   AVMON_DET_CHECK(detTag, "Network::scheduleHandoffComplete");
-  sim_.at(due, [response = std::move(response),
-                ticket = std::move(ticket)]() mutable {
+  schedule(sim_, due, [response = std::move(response),
+                       ticket = std::move(ticket)]() mutable {
     completeRpc(std::move(response), ticket);
   });
 }
@@ -245,7 +259,7 @@ void Network::callAsyncErased(const NodeId& from, const NodeId& to,
   charge(sender, requestWireBytes(request));
   RpcTicket ticket = std::make_shared<RpcCall>();
   ticket->handler = std::move(handler);
-  sim_.after(config_.rpcTimeout, [call = ticket] {
+  schedule(sim_, sim_.now() + config_.rpcTimeout, [call = ticket] {
     if (call->settled) return;
     call->settled = true;
     call->handler(std::nullopt);
@@ -266,10 +280,11 @@ void Network::callAsyncErased(const NodeId& from, const NodeId& to,
     return;
   }
   const std::uint32_t toSlot = slotFor(to);
-  sim_.after(requestLatency, [this, from, toSlot, request = std::move(request),
-                              ticket = std::move(ticket)]() mutable {
-    serveRpc(from, toSlot, request, std::move(ticket));
-  });
+  schedule(sim_, sim_.now() + requestLatency,
+           [this, from, toSlot, request = std::move(request),
+            ticket = std::move(ticket)]() mutable {
+             serveRpc(from, toSlot, request, std::move(ticket));
+           });
 }
 
 TrafficCounters Network::traffic(const NodeId& id) const {

@@ -292,8 +292,7 @@ void ShardedSimulator::runShardsStealing(SimTime target) {
       shards_[s]->sim->runUntil(target);
     }
   } catch (...) {
-    std::lock_guard<std::mutex> lock(errorMutex_);
-    if (!firstError_) firstError_ = std::current_exception();
+    storeError(std::current_exception());
   }
 }
 
@@ -340,8 +339,7 @@ void ShardedSimulator::drainShards(std::size_t first, std::size_t stride) {
       for (const auto& src : shards_) src->out[d].clear();
     }
   } catch (...) {
-    std::lock_guard<std::mutex> lock(errorMutex_);
-    if (!firstError_) firstError_ = std::current_exception();
+    storeError(std::current_exception());
   }
 }
 
@@ -352,8 +350,7 @@ void ShardedSimulator::visitOwnedShards(unsigned worker) {
       (*visitFn_)(s);
     }
   } catch (...) {
-    std::lock_guard<std::mutex> lock(errorMutex_);
-    if (!firstError_) firstError_ = std::current_exception();
+    storeError(std::current_exception());
   }
 }
 
@@ -420,14 +417,24 @@ void ShardedSimulator::visitShards(const std::function<void(std::size_t)>& fn) {
   rethrowPendingError();
 }
 
+void ShardedSimulator::storeError(std::exception_ptr error) {
+  const std::lock_guard<std::mutex> lock(errorMutex_);
+  if (!firstError_) firstError_ = std::move(error);
+  hasError_.store(true);
+}
+
 void ShardedSimulator::rethrowPendingError() {
+  // Runs after every window: the flag keeps the common, error-free case
+  // off the mutex. A worker's store is ordered before this read by the
+  // barrier that ended its phase.
+  if (!hasError_.load()) return;
   std::exception_ptr error;
   {
-    std::lock_guard<std::mutex> lock(errorMutex_);
-    error = firstError_;
-    firstError_ = nullptr;
+    const std::lock_guard<std::mutex> lock(errorMutex_);
+    error = std::exchange(firstError_, nullptr);
+    hasError_.store(false);
   }
-  if (error) std::rethrow_exception(error);
+  std::rethrow_exception(error);
 }
 
 void ShardedSimulator::runUntil(SimTime until) {

@@ -285,6 +285,8 @@ class ShardedSimulator {
   void workerLoop(unsigned worker);
   // Releases the pool into its stop check and joins it.
   void stopWorkers();
+  // Keeps the first error a window or visit raised, on any thread.
+  void storeError(std::exception_ptr error);
   void rethrowPendingError();
 
   std::uint64_t totalExecuted() const;
@@ -331,6 +333,7 @@ class ShardedSimulator {
   std::atomic<bool> stop_{false};
   std::exception_ptr firstError_;  // guarded by errorMutex_
   std::mutex errorMutex_;
+  std::atomic<bool> hasError_{false};  ///< set with firstError_
   std::vector<std::thread> workers_;
 };
 

@@ -8,27 +8,44 @@ namespace avmon::sim {
 
 Simulator::Simulator() : buckets_(kBucketCount) {}
 
+std::uint32_t Simulator::takeSlot() {
+  if (freeHead_ == kNoSlot) {
+    // A fresh page's slots, linked so the lowest is taken first.
+    const auto base = static_cast<std::uint32_t>(pages_.size() * kPageSlots);
+    pages_.push_back(std::make_unique<Page>());
+    Page& page = *pages_.back();
+    for (std::uint32_t i = 0; i + 1 < kPageSlots; ++i) {
+      page.next[i] = base + i + 1;
+    }
+    page.next[kPageSlots - 1] = kNoSlot;
+    freeHead_ = base;
+  }
+  const std::uint32_t slot = freeHead_;
+  freeHead_ = nextOf(slot);
+  return slot;
+}
+
+void Simulator::append(Bucket& bucket, std::uint32_t slot) noexcept {
+  nextOf(slot) = kNoSlot;
+  if (bucket.empty()) {
+    bucket.head = slot;
+  } else {
+    nextOf(bucket.tail) = slot;
+  }
+  bucket.tail = slot;
+}
+
 void Simulator::at(SimTime when, Action action) {
   AVMON_DET_CHECK(detTag, "Simulator::at");
   if (when < now_) when = now_;
+  const std::uint32_t slot = takeSlot();
+  actionOf(slot) = std::move(action);
   if (size_ == 0) cursor_ = now_;  // empty queue: re-anchor the window
   ++size_;
   if (static_cast<std::uint64_t>(when - cursor_) < kBucketCount) {
-    bucketFor(when).push(std::move(action));
+    append(bucketFor(when), slot);
     ++ringCount_;
   } else {
-    if (freeSlots_.empty()) {
-      // A fresh page's slots, stacked so the lowest is taken first.
-      const auto base =
-          static_cast<std::uint32_t>(pages_.size() * kOverflowPageSlots);
-      pages_.push_back(std::make_unique<OverflowPage>());
-      for (std::uint32_t i = kOverflowPageSlots; i > 0; --i) {
-        freeSlots_.push_back(base + i - 1);
-      }
-    }
-    const std::uint32_t slot = freeSlots_.back();
-    freeSlots_.pop_back();
-    slotAction(slot) = std::move(action);
     overflow_.push_back(OverflowKey{when, nextSeq_++, slot});
     std::push_heap(overflow_.begin(), overflow_.end(), Later{});
   }
@@ -48,8 +65,7 @@ void Simulator::promote() {
     std::pop_heap(overflow_.begin(), overflow_.end(), Later{});
     const OverflowKey key = overflow_.back();
     overflow_.pop_back();
-    bucketFor(key.when).push(std::move(slotAction(key.slot)));
-    freeSlots_.push_back(key.slot);
+    append(bucketFor(key.when), key.slot);
     ++ringCount_;
   }
 }
@@ -91,28 +107,38 @@ bool Simulator::findNext(SimTime until) {
   }
 }
 
+void Simulator::fireNext() {
+  Bucket& bucket = bucketFor(cursor_);
+  const std::uint32_t slot = bucket.head;
+  bucket.head = nextOf(slot);
+  --ringCount_;
+  --size_;
+  now_ = cursor_;
+  ++executed_;
+  // The slot is on no list while its action runs, so nothing the action
+  // schedules can take it; pages never move, so the action stays put.
+  struct Release {
+    Simulator& sim;
+    std::uint32_t slot;
+    ~Release() {
+      sim.actionOf(slot).reset();
+      sim.nextOf(slot) = sim.freeHead_;
+      sim.freeHead_ = slot;
+    }
+  } release{*this, slot};
+  actionOf(slot)();
+}
+
 void Simulator::runUntil(SimTime until) {
   AVMON_DET_CHECK(detTag, "Simulator::runUntil");
-  while (findNext(until)) {
-    InlineAction action = bucketFor(cursor_).pop();
-    --ringCount_;
-    --size_;
-    now_ = cursor_;
-    ++executed_;
-    action();
-  }
+  while (findNext(until)) fireNext();
   if (now_ < until) now_ = until;
 }
 
 bool Simulator::step() {
   AVMON_DET_CHECK(detTag, "Simulator::step");
   if (!findNext(std::numeric_limits<SimTime>::max())) return false;
-  InlineAction action = bucketFor(cursor_).pop();
-  --ringCount_;
-  --size_;
-  now_ = cursor_;
-  ++executed_;
-  action();
+  fireNext();
   return true;
 }
 

@@ -5,24 +5,33 @@
 // deterministic: the execution order is exactly (when, seq), where seq is
 // the global scheduling sequence number.
 //
-// The store is a two-tier calendar queue tuned for the protocol workload
-// (integral-millisecond timestamps, dense near-future traffic from network
-// latencies, sparse far-future traffic from minute-scale periodic timers):
+// Every pending closure lives in one slot pool: fixed pages of kPageSlots
+// slots, each an InlineAction plus a 4-byte link to the next slot.
+// Scheduling moves the closure into a free slot once; after that only its
+// 4-byte slot index moves, and the closure runs, and is destroyed, where
+// it was stored. Free slots form a LIFO list through the same links, so
+// the warmest slot is taken first and the pool holds the peak number of
+// pending events rounded up to a page. Pages are never moved or freed
+// before the simulator, so a running action may schedule freely.
+//
+// The slots are ordered by a two-tier calendar queue tuned for the
+// protocol workload (integral-millisecond timestamps, dense near-future
+// traffic from network latencies, sparse far-future traffic from
+// minute-scale periodic timers):
 //
 //  * Near tier: a power-of-two ring of kBucketCount one-millisecond FIFO
-//    buckets covering [cursor, cursor + kBucketCount). Scheduling into the
-//    window and firing from it are O(1) and allocation-free once bucket
-//    capacity has warmed up. Same-instant events share one bucket and run
-//    back-to-back as a batch — no per-event heap pop between them.
+//    buckets covering [cursor, cursor + kBucketCount). A bucket is the
+//    (head, tail) pair of a linked slot list, so scheduling into the
+//    window and firing from it are O(1). Same-instant events share one
+//    bucket and run back-to-back as a batch — no per-event heap pop
+//    between them.
 //  * Overflow tier: a binary min-heap of (when, seq, slot) keys for events
-//    beyond the window. The action itself waits in a slot of a fixed-size
-//    page and never moves while parked: heap sifts move 24-byte keys, not
-//    ~100-byte closures, and the action moves once, into its bucket, when
-//    it is promoted. Freed slots are reused. As the cursor advances, due
-//    overflow events are promoted into their buckets in (when, seq) order
-//    *before* any new event can be scheduled at those times, so bucket
-//    FIFO order remains global (when, seq) order and seeded runs are
-//    bit-identical to the classic single-heap scheduler this replaced.
+//    beyond the window; heap sifts move 24-byte keys, never closures. As
+//    the cursor advances, due overflow events are promoted (their slots
+//    appended to their buckets) in (when, seq) order *before* any new
+//    event can be scheduled at those times, so bucket FIFO order remains
+//    global (when, seq) order and seeded runs are bit-identical to the
+//    classic single-heap scheduler this replaced.
 //
 // Closures are stored as sim::InlineAction (small-buffer optimized), so the
 // common schedule/fire cycle performs zero heap allocations.
@@ -51,16 +60,16 @@ class Simulator {
   /// heap tier and are promoted as the window reaches them.
   static constexpr std::size_t kBucketCount = 8192;
 
-  /// Slots per overflow page. A parked action takes one 96-byte slot, so
-  /// a page is 96 KiB: below the ring's own 256 KiB of bucket headers, so
-  /// a simulator with a few far-future timers grows by at most that, and
-  /// under glibc's 128 KiB mmap threshold, so pages come from the malloc
-  /// arena. Each of wide_sparse's four shards (25 000 nodes) peaks at 74
-  /// pages and holds ~47 500 parked events at its horizon; stat_dense's
-  /// one shard peaks at 6. That is one allocation per 1 024 parkings, and
-  /// none once the timer population is steady, because promotion frees
-  /// the slots that the next reschedule takes.
-  static constexpr std::size_t kOverflowPageSlots = 1024;
+  /// Slots per page of the event store. A slot is a 96-byte action plus
+  /// a 4-byte link, so a page is 100 KiB: under glibc's 128 KiB mmap
+  /// threshold, so pages come from the malloc arena, and the most a
+  /// simulator with a handful of pending events holds. Each of
+  /// wide_sparse's four shards (25 000 nodes) peaks at ~162 500 pending
+  /// events, 159 pages; stat_dense's one shard peaks at 13 100, 13 pages.
+  /// That is one allocation per 1 024 events of peak, and none once the
+  /// pending population is steady, because every fired event frees the
+  /// slot that the next scheduling takes.
+  static constexpr std::size_t kPageSlots = 1024;
 
   Simulator();
 
@@ -114,27 +123,36 @@ class Simulator {
   /// Events currently waiting in the overflow tier (for tests/benches).
   std::size_t overflowEvents() const noexcept { return overflow_.size(); }
 
+  /// Slots the event store holds, free or not: whole pages, so a multiple
+  /// of kPageSlots (for tests/benches).
+  std::size_t slotCapacity() const noexcept {
+    return pages_.size() * kPageSlots;
+  }
+
  private:
   static constexpr std::size_t kMask = kBucketCount - 1;
   static_assert((kBucketCount & kMask) == 0, "ring size must be a power of 2");
-  static_assert((kOverflowPageSlots & (kOverflowPageSlots - 1)) == 0,
+  static_assert((kPageSlots & (kPageSlots - 1)) == 0,
                 "page size must be a power of 2");
 
-  // One calendar slot: a FIFO that reuses its storage across drains.
-  struct Bucket {
-    std::vector<InlineAction> items;
-    std::size_t head = 0;
+  /// Link value ending a slot list.
+  static constexpr std::uint32_t kNoSlot =
+      std::numeric_limits<std::uint32_t>::max();
 
-    bool empty() const noexcept { return head == items.size(); }
-    void push(InlineAction&& a) { items.push_back(std::move(a)); }
-    InlineAction pop() {
-      InlineAction a = std::move(items[head]);
-      if (++head == items.size()) {
-        items.clear();  // keeps capacity: steady state never reallocates
-        head = 0;
-      }
-      return a;
-    }
+  // A page of slots: slot i's action and the index of the slot after it
+  // in its bucket or in the free list. A free slot holds an empty action.
+  struct Page {
+    std::array<InlineAction, kPageSlots> actions;
+    std::array<std::uint32_t, kPageSlots> next;
+  };
+
+  // One calendar bucket: a FIFO list of slots, linked through Page::next.
+  // `tail` is meaningful only while `head` is not kNoSlot.
+  struct Bucket {
+    std::uint32_t head = kNoSlot;
+    std::uint32_t tail = kNoSlot;
+
+    bool empty() const noexcept { return head == kNoSlot; }
   };
 
   // An overflow event's heap entry; its action waits in slot `slot`.
@@ -149,15 +167,22 @@ class Simulator {
       return a.seq > b.seq;
     }
   };
-  using OverflowPage = std::array<InlineAction, kOverflowPageSlots>;
 
   Bucket& bucketFor(SimTime when) noexcept {
     return buckets_[static_cast<std::size_t>(when) & kMask];
   }
 
-  InlineAction& slotAction(std::uint32_t slot) noexcept {
-    return (*pages_[slot / kOverflowPageSlots])[slot % kOverflowPageSlots];
+  InlineAction& actionOf(std::uint32_t slot) noexcept {
+    return pages_[slot / kPageSlots]->actions[slot % kPageSlots];
   }
+  std::uint32_t& nextOf(std::uint32_t slot) noexcept {
+    return pages_[slot / kPageSlots]->next[slot % kPageSlots];
+  }
+
+  // Takes the warmest free slot, adding a page when none is free.
+  std::uint32_t takeSlot();
+  // Links `slot` at the tail of `bucket`.
+  void append(Bucket& bucket, std::uint32_t slot) noexcept;
 
   // Positions the cursor on the next pending event. Returns true iff that
   // event's time is <= until; never advances the cursor past `until` (so
@@ -168,12 +193,14 @@ class Simulator {
   // in (when, seq) order.
   void promote();
 
+  // Unlinks the cursor bucket's head event and runs it in its slot; the
+  // slot is reset and freed when the action returns or throws.
+  void fireNext();
+
   std::vector<Bucket> buckets_;
   std::vector<OverflowKey> overflow_;  // binary min-heap via std::*_heap
-  // Parked overflow actions; a free slot holds an empty action. Pages are
-  // never moved or freed before the simulator, so a slot stays put.
-  std::vector<std::unique_ptr<OverflowPage>> pages_;
-  std::vector<std::uint32_t> freeSlots_;  ///< LIFO: the warmest slot first
+  std::vector<std::unique_ptr<Page>> pages_;
+  std::uint32_t freeHead_ = kNoSlot;  ///< LIFO free list: the warmest first
   SimTime cursor_ = 0;      ///< lowest time mapped by the ring window
   std::size_t ringCount_ = 0;  ///< events currently in ring buckets
   std::size_t size_ = 0;       ///< total pending events (ring + overflow)

@@ -6,6 +6,7 @@
 
 #include <chrono>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <tuple>
@@ -459,6 +460,38 @@ TEST(ShardedSimulatorTest, IdleStretchesAreSkippedInOneHop) {
   world.runUntil(kMinute + 5);
   EXPECT_TRUE(fired);
   EXPECT_LT(world.windowsRun(), 50u);
+}
+
+TEST(ShardedSimulatorTest, WindowErrorsReachTheCallerOnce) {
+  // One event throws in the world's first window, which always runs on
+  // the pool, and one in a window after an idle stretch, which runs on
+  // the coordinator alone. Each error surfaces from exactly one runUntil
+  // call; the call after it resumes the world without rethrowing, and
+  // every message still arrives.
+  BombardedWorld w(4);
+  ShardedSimulator& world = w.world();
+  ASSERT_EQ(world.workerThreads(), 4u);
+  w.bombard(0);
+  world.simOf(2).at(0, [] { throw std::runtime_error("pool window"); });
+  world.simOf(1).at(500, [] { throw std::runtime_error("serial window"); });
+  const auto errorOf = [&world](SimTime until) -> std::string {
+    try {
+      world.runUntil(until);
+    } catch (const std::runtime_error& error) {
+      return error.what();
+    }
+    return "";
+  };
+
+  EXPECT_EQ(errorOf(5), "pool window");
+  EXPECT_EQ(errorOf(100), "");
+  EXPECT_GT(world.poolWindows(), 0u);
+  const std::uint64_t poolBefore = world.poolWindows();
+  EXPECT_EQ(errorOf(kSecond), "serial window");
+  EXPECT_EQ(world.poolWindows(), poolBefore);  // no window used the pool
+  EXPECT_EQ(errorOf(kSecond), "");
+  EXPECT_EQ(world.delivered(), w.sends());
+  w.expectKeyOrder();
 }
 
 }  // namespace

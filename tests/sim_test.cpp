@@ -6,6 +6,7 @@
 #include <functional>
 #include <memory>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -195,18 +196,18 @@ class DestructionCounter {
 };
 
 TEST(SimulatorTest, OverflowActionsAreDestroyedExactlyOnce) {
-  // Three pages of far-future actions over the next hour, half of them
-  // too large to store inline; the first half hour fires, the rest is
-  // still parked when the simulator is destroyed.
-  constexpr int kEvents = 3 * static_cast<int>(Simulator::kOverflowPageSlots);
+  // Three pages of far-future actions over the next hour and three of
+  // ring-tier actions over the next three seconds, half of each too large
+  // to store inline. The first half hour fires; then three more pages of
+  // ring-tier actions are scheduled, and they and the rest of the
+  // far-future ones are still pending when the simulator is destroyed.
+  constexpr int kEvents = 3 * static_cast<int>(Simulator::kPageSlots);
   int fired = 0;
   int destroyed = 0;
   int due = 0;
   {
     Simulator sim;
-    for (int i = 0; i < kEvents; ++i) {
-      const SimTime when = (1 + i % 60) * kMinute;
-      if (when <= 30 * kMinute) ++due;
+    const auto schedule = [&](SimTime when, int i) {
       if (i % 2 == 0) {
         sim.at(when, [c = DestructionCounter(&destroyed), &fired] {
           (void)c;
@@ -221,24 +222,34 @@ TEST(SimulatorTest, OverflowActionsAreDestroyedExactlyOnce) {
         static_assert(!InlineAction::storedInline<decltype(large)>());
         sim.at(when, std::move(large));
       }
+    };
+    for (int i = 0; i < kEvents; ++i) {
+      const SimTime when = (1 + i % 60) * kMinute;
+      if (when <= 30 * kMinute) ++due;
+      schedule(when, i);
+      schedule(1 + i, i);
+      ++due;
     }
     EXPECT_EQ(sim.overflowEvents(), static_cast<std::size_t>(kEvents));
     sim.runUntil(30 * kMinute);
     EXPECT_EQ(fired, due);
     EXPECT_EQ(destroyed, fired);  // every fired action is gone, no other
-    EXPECT_EQ(sim.pendingEvents(), static_cast<std::size_t>(kEvents - due));
+    for (int i = 0; i < kEvents; ++i) schedule(sim.now() + 1 + i % 100, i);
+    EXPECT_EQ(sim.pendingEvents(), static_cast<std::size_t>(3 * kEvents - due));
+    EXPECT_EQ(destroyed, fired);
   }
-  EXPECT_EQ(destroyed, kEvents);
+  EXPECT_EQ(destroyed, 3 * kEvents);
 }
 
 TEST(SimulatorTest, OverflowOrderHoldsAcrossPagesAndRecycledSlots) {
   // 5 000 events parked on four equal far-future instants (several
-  // overflow pages), scheduled between 5 000 ring events. Fired events
+  // pages of slots), scheduled between 5 000 ring events. Fired events
   // reschedule onto the next instant a full ring span ahead, so they land
   // in the overflow tier behind the events already parked there, in the
-  // slots that promotions freed; two `every` chains with a period beyond
-  // the ring do the same. Execution order must equal a stable sort of all
-  // schedulings by time.
+  // slots that fired events freed; two `every` chains with a period
+  // beyond the ring do the same. Execution order must equal a stable sort
+  // of all schedulings by time, and the store must hold the peak of live
+  // events rounded up to a page.
   constexpr std::array<SimTime, 6> kInstants{20'000, 30'000, 40'000,
                                              50'000, 60'000, 70'000};
   constexpr auto kSpan = static_cast<SimTime>(Simulator::kBucketCount);
@@ -248,9 +259,15 @@ TEST(SimulatorTest, OverflowOrderHoldsAcrossPagesAndRecycledSlots) {
   std::vector<std::size_t> fired;
   std::size_t overflowScheduled = 0;
   std::size_t peakOverflow = 0;
+  // Slots in use once the scheduling being noted is made: everything
+  // scheduled so far minus every action that has returned. Every note
+  // after the first run starts is made inside a running action.
+  std::size_t peakLive = 0;
   const auto note = [&](SimTime t) {
     if (t - sim.now() >= kSpan) ++overflowScheduled;
     when.push_back(t);
+    const std::size_t returned = fired.empty() ? 0 : fired.size() - 1;
+    peakLive = std::max(peakLive, when.size() - returned);
     return when.size() - 1;
   };
   std::function<void(SimTime)> schedule = [&](SimTime t) {
@@ -290,12 +307,108 @@ TEST(SimulatorTest, OverflowOrderHoldsAcrossPagesAndRecycledSlots) {
   EXPECT_EQ(fired, expected);
   EXPECT_EQ(sim.pendingEvents(), 0u);
   EXPECT_GE(peakOverflow, 5'000u);
-  static_assert(5'000u > 2 * Simulator::kOverflowPageSlots);
-  // More overflow schedulings than the pages that the peak needed can
-  // hold: promoted events' slots were taken again.
-  const std::size_t pageSlots = Simulator::kOverflowPageSlots;
-  EXPECT_GT(overflowScheduled,
-            (peakOverflow + pageSlots - 1) / pageSlots * pageSlots);
+  static_assert(5'000u > 2 * Simulator::kPageSlots);
+  // The store grew only while every slot was live, and more overflow
+  // schedulings were made than it holds: fired events' slots were taken
+  // again.
+  const std::size_t pageSlots = Simulator::kPageSlots;
+  EXPECT_EQ(sim.slotCapacity(),
+            (peakLive + pageSlots - 1) / pageSlots * pageSlots);
+  EXPECT_GT(overflowScheduled, sim.slotCapacity());
+}
+
+TEST(SimulatorTest, EventStoreHoldsThePeakOfLiveEventsNotOfEachBucket) {
+  // 100 bursts of 2 000 same-instant events, each burst in its own bucket
+  // and run before the next is scheduled. The store keeps two pages, the
+  // peak of live events; it does not keep each bucket's burst.
+  constexpr int kBurst = 2'000;
+  static_assert(kBurst > static_cast<int>(Simulator::kPageSlots) &&
+                kBurst <= 2 * static_cast<int>(Simulator::kPageSlots));
+  Simulator sim;
+  int fired = 0;
+  for (SimTime t = 1; t <= 100; ++t) {
+    for (int i = 0; i < kBurst; ++i) sim.at(t, [&fired] { ++fired; });
+    sim.runUntil(t);
+    EXPECT_EQ(sim.pendingEvents(), 0u);
+  }
+  EXPECT_EQ(fired, 100 * kBurst);
+  EXPECT_EQ(sim.slotCapacity(), 2 * Simulator::kPageSlots);
+}
+
+TEST(SimulatorTest, ThrowingActionFreesItsSlot) {
+  // An action that throws is destroyed once and gives its slot back; the
+  // event behind it at the same instant fires on the next run.
+  Simulator sim;
+  int destroyed = 0;
+  std::vector<int> order;
+  sim.at(5, [c = DestructionCounter(&destroyed), &order] {
+    (void)c;
+    order.push_back(1);
+    throw std::runtime_error("event failed");
+  });
+  sim.at(5, [&order] { order.push_back(2); });
+  EXPECT_THROW(sim.runUntil(10), std::runtime_error);
+  EXPECT_EQ(destroyed, 1);
+  EXPECT_EQ(sim.pendingEvents(), 1u);
+  EXPECT_EQ(sim.executedEvents(), 1u);
+  EXPECT_EQ(sim.now(), 5);
+  sim.runUntil(10);
+  EXPECT_EQ(order, (std::vector<int>{1, 2}));
+  EXPECT_EQ(destroyed, 1);
+  EXPECT_EQ(sim.pendingEvents(), 0u);
+  EXPECT_EQ(sim.now(), 10);
+  // Both slots are free again: a page of new events fits the one page.
+  for (std::size_t i = 0; i < Simulator::kPageSlots; ++i) sim.at(20, [] {});
+  EXPECT_EQ(sim.slotCapacity(), Simulator::kPageSlots);
+}
+
+// Events that each schedule two more at their own instant, up to
+// kEvents. Each capture carries a pattern derived from its id, and the
+// action checks it after scheduling: the store adds pages while actions
+// run, and a running action must not move.
+struct SelfScheduler {
+  static constexpr int kEvents = 5'000;
+  using Pattern = std::array<std::uint64_t, 9>;
+
+  Simulator sim;
+  std::vector<int> fired;
+  int scheduled = 0;
+  int corrupted = 0;
+
+  static Pattern patternOf(int id) {
+    Pattern p{};
+    for (std::size_t i = 0; i < p.size(); ++i) {
+      p[i] = (static_cast<std::uint64_t>(id) << 8) ^ (i * 0x9e3779b97f4a7c15u);
+    }
+    return p;
+  }
+
+  void scheduleOne() {
+    const int id = scheduled++;
+    auto event = [this, id, pattern = patternOf(id)] {
+      fired.push_back(id);
+      for (int i = 0; i < 2 && scheduled < kEvents; ++i) scheduleOne();
+      if (pattern != patternOf(id)) ++corrupted;
+    };
+    // The capture fills the inline buffer exactly, so the pattern lives in
+    // the slot itself.
+    static_assert(sizeof(event) == InlineAction::kInlineCapacity);
+    static_assert(InlineAction::storedInline<decltype(event)>());
+    sim.at(sim.now(), std::move(event));
+  }
+};
+
+TEST(SimulatorTest, ActionsSchedulingIntoTheirOwnInstantKeepFifoOrder) {
+  SelfScheduler world;
+  world.scheduleOne();
+  world.sim.runUntil(1);
+  std::vector<int> expected(SelfScheduler::kEvents);
+  for (int i = 0; i < SelfScheduler::kEvents; ++i) expected[i] = i;
+  EXPECT_EQ(world.fired, expected);
+  EXPECT_EQ(world.corrupted, 0);
+  EXPECT_EQ(world.sim.pendingEvents(), 0u);
+  // ~2 500 events were live at the peak: pages were added mid-action.
+  EXPECT_EQ(world.sim.slotCapacity(), 3 * Simulator::kPageSlots);
 }
 
 TEST(SimulatorTest, EveryCancellationLeavesNoPendingEvent) {
